@@ -47,7 +47,7 @@ from .graph import (
     translate,
 )
 from .kb import HostLattice, KbError, KnowledgeBase, Taxonomy, classify, expand
-from .normalize import canonicalize, merge_a_edges, merge_r_edges
+from .normalize import canonicalize
 from .parsing import ParseError, parse_description, parse_kb
 from .reduction import (
     CnfFormula,

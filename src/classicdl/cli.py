@@ -14,14 +14,14 @@ import json
 import sys
 
 from . import randgen, reduction
-from .countermodel import construct_graphical_world
+from .countermodel import CounterModelError, construct_graphical_world
 from .descriptions import to_jsonable as ast_jsonable
 from .graph import to_jsonable as graph_jsonable, translate
 from .kb import KbError, KnowledgeBase, classify, expand
 from .normalize import canonicalize
 from .parsing import ParseError, infer_attr_names, parse_description, parse_kb
 from .subsume import subsumes_graph
-from .worlds import eval_graph, to_jsonable as world_jsonable
+from .worlds import to_jsonable as world_jsonable
 
 PARSE_ERROR_EXIT = 3
 
@@ -66,7 +66,6 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--cases", type=int, default=100)
         if "max-domain" in flags:
             p.add_argument("--max-domain", type=int, default=5)
-        p.add_argument("--format", default="text", choices=["text"])
         return p
 
     p = add("parse", "parse a description and dump its AST", "kb")
@@ -81,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("subsumee")
     p = add("classify", "dump the taxonomy of a knowledge base", "kb")
     p = add("countermodel", "build a world separating two descriptions",
-            "kb", "seed", "max-domain")
+            "kb")
     p.add_argument("subsumer")
     p.add_argument("subsumee")
     p = add("reduce", "incompleteness report for a DIMACS 3CNF file")
@@ -129,8 +128,12 @@ def _dispatch(args) -> int:
             print("error: subsumption holds; no counter-model exists",
                   file=sys.stderr)
             return 1
-        world, elem = construct_graphical_world(canon, steering=de, kb=kb)
-        assert elem in eval_graph(canon, world)
+        try:
+            world, elem = construct_graphical_world(canon, steering=de,
+                                                    kb=kb)
+        except CounterModelError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 1
         _emit(world_jsonable(world, distinguished=elem))
         return 0
     if cmd == "reduce":

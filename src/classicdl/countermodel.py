@@ -401,25 +401,6 @@ def _node_plan(plans: dict[int, NodePlan], nid: int) -> NodePlan:
     return plans[nid]
 
 
-def _attr_edge(g: DescriptionGraph, nid: int, attr: str):
-    for e in g.a_edges:
-        if e.src == nid and e.attr == attr:
-            return e
-    return None
-
-
-def _follow(g: DescriptionGraph, nid: int, chain):
-    cur = nid
-    taken = 0
-    for attr in chain:
-        e = _attr_edge(g, cur, attr)
-        if e is None:
-            return cur, taken
-        cur = e.dst
-        taken += 1
-    return cur, taken
-
-
 def _plan(d: Description, g: DescriptionGraph, nid: int,
           plans: dict[int, NodePlan],
           edge_plans: dict[tuple[int, str], EdgePlan],
@@ -460,7 +441,7 @@ def _plan(d: Description, g: DescriptionGraph, nid: int,
             _node_plan(plans, nid).realm = "classic"
         return
     if isinstance(d, AtLeast):
-        e = _role_edge(node, d.role)
+        e = g.role_edge(nid, d.role)
         if e is None:
             if d.n > 1:
                 edge_plans[(nid, d.role)] = EdgePlan(
@@ -469,7 +450,7 @@ def _plan(d: Description, g: DescriptionGraph, nid: int,
         edge_plans[(nid, d.role)] = EdgePlan(count=_bounded(d.n - 1, e.max))
         return
     if isinstance(d, AtMost):
-        e = _role_edge(node, d.role)
+        e = g.role_edge(nid, d.role)
         if e is None:
             edge_plans[(nid, d.role)] = EdgePlan(
                 count=d.n + 1, synthetic_realm="classic")
@@ -481,7 +462,7 @@ def _plan(d: Description, g: DescriptionGraph, nid: int,
             # The body covers everything, so the root must be non-classic.
             _node_plan(plans, nid).realm = "host"
             return
-        e = _role_edge(node, d.role)
+        e = g.role_edge(nid, d.role)
         if e is not None:
             edge_plans[(nid, d.role)] = EdgePlan(counter_desc=d.restriction)
         else:
@@ -493,7 +474,7 @@ def _plan(d: Description, g: DescriptionGraph, nid: int,
         if subsumes_graph(d.restriction, thing_graph()):
             _node_plan(plans, nid).realm = "host"
             return
-        e = _attr_edge(g, nid, d.attr)
+        e = g.attr_edge(nid, d.attr)
         if e is not None:
             _plan(d.restriction, g, e.dst, plans, edge_plans, lattice)
         else:
@@ -505,7 +486,7 @@ def _plan(d: Description, g: DescriptionGraph, nid: int,
         _plan_same_as(d, g, nid, plans, lattice)
         return
     if isinstance(d, FillsRole):
-        e = _role_edge(node, d.role)
+        e = g.role_edge(nid, d.role)
         if e is not None:
             head = e.restriction.root_node
             count = e.min if head.dom is not None else max(
@@ -514,7 +495,7 @@ def _plan(d: Description, g: DescriptionGraph, nid: int,
                 count=count, dom_avoid=frozenset({d.who}))
         return
     if isinstance(d, FillsAttr):
-        e = _attr_edge(g, nid, d.attr)
+        e = g.attr_edge(nid, d.attr)
         if e is not None:
             _node_plan(plans, e.dst).dom_avoid |= {d.who}
         return
@@ -524,13 +505,6 @@ def _plan(d: Description, g: DescriptionGraph, nid: int,
             _node_plan(plans, nid).dom_avoid |= members
         return
     raise CounterModelError("cannot steer against %r" % (d,))
-
-
-def _role_edge(node: GraphNode, role: str):
-    for e in node.r_edges:
-        if e.role == role:
-            return e
-    return None
 
 
 def _plan_atom(d, node, nid, plans, lattice) -> None:
@@ -554,12 +528,12 @@ def _plan_atom(d, node, nid, plans, lattice) -> None:
 
 def _plan_same_as(d: SameAs, g: DescriptionGraph, nid: int,
                   plans: dict[int, NodePlan], lattice) -> None:
-    l_pre, l_taken = _follow(g, nid, d.left[:-1])
-    r_pre, r_taken = _follow(g, nid, d.right[:-1])
+    l_pre, l_taken = g.follow(nid, d.left[:-1])
+    r_pre, r_taken = g.follow(nid, d.right[:-1])
     l_full = l_taken == len(d.left) - 1 and \
-        _attr_edge(g, l_pre, d.left[-1]) is not None
+        g.attr_edge(l_pre, d.left[-1]) is not None
     r_full = r_taken == len(d.right) - 1 and \
-        _attr_edge(g, r_pre, d.right[-1]) is not None
+        g.attr_edge(r_pre, d.right[-1]) is not None
 
     if l_taken < len(d.left) - 1 or r_taken < len(d.right) - 1:
         # A prefix already breaks: its next attribute has no edge, and the

@@ -95,14 +95,41 @@ class GraphNode:
                          self.dom)
 
 
+class _EdgeIndex:
+    """Hashed (node, attribute) -> a-edge and (node, role) -> r-edge maps.
+
+    Attribute and role names are kept apart.  Where a node has several
+    edges with one label (possible only before canonicalization), the first
+    in stored order wins.
+    """
+
+    __slots__ = ("attr", "role")
+
+    def __init__(self, g: "DescriptionGraph"):
+        self.attr: dict[tuple[int, str], AEdge] = {}
+        for e in g.a_edges:
+            self.attr.setdefault((e.src, e.attr), e)
+        self.role: dict[tuple[int, str], REdge] = {}
+        for nid, node in g.nodes.items():
+            for e in node.r_edges:
+                self.role.setdefault((nid, e.role), e)
+
+
 class DescriptionGraph:
-    """Rooted description graph; treated as an immutable value once built."""
+    """Rooted description graph; treated as an immutable value once built.
+
+    ``attr_edge``, ``role_edge`` and ``follow`` answer from a hashed edge
+    index that is built on the first of them called, or on the first
+    ``rerooted`` view, and shared with every such view.  The graph must not
+    change after that: the index would not see the change.
+    """
 
     def __init__(self):
         self.nodes: dict[int, GraphNode] = {}
         self.a_edges: list[AEdge] = []
         self.root: int = -1
         self.incoherent: bool = False
+        self._index: _EdgeIndex | None = None
 
     def add_node(self, node: GraphNode) -> int:
         nid = _fresh_id()
@@ -134,7 +161,41 @@ class DescriptionGraph:
         g.a_edges = self.a_edges
         g.root = nid
         g.incoherent = self.incoherent
+        g._index = self._index or self._build_index()
         return g
+
+    def _build_index(self) -> _EdgeIndex:
+        # A single reference store: a thread sharing the graph sees either
+        # no index or a whole one.  Two threads may both build; the results
+        # are equal.
+        self._index = _EdgeIndex(self)
+        return self._index
+
+    def attr_edge(self, nid: int, attr: str) -> AEdge | None:
+        """The a-edge labelled ``attr`` out of node ``nid``, if any."""
+        index = self._index or self._build_index()
+        return index.attr.get((nid, attr))
+
+    def role_edge(self, nid: int, role: str) -> REdge | None:
+        """The r-edge for ``role`` on node ``nid``, if any."""
+        index = self._index or self._build_index()
+        return index.role.get((nid, role))
+
+    def follow(self, nid: int, chain) -> tuple[int, int]:
+        """Walk the attribute ``chain`` from ``nid`` as far as edges go.
+
+        Returns the last node reached and the number of steps taken; the
+        walk ran the whole chain iff that number is ``len(chain)``.
+        """
+        edges = (self._index or self._build_index()).attr
+        taken = 0
+        for attr in chain:
+            e = edges.get((nid, attr))
+            if e is None:
+                break
+            nid = e.dst
+            taken += 1
+        return nid, taken
 
     def subgraphs(self):
         """Yield this graph and every nested restriction graph, preorder."""

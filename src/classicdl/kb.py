@@ -83,9 +83,6 @@ class HostLattice:
             return False
         return self.leq(ind.host_type, concept)
 
-    def type_names(self) -> list[str]:
-        return sorted(self._parent)
-
 
 @dataclass
 class KnowledgeBase:
@@ -186,29 +183,6 @@ def _register_primitive(kb: KnowledgeBase, tag: str, body: Description) -> None:
                       % tag)
 
 
-def apply_disjointness(g, kb: KnowledgeBase):
-    """Mark nodes whose atoms hit a disjointness group twice, then rerun
-    incoherence propagation.  Returns a new graph."""
-    from . import normalize
-
-    work = g.clone()
-    _mark_disjoint(work, kb.disjoint_groups)
-    normalize.propagate_incoherence(work)
-    return work
-
-
-def _mark_disjoint(g, groups) -> None:
-    from . import normalize
-
-    for node in g.nodes.values():
-        for group in groups:
-            if len(group & node.atoms) >= 2:
-                normalize.mark_node_incoherent(node)
-                break
-        for e in node.r_edges:
-            _mark_disjoint(e.restriction, groups)
-
-
 @dataclass
 class TaxonomyNode:
     members: list[str]
@@ -246,7 +220,8 @@ def classify(kb: KnowledgeBase) -> Taxonomy:
     for a in names:
         for b in names:
             geq[(a, b)] = subsume.subsumes_graph(expanded[a], canon[b])
-    equiv_thing = {n: subsume.subsumes_graph(expanded[n], _thing_graph())
+    top = subsume.thing_graph()
+    equiv_thing = {n: subsume.subsumes_graph(expanded[n], top)
                    for n in names}
 
     # Group names into equivalence classes, preserving alphabetical order.
@@ -280,9 +255,3 @@ def classify(kb: KnowledgeBase) -> Taxonomy:
                    if not any(above(j, k) for k in ancestors if k != j)]
         nodes[idx].parents = sorted(index_of[j] for j in nearest) or [0]
     return Taxonomy(nodes)
-
-
-def _thing_graph():
-    from . import subsume
-
-    return subsume.thing_graph()

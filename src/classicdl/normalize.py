@@ -76,30 +76,6 @@ def mark_graph_incoherent(g: DescriptionGraph) -> bool:
     return True
 
 
-def propagate_incoherence(g: DescriptionGraph) -> bool:
-    """Run only the incoherence-propagation steps to fixpoint: node
-    incoherence sinks graphs, incoherent restrictions zero their maxes, and
-    zero maxes sink their restrictions."""
-    changed = False
-    while True:
-        round_changed = False
-        for node in list(g.nodes.values()):
-            for e in node.r_edges:
-                round_changed |= propagate_incoherence(e.restriction)
-                if e.restriction.incoherent and e.max != 0:
-                    e.max = 0
-                    round_changed = True
-                if e.max == 0 and not e.restriction.incoherent:
-                    round_changed |= mark_graph_incoherent(e.restriction)
-                if e.min > e.max:
-                    round_changed |= mark_node_incoherent(node)
-        if any(is_incoherent_node(n) for n in g.nodes.values()):
-            round_changed |= mark_graph_incoherent(g)
-        if not round_changed:
-            return changed
-        changed = True
-
-
 def canonicalize(g: DescriptionGraph,
                  kb: KnowledgeBase | None = None,
                  schedule: str = "standard") -> DescriptionGraph:
@@ -250,18 +226,6 @@ def _dom_typing(node: GraphNode, lattice) -> bool:
 # -- r-edge merging ---------------------------------------------------------
 
 
-def merge_r_edges(node: GraphNode, e1: REdge, e2: REdge) -> GraphNode:
-    """Merge two r-edges with the same role on a copy of ``node``: max of
-    mins, min of maxes, merged restrictions, unioned fillers."""
-    if e1.role != e2.role:
-        raise ValueError("r-edges must share a role to merge")
-    merged = _merged_redge(e1, e2)
-    out = node.clone()
-    out.r_edges = [e.clone() for e in node.r_edges if e is not e1 and e is not e2]
-    out.r_edges.append(merged)
-    return out
-
-
 def _merged_redge(e1: REdge, e2: REdge) -> REdge:
     return REdge(
         role=e1.role,
@@ -294,37 +258,6 @@ def _redge_pass(g, node_order, lattice, groups) -> bool:
 
 
 # -- a-edge merging ---------------------------------------------------------
-
-
-def merge_a_edges(g: DescriptionGraph, e1: AEdge, e2: AEdge) -> DescriptionGraph:
-    """Merge two a-edges with the same source and attribute on a copy of
-    ``g``: one edge remains, pointing at the merge of the two old targets,
-    which replaces them in every other a-edge; fillers are unioned."""
-    if (e1.src, e1.attr) != (e2.src, e2.attr):
-        raise ValueError("a-edges must share source and attribute to merge")
-    out = g.clone()
-    c1 = next(e for e in out.a_edges
-              if (e.src, e.attr, e.dst) == (e1.src, e1.attr, e1.dst))
-    c2 = next(e for e in out.a_edges
-              if (e.src, e.attr, e.dst) == (e2.src, e2.attr, e2.dst)
-              and e is not c1)
-    if c1.dst == c2.dst:
-        c1.fillers |= c2.fillers
-        out.a_edges.remove(c2)
-        return out
-    merged = merge_nodes(out.nodes[c1.dst], out.nodes[c2.dst])
-    merged_id = c1.dst
-    old = c2.dst
-    out.nodes[merged_id] = merged
-    del out.nodes[old]
-    c1.fillers |= c2.fillers
-    out.a_edges.remove(c2)
-    for e in out.a_edges:
-        if e.src == old:
-            e.src = merged_id
-        if e.dst == old:
-            e.dst = merged_id
-    return out
 
 
 class _UnionFind:

@@ -36,7 +36,7 @@ from .descriptions import (
     THING,
     Thing,
 )
-from .graph import DescriptionGraph, GraphNode, translate
+from .graph import DescriptionGraph, translate
 from .kb import KnowledgeBase, expand
 from .normalize import canonicalize
 
@@ -51,55 +51,11 @@ def thing_graph() -> DescriptionGraph:
     return _THING_GRAPH
 
 
-def _is_thing_graph(g: DescriptionGraph) -> bool:
+def _is_bare_thing(g: DescriptionGraph) -> bool:
     if g.incoherent or len(g.nodes) != 1 or g.a_edges:
         return False
     node = g.root_node
     return node.atoms == {THING} and not node.r_edges and node.dom is None
-
-
-def _attr_table(g: DescriptionGraph):
-    """(source, attribute) -> a-edge lookup table, cached on the graph.
-
-    Canonical graphs are immutable values, and re-rooted views share the
-    same edge list, so the cache is keyed on that list's identity.
-    """
-    cached = getattr(g, "_attr_table", None)
-    if cached is not None and cached[0] is g.a_edges:
-        return cached[1]
-    table = {}
-    for e in g.a_edges:
-        table.setdefault((e.src, e.attr), e)
-    g._attr_table = (g.a_edges, table)
-    return table
-
-
-def _role_table(node: GraphNode):
-    """role -> r-edge lookup table, cached on the node."""
-    cached = getattr(node, "_role_table", None)
-    if cached is not None and cached[0] is node.r_edges:
-        return cached[1]
-    table = {}
-    for e in node.r_edges:
-        table.setdefault(e.role, e)
-    node._role_table = (node.r_edges, table)
-    return table
-
-
-def _attr_step(g: DescriptionGraph, nid: int, attr: str) -> int | None:
-    """Follow the unique a-edge labelled ``attr`` out of a node, if any."""
-    e = _attr_table(g).get((nid, attr))
-    return None if e is None else e.dst
-
-
-def _follow_path(g: DescriptionGraph, start: int, chain) -> int | None:
-    cur = start
-    for attr in chain:
-        nxt = _attr_step(g, cur, attr)
-        if nxt is None:
-            return None
-        cur = nxt
-    return cur
 
 
 def subsumes_graph(d: Description, g: DescriptionGraph) -> bool:
@@ -114,7 +70,7 @@ def subsumes_graph(d: Description, g: DescriptionGraph) -> bool:
     # circuited when the subsumee already is that graph).
     if isinstance(d, Thing):
         return True
-    if not _is_thing_graph(g) and subsumes_graph(d, thing_graph()):
+    if not _is_bare_thing(g) and subsumes_graph(d, thing_graph()):
         return True
     # Conjunctions decompose.
     if isinstance(d, And):
@@ -132,13 +88,13 @@ def subsumes_graph(d: Description, g: DescriptionGraph) -> bool:
     if isinstance(d, Nothing):
         return NOTHING in root.atoms
     if isinstance(d, AtLeast):
-        e = _role_table(root).get(d.role)
+        e = g.role_edge(g.root, d.role)
         return e is not None and e.min >= d.n
     if isinstance(d, AtMost):
-        e = _role_table(root).get(d.role)
+        e = g.role_edge(g.root, d.role)
         return e is not None and e.max <= d.n
     if isinstance(d, AllRole):
-        e = _role_table(root).get(d.role)
+        e = g.role_edge(g.root, d.role)
         if e is not None and subsumes_graph(d.restriction, e.restriction):
             return True
         # A universal role restriction whose body covers everything only
@@ -146,30 +102,31 @@ def subsumes_graph(d: Description, g: DescriptionGraph) -> bool:
         return (subsumes_graph(d.restriction, thing_graph())
                 and CLASSIC_THING in root.atoms)
     if isinstance(d, AllAttr):
-        nxt = _attr_step(g, g.root, d.attr)
-        if nxt is not None and subsumes_graph(d.restriction, g.rerooted(nxt)):
+        e = g.attr_edge(g.root, d.attr)
+        if e is not None and subsumes_graph(d.restriction, g.rerooted(e.dst)):
             return True
         return (subsumes_graph(d.restriction, thing_graph())
                 and CLASSIC_THING in root.atoms)
     if isinstance(d, SameAs):
-        end_l = _follow_path(g, g.root, d.left)
-        end_r = _follow_path(g, g.root, d.right)
-        if end_l is not None and end_l == end_r:
+        end, taken = g.follow(g.root, d.left)
+        if (taken == len(d.left)
+                and g.follow(g.root, d.right) == (end, len(d.right))):
             return True
         # Equal chains extended by one shared attribute stay equal as long
         # as the shared prefix ends at a classic node.
         if d.left[-1] == d.right[-1]:
-            pre_l = _follow_path(g, g.root, d.left[:-1])
-            pre_r = _follow_path(g, g.root, d.right[:-1])
-            if (pre_l is not None and pre_l == pre_r
-                    and CLASSIC_THING in g.nodes[pre_l].atoms):
+            left, right = d.left[:-1], d.right[:-1]
+            pre, taken = g.follow(g.root, left)
+            if (taken == len(left)
+                    and g.follow(g.root, right) == (pre, len(right))
+                    and CLASSIC_THING in g.nodes[pre].atoms):
                 return True
         return False
     if isinstance(d, FillsRole):
-        e = _role_table(root).get(d.role)
+        e = g.role_edge(g.root, d.role)
         return e is not None and d.who in e.fillers
     if isinstance(d, FillsAttr):
-        e = _attr_table(g).get((g.root, d.attr))
+        e = g.attr_edge(g.root, d.attr)
         return e is not None and d.who in e.fillers
     if isinstance(d, OneOf):
         return root.dom is not None and root.dom <= set(d.members)

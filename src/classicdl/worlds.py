@@ -672,21 +672,22 @@ def _enumerate_worlds(base, classic, domain, atoms, roles, attrs, inds, k):
         if inds and not all(ind_ext[n] for n in inds):
             continue  # individual extensions must be non-empty
         for atom_pick in itertools.product(*atom_choices):
-            for role_table in _role_tables(roles, classic, domain, k):
-                for attr_table in _attr_tables(attrs, classic, list(domain)):
+            for role_ext in _role_extensions(roles, classic, domain, k):
+                for attr_ext in _attr_extensions(attrs, classic,
+                                                 list(domain)):
                     world = Interpretation(lattice=base.lattice,
                                            sink=base.sink)
                     world.classic = set(classic)
                     world.hosts = set(base.hosts)
                     world.concept_ext = {
                         a: set(pick) for a, pick in zip(atoms, atom_pick)}
-                    world.role_ext = role_table
-                    world.attr_ext = attr_table
+                    world.role_ext = role_ext
+                    world.attr_ext = attr_ext
                     world.indiv_ext = {n: set(s) for n, s in ind_ext.items()}
                     yield world
 
 
-def _role_tables(roles, classic, domain, k):
+def _role_extensions(roles, classic, domain, k):
     if not roles:
         yield {}
         return
@@ -704,7 +705,7 @@ def _role_tables(roles, classic, domain, k):
         yield table
 
 
-def _attr_tables(attrs, classic, choices):
+def _attr_extensions(attrs, classic, choices):
     if not attrs or not classic:
         yield {a: {} for a in attrs}
         return

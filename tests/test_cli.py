@@ -73,6 +73,20 @@ def test_countermodel_refuses_positive(capsys):
     assert code == 1 and "no counter-model" in err
 
 
+def test_countermodel_construction_failure_exit_code(capsys):
+    # Every admissible host value lies in INTEGER, so no separating world
+    # exists although the structural test answers "no".
+    code, out, err = run(capsys, "countermodel", "INTEGER", "one-of(1, 2)")
+    assert code == 1 and out == ""
+    assert "error" in err
+
+
+def test_countermodel_rejects_seed_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["countermodel", "--seed", "1", "GAME", "PERSON"])
+    assert exc.value.code == 2
+
+
 def test_kb_file_flag(tmp_path, capsys):
     kb_file = tmp_path / "kb.cdl"
     kb_file.write_text("role r\nattribute coach\nindividual Pat\n"

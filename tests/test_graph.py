@@ -21,6 +21,7 @@ from classicdl.graph import (
     to_jsonable,
     translate,
 )
+from classicdl.normalize import canonicalize
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -182,3 +183,47 @@ def test_dump_is_deterministic(parse):
     d = parse("and(GAME, same-as((coach),(captain,father)), "
               "fills(r, Pat), one-of(P, Q))")
     assert to_jsonable(translate(d)) == to_jsonable(translate(d))
+
+
+def figure1_canonical(parse):
+    return canonicalize(translate(parse(
+        "and(GAME, all(participants, PERSON), "
+        "same-as((coach),(captain,father)))")))
+
+
+def test_edge_lookups_on_figure1(parse):
+    g = figure1_canonical(parse)
+    coach = g.attr_edge(g.root, "coach")
+    captain = g.attr_edge(g.root, "captain")
+    assert coach is not None and captain is not None
+    end, mid = coach.dst, captain.dst
+    assert g.attr_edge(mid, "father").dst == end
+    assert g.attr_edge(g.root, "father") is None
+    assert g.attr_edge(g.root, "participants") is None
+    part = g.role_edge(g.root, "participants")
+    assert "PERSON" in part.restriction.root_node.atoms
+    assert g.role_edge(g.root, "coach") is None
+    assert g.role_edge(mid, "participants") is None
+    assert g.follow(g.root, ("captain", "father")) == (end, 2)
+    assert g.follow(g.root, ()) == (g.root, 0)
+    # a broken chain stops at the last node reached
+    assert g.follow(g.root, ("captain", "coach", "father")) == (mid, 1)
+
+
+def test_rerooted_view_answers_like_parent(parse):
+    g = figure1_canonical(parse)
+    # a view taken before any lookup on the parent
+    top = g.rerooted(g.root)
+    mid, _ = top.follow(top.root, ("captain",))
+    view = g.rerooted(mid)
+    assert view.root == mid
+    for nid in g.nodes:
+        for attr in ("coach", "captain", "father"):
+            assert view.attr_edge(nid, attr) is g.attr_edge(nid, attr)
+            assert top.attr_edge(nid, attr) is g.attr_edge(nid, attr)
+        assert view.role_edge(nid, "participants") is \
+            g.role_edge(nid, "participants")
+    assert view.follow(view.root, ("father",)) == \
+        g.follow(g.root, ("coach",))
+    assert view.follow(g.root, ("captain", "father")) == \
+        g.follow(g.root, ("captain", "father"))

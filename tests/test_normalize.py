@@ -1,15 +1,6 @@
-from classicdl.descriptions import CLASSIC_THING, Individual, NOTHING, THING
-from classicdl.graph import (
-    AEdge,
-    DescriptionGraph,
-    GraphNode,
-    INF,
-    REdge,
-    isomorphic,
-    singleton_graph,
-    translate,
-)
-from classicdl.normalize import canonicalize, merge_a_edges, merge_r_edges
+from classicdl.descriptions import CLASSIC_THING, Individual, NOTHING
+from classicdl.graph import isomorphic, translate
+from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description, parse_kb
 
 
@@ -68,58 +59,41 @@ def test_chain_family_collapse(parse):
     assert len(g.nodes) == 2
 
 
-def test_merge_r_edges_componentwise():
-    thing = singleton_graph(THING)
-    game = singleton_graph("GAME")
-    e1 = REdge("r", 1, INF, thing, set())
-    e2 = REdge("r", 0, 3, game, set())
-    node = GraphNode(atoms={CLASSIC_THING}, r_edges=[e1, e2])
-    merged = merge_r_edges(node, e1, e2)
-    (edge,) = merged.r_edges
+def test_merge_r_edges_componentwise(parse):
+    g = canon(parse, "and(at-least(1, r), all(r, GAME), at-most(3, r))")
+    (edge,) = g.root_node.r_edges
     assert (edge.min, edge.max) == (1, 3)
-    assert edge.restriction.root_node.atoms == {THING, "GAME"}
+    assert "GAME" in edge.restriction.root_node.atoms
+    assert len(edge.restriction.nodes) == 1
 
 
-def test_merge_r_edges_idempotent_bounds():
-    e1 = REdge("r", 0, INF, singleton_graph(THING), set())
-    e2 = REdge("r", 0, INF, singleton_graph(THING), set())
-    node = GraphNode(atoms={CLASSIC_THING}, r_edges=[e1, e2])
-    (edge,) = merge_r_edges(node, e1, e2).r_edges
-    assert (edge.min, edge.max) == (0, INF)
+def test_merge_r_edges_idempotent_bounds(parse):
+    once = "and(at-least(2, r), at-most(5, r))"
+    g = canon(parse, "and(%s, %s)" % (once, once))
+    (edge,) = g.root_node.r_edges
+    assert (edge.min, edge.max) == (2, 5)
+    assert isomorphic(g, canon(parse, once))
 
 
-def test_merge_r_edges_unions_fillers():
-    p, q = Individual("P"), Individual("Q")
-    e1 = REdge("r", 0, INF, singleton_graph(THING), {p})
-    e2 = REdge("r", 0, INF, singleton_graph(THING), {q})
-    node = GraphNode(atoms={CLASSIC_THING}, r_edges=[e1, e2])
-    (edge,) = merge_r_edges(node, e1, e2).r_edges
-    assert edge.fillers == {p, q}
+def test_merge_r_edges_unions_fillers(parse):
+    g = canon(parse, "and(fills(r, P), fills(r, Q))")
+    (edge,) = g.root_node.r_edges
+    assert edge.fillers == {Individual("P"), Individual("Q")}
 
 
-def test_merge_a_edges_basic():
-    g = DescriptionGraph()
-    g.root = g.add_node(GraphNode(atoms={CLASSIC_THING}))
-    x = g.add_node(GraphNode(atoms={"GAME"}))
-    y = g.add_node(GraphNode(atoms={"PERSON"}))
-    e1 = AEdge(g.root, x, "f")
-    e2 = AEdge(g.root, y, "f")
-    g.a_edges = [e1, e2]
-    out = merge_a_edges(g, e1, e2)
-    assert len(out.nodes) == 2
-    (edge,) = out.a_edges
-    assert out.nodes[edge.dst].atoms == {"GAME", "PERSON"}
+def test_merge_a_edges_basic(parse):
+    g = canon(parse, "and(all(f, GAME), all(f, PERSON))")
+    assert len(g.nodes) == 2
+    (edge,) = g.a_edges
+    assert {"GAME", "PERSON"} <= g.nodes[edge.dst].atoms
 
 
-def test_merge_a_edges_same_target():
-    g = DescriptionGraph()
-    g.root = g.add_node(GraphNode(atoms={CLASSIC_THING}))
-    x = g.add_node(GraphNode(atoms={THING}))
-    e1 = AEdge(g.root, x, "f")
-    e2 = AEdge(g.root, x, "f")
-    g.a_edges = [e1, e2]
-    out = merge_a_edges(g, e1, e2)
-    assert len(out.a_edges) == 1 and len(out.nodes) == 2
+def test_merge_a_edges_same_target(parse):
+    # same-as((f),(f)) translates to two f-edges into one shared end node
+    raw = translate(parse("same-as((f),(f))"))
+    assert len(raw.a_edges) == 2 and len(raw.nodes) == 2
+    g = canonicalize(raw)
+    assert len(g.a_edges) == 1 and len(g.nodes) == 2
 
 
 def test_self_loop_collapse(parse):
@@ -241,15 +215,6 @@ def test_disjointness_hook():
     # no group hit twice: untouched
     g2 = canonicalize(translate(parse_description("and(MALE, GAME)", kb)), kb)
     assert not g2.incoherent
-
-
-def test_apply_disjointness_standalone():
-    from classicdl.kb import apply_disjointness
-
-    kb = parse_kb("role r\ndisjoint MALE FEMALE")
-    g = canonicalize(translate(parse_description("and(MALE, FEMALE)", kb)))
-    assert not g.incoherent  # canonicalized without the kb
-    assert apply_disjointness(g, kb).incoherent
 
 
 def test_canonical_unique_edges(parse, kb):
