@@ -217,6 +217,15 @@ def test_disjointness_hook():
     assert not g2.incoherent
 
 
+def test_apply_disjointness_standalone():
+    # disjointness applies to a graph already canonical without the kb
+    kb = parse_kb("role r\ndisjoint MALE FEMALE")
+    g = canonicalize(translate(parse_description("and(MALE, FEMALE)", kb)))
+    assert not g.incoherent  # canonicalized without the kb
+    assert canonicalize(g, kb).incoherent
+    assert not g.incoherent  # the input is not modified
+
+
 def test_canonical_unique_edges(parse, kb):
     g = canonicalize(
         translate(parse("and(at-least(1, r), at-most(3, r), all(r, GAME), "
