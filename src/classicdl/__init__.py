@@ -51,6 +51,7 @@ from .normalize import canonicalize
 from .parsing import ParseError, parse_description, parse_kb
 from .reduction import (
     CnfFormula,
+    DimacsError,
     Literal,
     check_validity_bruteforce,
     demonstrate_incompleteness,

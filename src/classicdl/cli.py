@@ -3,8 +3,8 @@
 Subcommands: ``parse``, ``graph``, ``canon``, ``subsumes``, ``classify``,
 ``countermodel``, ``reduce``, ``fuzz``.  Output is deterministic JSON (or
 "yes"/"no" for subsumption).  Exit codes: 0 success (and "yes"), 1 "no"
-or a failed property run, 2 usage errors, 3 parse and knowledge-base
-errors.
+or a failed property run, 2 usage errors, 3 parse, knowledge-base and
+DIMACS errors, and input files that cannot be read.
 """
 
 from __future__ import annotations
@@ -26,11 +26,21 @@ from .worlds import to_jsonable as world_jsonable
 PARSE_ERROR_EXIT = 3
 
 
+def _read_file(path: str, error: type[Exception]) -> str:
+    """The file's text; a file that cannot be read raises ``error``, so it
+    is reported like the input errors of its kind (exit code 3)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error("cannot read %s: %s" % (path, exc.strerror or exc)) \
+            from None
+
+
 def _load_kb(path: str | None) -> KnowledgeBase:
     if path is None:
         return KnowledgeBase.empty()
-    with open(path, encoding="utf-8") as fh:
-        return parse_kb(fh.read())
+    return parse_kb(_read_file(path, KbError))
 
 
 def _parse_all(kb_path: str | None, *texts: str):
@@ -91,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, KbError) as exc:
+    except (ParseError, KbError, reduction.DimacsError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return PARSE_ERROR_EXIT
 
@@ -137,8 +147,8 @@ def _dispatch(args) -> int:
         _emit(world_jsonable(world, distinguished=elem))
         return 0
     if cmd == "reduce":
-        with open(args.cnf_file, encoding="utf-8") as fh:
-            formula = reduction.parse_dimacs(fh.read())
+        formula = reduction.parse_dimacs(
+            _read_file(args.cnf_file, reduction.DimacsError))
         report = reduction.demonstrate_incompleteness(formula)
         _emit(report.to_jsonable())
         return 0

@@ -11,6 +11,12 @@ cut-edges.
 Node identifiers come from a process-wide counter, which makes the
 disjoint unions taken during merging trivially collision-free; structural
 equality is therefore always up to renaming (see ``isomorphic``).
+
+``merge_graphs`` and ``merge_nodes`` are n-ary and move their inputs into
+the result instead of cloning them, so ``translate`` builds each graph in
+one pass and an input may not be used after it was merged.
+``normalize.canonicalize`` clones its input once and merges only inside
+that private copy.
 """
 
 from __future__ import annotations
@@ -237,41 +243,49 @@ def intersect_doms(d1: frozenset[Individual] | None,
     return d1 & d2
 
 
-def merge_nodes(n1: GraphNode, n2: GraphNode) -> GraphNode:
-    """Merge two nodes: atoms union, r-edge bag union (duplicates kept),
-    dom intersection with the universal marker as identity."""
-    return GraphNode(
-        atoms=n1.atoms | n2.atoms,
-        r_edges=[e.clone() for e in n1.r_edges] + [e.clone() for e in n2.r_edges],
-        dom=intersect_doms(n1.dom, n2.dom),
-    )
+def merge_nodes(*nodes: GraphNode) -> GraphNode:
+    """Merge nodes in one pass: atoms union, r-edge bag union (duplicates
+    kept), dom intersection with the universal marker as identity.
 
-
-def merge_graphs(g1: DescriptionGraph, g2: DescriptionGraph) -> DescriptionGraph:
-    """Merge two graphs: disjoint union of the non-distinguished nodes plus
-    a fresh root merging the two old roots; edges on the old roots are
-    re-targeted to the new root.
-
-    A merge with an incoherent graph is incoherent (the intersection of an
-    empty extension with anything is empty).
+    The r-edges are moved into the result, not cloned, so the inputs may
+    not be used afterwards.
     """
-    if g1.incoherent or g2.incoherent:
+    atoms: set[str] = set()
+    r_edges: list[REdge] = []
+    dom: frozenset[Individual] | None = None
+    for n in nodes:
+        atoms |= n.atoms
+        r_edges += n.r_edges
+        dom = intersect_doms(dom, n.dom)
+    return GraphNode(atoms, r_edges, dom)
+
+
+def merge_graphs(*graphs: DescriptionGraph) -> DescriptionGraph:
+    """Merge graphs in one pass: disjoint union of the non-distinguished
+    nodes plus a fresh root merging the old roots; edges on the old roots
+    are re-targeted to the new root.
+
+    Nodes, r-edges and a-edge filler sets are moved into the result, not
+    cloned, so the inputs may not be used afterwards.  A merge with an
+    incoherent graph is incoherent (the intersection of an empty extension
+    with anything is empty).
+    """
+    if any(g.incoherent for g in graphs):
         return incoherent_graph()
     out = DescriptionGraph()
-    new_root = out.add_node(merge_nodes(g1.root_node, g2.root_node))
+    new_root = out.add_node(merge_nodes(*(g.root_node for g in graphs)))
     out.root = new_root
-
-    def absorb(g: DescriptionGraph) -> None:
+    for g in graphs:
+        root = g.root
         for nid, node in g.nodes.items():
-            if nid != g.root:
-                out.nodes[nid] = node.clone()
+            if nid != root:
+                out.nodes[nid] = node
         for e in g.a_edges:
-            src = new_root if e.src == g.root else e.src
-            dst = new_root if e.dst == g.root else e.dst
-            out.a_edges.append(AEdge(src, dst, e.attr, set(e.fillers)))
-
-    absorb(g1)
-    absorb(g2)
+            if e.src == root or e.dst == root:
+                e = AEdge(new_root if e.src == root else e.src,
+                          new_root if e.dst == root else e.dst,
+                          e.attr, e.fillers)
+            out.a_edges.append(e)
     return out
 
 
@@ -295,10 +309,7 @@ def translate(d: Description) -> DescriptionGraph:
     if isinstance(d, (ConceptName, HostConcept)):
         return singleton_graph(d.name)
     if isinstance(d, And):
-        g = translate(d.items[0])
-        for item in d.items[1:]:
-            g = merge_graphs(g, translate(item))
-        return g
+        return merge_graphs(*(translate(item) for item in d.items))
     if isinstance(d, AtLeast):
         return _redge_graph(d.role, d.n, INF, singleton_graph(THING))
     if isinstance(d, AtMost):
@@ -316,8 +327,8 @@ def translate(d: Description) -> DescriptionGraph:
         # normalization propagates the incoherence back up.
         inner = translate(d.restriction)
         g = DescriptionGraph()
-        g.nodes = dict(inner.nodes)
-        g.a_edges = list(inner.a_edges)
+        g.nodes = inner.nodes
+        g.a_edges = inner.a_edges
         g.root = g.add_node(GraphNode(atoms={CLASSIC_THING}))
         g.a_edges.append(AEdge(g.root, inner.root, d.attr))
         return g

@@ -81,6 +81,9 @@ def canonicalize(g: DescriptionGraph,
                  schedule: str = "standard") -> DescriptionGraph:
     """Return the canonical form of ``g``; the input is not modified.
 
+    ``g`` is cloned once, up front; every merge the rules make moves parts
+    of that private copy, so no node is copied again.
+
     ``schedule`` picks the order in which rule families are tried within
     each fixpoint round ("standard" or "alternate"); the result is the
     same up to node renaming either way.
@@ -226,13 +229,15 @@ def _dom_typing(node: GraphNode, lattice) -> bool:
 # -- r-edge merging ---------------------------------------------------------
 
 
-def _merged_redge(e1: REdge, e2: REdge) -> REdge:
+def _merged_redge(edges: list[REdge]) -> REdge:
+    """One r-edge for a role: tightest bounds, merged restriction graphs
+    (moved, since the old edges are dropped) and the union of fillers."""
     return REdge(
-        role=e1.role,
-        min=max(e1.min, e2.min),
-        max=min(e1.max, e2.max),
-        restriction=merge_graphs(e1.restriction, e2.restriction),
-        fillers=e1.fillers | e2.fillers,
+        role=edges[0].role,
+        min=max(e.min for e in edges),
+        max=min(e.max for e in edges),
+        restriction=merge_graphs(*(e.restriction for e in edges)),
+        fillers=set().union(*(e.fillers for e in edges)),
     )
 
 
@@ -240,19 +245,12 @@ def _redge_pass(g, node_order, lattice, groups) -> bool:
     changed = False
     for nid in node_order:
         node = g.nodes[nid]
-        idx_by_role: dict[str, int] = {}
-        new_edges: list[REdge] = []
-        merged_any = False
+        by_role: dict[str, list[REdge]] = {}
         for e in node.r_edges:
-            if e.role in idx_by_role:
-                i = idx_by_role[e.role]
-                new_edges[i] = _merged_redge(new_edges[i], e)
-                merged_any = True
-            else:
-                idx_by_role[e.role] = len(new_edges)
-                new_edges.append(e)
-        if merged_any:
-            node.r_edges = new_edges
+            by_role.setdefault(e.role, []).append(e)
+        if len(by_role) < len(node.r_edges):
+            node.r_edges = [es[0] if len(es) == 1 else _merged_redge(es)
+                            for es in by_role.values()]
             changed = True
     return changed
 
@@ -311,13 +309,13 @@ def _aedge_pass(g, node_order, lattice, groups) -> bool:
     if all(len(m) == 1 for m in classes.values()) and not duplicate_edges:
         return False
 
+    # Each class merges in one pass; the old nodes are dropped, so their
+    # r-edges move into the merged node.
     new_nodes: dict[int, GraphNode] = {}
     for rep in sorted(classes):
-        members = sorted(classes[rep])
-        node = g.nodes[members[0]]
-        for other in members[1:]:
-            node = merge_nodes(node, g.nodes[other])
-        new_nodes[rep] = node
+        members = classes[rep]
+        new_nodes[rep] = g.nodes[rep] if len(members) == 1 else \
+            merge_nodes(*(g.nodes[m] for m in sorted(members)))
     merged_edges: dict[tuple[int, str], AEdge] = {}
     order: list[AEdge] = []
     for e in g.a_edges:
@@ -325,7 +323,7 @@ def _aedge_pass(g, node_order, lattice, groups) -> bool:
         if key in merged_edges:
             merged_edges[key].fillers |= e.fillers
         else:
-            ne = AEdge(key[0], uf.find(e.dst), e.attr, set(e.fillers))
+            ne = AEdge(key[0], uf.find(e.dst), e.attr, e.fillers)
             merged_edges[key] = ne
             order.append(ne)
     g.nodes = new_nodes

@@ -50,9 +50,21 @@ class CnfFormula:
                     raise ValueError("undeclared variable %s" % lit.var)
 
 
+class DimacsError(ValueError):
+    """Malformed DIMACS CNF input."""
+
+
+def _int(tok: str, line: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise DimacsError("not an integer in %r" % line) from None
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     """DIMACS CNF input; clauses of one or two literals are padded by
-    repetition, wider clauses are rejected."""
+    repetition, wider clauses are rejected.  Every malformed input raises
+    ``DimacsError``."""
     nvars = None
     clauses: list[tuple[Literal, Literal, Literal]] = []
     for raw in text.splitlines():
@@ -62,26 +74,29 @@ def parse_dimacs(text: str) -> CnfFormula:
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError("malformed DIMACS header: %r" % line)
-            nvars = int(parts[2])
+                raise DimacsError("malformed DIMACS header: %r" % line)
+            nvars = _int(parts[2], line)
             continue
         if nvars is None:
-            raise ValueError("clause before DIMACS header")
-        nums = [int(tok) for tok in line.split()]
+            raise DimacsError("clause before DIMACS header")
+        nums = [_int(tok, line) for tok in line.split()]
         if nums and nums[-1] == 0:
             nums = nums[:-1]
         if not nums:
             continue
         if len(nums) > 3:
-            raise ValueError("clause wider than three literals: %r" % line)
+            raise DimacsError("clause wider than three literals: %r" % line)
         while len(nums) < 3:
             nums.append(nums[-1])
         lits = tuple(Literal("x%d" % abs(n), n > 0) for n in nums)
         clauses.append(lits)
     if nvars is None or not clauses:
-        raise ValueError("no DIMACS problem found")
+        raise DimacsError("no DIMACS problem found")
     variables = tuple("x%d" % i for i in range(1, nvars + 1))
-    return CnfFormula(variables, tuple(clauses))
+    try:
+        return CnfFormula(variables, tuple(clauses))
+    except ValueError as exc:
+        raise DimacsError(str(exc)) from None
 
 
 def random_cnf(rng: random.Random, nvars: int, nclauses: int) -> CnfFormula:

@@ -135,6 +135,17 @@ class Interpretation:
             return []
         return [y for (x, y) in self.role_ext.get(role, ()) if x == elem]
 
+    def fillers_by_source(self, role: str) -> dict:
+        """Every element's role fillers, from one scan of the role.
+
+        Elements with no filler are absent.  Built afresh on each call,
+        since a world may still change.
+        """
+        out: dict = {}
+        for x, y in self.role_ext.get(role, ()):
+            out.setdefault(x, []).append(y)
+        return out
+
     def individual_ext(self, ind: Individual) -> set:
         if ind.is_host:
             e = host_element_for(ind)
@@ -234,22 +245,25 @@ def eval_description(d: Description, world: Interpretation) -> frozenset:
         return out
     if isinstance(d, AllRole):
         inner = eval_description(d.restriction, world)
+        fillers = world.fillers_by_source(d.role)
         return frozenset(
             e for e in world.classic
-            if all(x in inner for x in world.role_fillers(d.role, e)))
+            if all(x in inner for x in fillers.get(e, ())))
     if isinstance(d, AllAttr):
         inner = eval_description(d.restriction, world)
         return frozenset(
             e for e in world.classic
             if world.attr_value(d.attr, e) in inner)
     if isinstance(d, AtLeast):
+        fillers = world.fillers_by_source(d.role)
         return frozenset(
             e for e in world.classic
-            if world.count_non_congruent(world.role_fillers(d.role, e)) >= d.n)
+            if world.count_non_congruent(fillers.get(e, ())) >= d.n)
     if isinstance(d, AtMost):
+        fillers = world.fillers_by_source(d.role)
         return frozenset(
             e for e in world.classic
-            if world.count_non_congruent(world.role_fillers(d.role, e)) <= d.n)
+            if world.count_non_congruent(fillers.get(e, ())) <= d.n)
     if isinstance(d, SameAs):
         out = set()
         for e in world.classic:
@@ -260,9 +274,10 @@ def eval_description(d: Description, world: Interpretation) -> frozenset:
         return frozenset(out)
     if isinstance(d, FillsRole):
         ext = world.individual_ext(d.who)
+        fillers = world.fillers_by_source(d.role)
         return frozenset(
             e for e in world.classic
-            if any(x in ext for x in world.role_fillers(d.role, e)))
+            if any(x in ext for x in fillers.get(e, ())))
     if isinstance(d, FillsAttr):
         ext = world.individual_ext(d.who)
         return frozenset(
@@ -532,9 +547,11 @@ def sample_interpretation(sig: Signature, seed: int,
 
     Classic individuals get disjoint extensions of one to three elements;
     roles get random filler sets; attributes get random total tables (the
-    sink fallback covers whatever is left implicit).  Attribute targets are
-    biased toward classic elements, so that attribute chains usually go on
-    past their first step; host targets and the sink stay in the draw.
+    sink fallback covers whatever is left implicit).  Role fillers and
+    attribute targets are biased toward classic elements, so that
+    attribute chains usually go on past their first step and fillers
+    often belong to an individual; host targets and the sink stay in the
+    draw.
     Each signature equation is then closed at a random subset of about
     half of the classic elements: the chains' intermediate steps are sent
     to classic elements and the right chain's last attribute is pointed at
@@ -585,7 +602,9 @@ def sample_interpretation(sig: Signature, seed: int,
         pairs = set()
         for e in classic:
             k = rng.randint(0, min(sig.max_number + 1, 4))
-            pairs.update((e, rng.choice(everything)) for _ in range(k))
+            pairs.update(
+                (e, rng.choice(classic if rng.random() < 0.5 else everything))
+                for _ in range(k))
         world.role_ext[role] = pairs
     for attr in sorted(sig.attrs):
         table = {}

@@ -157,3 +157,31 @@ def test_inference_pooled_across_descriptions(capsys):
     code, out, _ = run(capsys, "subsumes", "all(coach, thing)",
                        "same-as((coach),(captain))")
     assert code == 0 and out.strip() == "yes"
+
+
+def test_missing_kb_file_is_an_input_error(tmp_path, capsys):
+    missing = tmp_path / "absent.cdl"
+    code, out, err = run(capsys, "subsumes", "--kb", str(missing),
+                         "GAME", "GAME")
+    assert code == 3 and out == ""
+    assert err.startswith("error: cannot read") and str(missing) in err
+
+
+def test_reduce_missing_file_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, "reduce", str(tmp_path / "absent.cnf"))
+    assert code == 3 and out == ""
+    assert err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 -2 3 0\n", "clause before DIMACS header"),
+    ("p cnf 2 1\n1 x 0\n", "not an integer"),
+    ("p cnf 1 1\n1 2 0\n", "undeclared variable x2"),
+])
+def test_reduce_malformed_dimacs_is_an_input_error(tmp_path, capsys, text,
+                                                   message):
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text(text)
+    code, out, err = run(capsys, "reduce", str(cnf))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and message in err

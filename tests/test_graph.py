@@ -22,6 +22,7 @@ from classicdl.graph import (
     translate,
 )
 from classicdl.normalize import canonicalize
+from classicdl.parsing import parse_description
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -61,8 +62,29 @@ def test_merge_graphs_thing_thing(parse):
 def test_merge_graphs_node_count(parse):
     g1 = translate(parse("same-as((coach),(captain,father))"))
     g2 = translate(parse("all(coach, GAME)"))
-    merged = merge_graphs(g1, g2)
-    assert len(merged.nodes) == len(g1.nodes) + len(g2.nodes) - 1
+    # merging moves the inputs, so their sizes are read first
+    expected = len(g1.nodes) + len(g2.nodes) - 1
+    assert len(merge_graphs(g1, g2).nodes) == expected
+
+
+def test_merge_graphs_is_nary(parse):
+    parts = [translate(parse(t)) for t in
+             ("GAME", "at-least(2, r)", "same-as((coach),(captain))",
+              "all(r, PERSON)")]
+    expected = sum(len(g.nodes) for g in parts) - len(parts) + 1
+    merged = merge_graphs(*parts)
+    assert len(merged.nodes) == expected
+    root = merged.root_node
+    assert root.atoms == {"GAME", CLASSIC_THING}
+    assert sorted((e.role, e.min) for e in root.r_edges) == \
+        [("r", 0), ("r", 2)]
+    assert sorted(e.attr for e in merged.a_edges
+                  if e.src == merged.root) == ["captain", "coach"]
+    assert isomorphic(
+        canonicalize(merged),
+        canonicalize(translate(parse(
+            "and(GAME, at-least(2, r), same-as((coach),(captain)), "
+            "all(r, PERSON))"))))
 
 
 def test_merge_game_atleast(parse):
@@ -227,3 +249,63 @@ def test_rerooted_view_answers_like_parent(parse):
         g.follow(g.root, ("coach",))
     assert view.follow(g.root, ("captain", "father")) == \
         g.follow(g.root, ("captain", "father"))
+
+
+# The deep shapes of the scaling families: n-ary and, same-as chain, and
+# nested all.  Names are inferred (no KB).
+def _and_shape(n: int) -> str:
+    items = []
+    for i in range(n):
+        items.append(("A%d" % i, "at-least(%d, r%d)" % (1 + i % 3, i),
+                      "same-as((f%d),(g%d))" % (i, i))[i % 3])
+    return "and(%s)" % ", ".join(items)
+
+
+def _chain_shape(n: int) -> str:
+    parts = ["same-as((a%d),(b%d))" % (i, i) for i in range(1, n + 1)]
+    parts += ["same-as((a%d),(a%d))" % (i, i + 1) for i in range(1, n)]
+    return "and(%s)" % ", ".join(parts)
+
+
+def _nested_shape(n: int) -> str:
+    text = "X0"
+    for k in range(1, n + 1):
+        text = "all(r, and(X%d, at-least(1, r), %s))" % (k, text)
+    return text
+
+
+DEEP_SHAPES = [_and_shape(256), _chain_shape(128), _nested_shape(64)]
+DEEP_IDS = ["and-256", "chain-128", "nested-64"]
+
+
+@pytest.fixture
+def clone_calls(monkeypatch):
+    calls = []
+    original = GraphNode.clone
+
+    def counted(node):
+        calls.append(node)
+        return original(node)
+
+    monkeypatch.setattr(GraphNode, "clone", counted)
+    return calls
+
+
+def _all_nodes(g):
+    return [n for sub in g.subgraphs() for n in sub.nodes.values()]
+
+
+@pytest.mark.parametrize("text", DEEP_SHAPES, ids=DEEP_IDS)
+def test_translate_clones_no_node(text, clone_calls):
+    d = parse_description(text)
+    translate(d)
+    assert clone_calls == []
+
+
+@pytest.mark.parametrize("text", DEEP_SHAPES, ids=DEEP_IDS)
+def test_canonicalize_clones_each_input_node_once(text, clone_calls):
+    g = translate(parse_description(text))
+    nodes = _all_nodes(g)
+    canonicalize(g)
+    assert len(clone_calls) == len(nodes)
+    assert {id(n) for n in clone_calls} == {id(n) for n in nodes}

@@ -5,7 +5,13 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from classicdl.descriptions import And, to_text
-from classicdl.graph import graph_size, isomorphic, merge_graphs, translate
+from classicdl.graph import (
+    graph_size,
+    isomorphic,
+    merge_graphs,
+    signature,
+    translate,
+)
 from classicdl.kb import expand
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description
@@ -81,8 +87,10 @@ def test_node_merge_is_extension_intersection(seed):
     rng = random.Random(seed)
     d1 = expand(random_description(rng, depth=2), KB)
     d2 = expand(random_description(rng, depth=2), KB)
+    # merging moves its inputs, so the parts it is checked against are
+    # translated afresh
+    merged = merge_graphs(translate(d1), translate(d2))
     g1, g2 = translate(d1), translate(d2)
-    merged = merge_graphs(g1, g2)
     sig = signature_of_description(d1).merge(signature_of_description(d2))
     for w in range(3):
         world = sample_interpretation(sig, seed=seed % 99991 + w)
@@ -98,8 +106,9 @@ def test_merge_node_counts(seed):
     g2 = translate(expand(random_description(rng), KB))
     if g1.incoherent or g2.incoherent:
         return
-    assert len(merge_graphs(g1, g2).nodes) == \
-        len(g1.nodes) + len(g2.nodes) - 1
+    # merging moves its inputs, so their sizes are read first
+    expected = len(g1.nodes) + len(g2.nodes) - 1
+    assert len(merge_graphs(g1, g2).nodes) == expected
 
 
 @given(seeds)
@@ -180,3 +189,41 @@ def test_translated_nodes_carry_atoms(seed):
     for sub in g.subgraphs():
         for node in sub.nodes.values():
             assert node.atoms
+
+
+def _flattened(d: And) -> And:
+    """``d``'s top-level conjunction as one n-ary and: nested top-level
+    ands are spliced in."""
+    items = []
+    for item in d.items:
+        items.extend(_flattened(item).items if isinstance(item, And)
+                     else (item,))
+    return And(tuple(items))
+
+
+def _pairwise(d: And) -> And:
+    """``d``'s top-level conjunction re-nested pairwise, as in
+    and(and(a, b), c)."""
+    items = _flattened(d).items
+    out = And(items[:2])
+    for item in items[2:]:
+        out = And((out, item))
+    return out
+
+
+def test_canonical_form_ignores_and_nesting():
+    # one n-ary merge and a chain of pairwise merges build the same
+    # canonical graph
+    rng = random.Random(3)
+    renested = 0
+    for _ in range(300):
+        for d in random_pair(rng):
+            if not isinstance(d, And):
+                continue
+            want = signature(canonicalize(translate(d), KB))
+            for variant in (_flattened(d), _pairwise(d)):
+                if variant != d:
+                    renested += 1
+                assert signature(canonicalize(translate(variant), KB)) == \
+                    want, to_text(d)
+    assert renested > 100

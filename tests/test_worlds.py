@@ -1,9 +1,19 @@
+import random
+
 import pytest
 
-from classicdl.descriptions import Individual
+from classicdl.descriptions import (
+    AllRole,
+    AtLeast,
+    AtMost,
+    FillsRole,
+    Individual,
+    walk,
+)
 from classicdl.graph import translate
 from classicdl.kb import expand
 from classicdl.normalize import canonicalize
+from classicdl.randgen import corpus_kb, random_pair
 from classicdl.worlds import (
     ClassicElement,
     EvalError,
@@ -176,6 +186,68 @@ def test_sampler_closes_equations(parse):
     assert both.equations == {(("f",), ("g",)), (("g",), ("h",))}
 
 
+def test_sampler_draws_role_fillers_from_classic_elements(parse):
+    # a fills(role, ind) clause needs a filler inside the individual's
+    # extension; role fillers are drawn from the classic elements half the
+    # time, as attribute targets are, so the clause holds in most worlds
+    # (in 31 of these 50; in 17 when fillers came uniformly from all
+    # elements, mostly host ones)
+    d = parse("fills(s, Q)")
+    sig = signature_of_description(d)
+    held = 0
+    for seed in range(50):
+        w = sample_interpretation(sig, seed=seed)
+        w.check()
+        held += bool(eval_description(d, w))
+    assert held > 25, held
+
+
+ROLE_CLAUSES = (AllRole, AtLeast, AtMost, FillsRole)
+
+
+def _role_clause_by_element(d, world) -> frozenset:
+    """A role clause's extension from a role_fillers lookup per element."""
+    if isinstance(d, AllRole):
+        inner = eval_description(d.restriction, world)
+    if isinstance(d, FillsRole):
+        ext = world.individual_ext(d.who)
+    out = set()
+    for e in world.classic:
+        fillers = world.role_fillers(d.role, e)
+        if isinstance(d, AllRole):
+            holds = all(x in inner for x in fillers)
+        elif isinstance(d, AtLeast):
+            holds = world.count_non_congruent(fillers) >= d.n
+        elif isinstance(d, AtMost):
+            holds = world.count_non_congruent(fillers) <= d.n
+        else:
+            holds = any(x in ext for x in fillers)
+        if holds:
+            out.add(e)
+    return frozenset(out)
+
+
+def test_role_clauses_match_per_element_lookup():
+    # eval_description scans each role once per clause; it must agree with
+    # looking up each element's fillers on its own
+    kinds, proper = set(), 0
+    for seed in range(50):
+        rng = random.Random(seed)
+        d = expand(random_pair(rng)[1], corpus_kb())
+        sig = signature_of_description(d)
+        for w in range(3):
+            world = sample_interpretation(sig, seed=seed * 7 + w)
+            for sub in walk(d):
+                if not isinstance(sub, ROLE_CLAUSES):
+                    continue
+                got = eval_description(sub, world)
+                assert got == _role_clause_by_element(sub, world), sub
+                kinds.add(type(sub))
+                proper += 0 < len(got) < len(world.classic)
+    assert kinds == set(ROLE_CLAUSES)
+    assert proper > 50
+
+
 def test_sampler_individual_sizes(parse):
     sig = signature_of_description(parse("one-of(P, Q)"))
     for seed in range(10):
@@ -285,8 +357,9 @@ def test_node_merge_extension_is_intersection(parse, kb):
              ("at-most(2, r)", "fills(r, P)")]
     for t1, t2 in pairs:
         d1, d2 = expand(parse(t1), kb), expand(parse(t2), kb)
+        # merging moves its inputs, so the parts are translated afresh
+        merged = merge_graphs(translate(d1), translate(d2))
         g1, g2 = translate(d1), translate(d2)
-        merged = merge_graphs(g1, g2)
         sig = signature_of_description(d1).merge(
             signature_of_description(d2))
         for seed in range(4):
