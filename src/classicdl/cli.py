@@ -55,6 +55,18 @@ def _parse_all(kb_path: str | None, *texts: str):
     return kb, descs
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=False))
 
@@ -73,9 +85,9 @@ def main(argv: list[str] | None = None) -> int:
         if "seed" in flags:
             p.add_argument("--seed", type=int, default=0)
         if "cases" in flags:
-            p.add_argument("--cases", type=int, default=100)
+            p.add_argument("--cases", type=_positive_int, default=100)
         if "max-domain" in flags:
-            p.add_argument("--max-domain", type=int, default=5)
+            p.add_argument("--max-domain", type=_positive_int, default=5)
         return p
 
     p = add("parse", "parse a description and dump its AST", "kb")

@@ -51,7 +51,7 @@ from .descriptions import (
 )
 from .graph import DescriptionGraph, GraphNode, INF
 from .kb import HostLattice, KnowledgeBase
-from .subsume import subsumes_graph, thing_graph
+from .subsume import covers_everything, subsumes_graph
 from .worlds import (
     ClassicElement,
     HostElement,
@@ -458,7 +458,7 @@ def _plan(d: Description, g: DescriptionGraph, nid: int,
         edge_plans[(nid, d.role)] = EdgePlan(count=max(e.min, d.n + 1))
         return
     if isinstance(d, AllRole):
-        if subsumes_graph(d.restriction, thing_graph()):
+        if covers_everything(d.restriction):
             # The body covers everything, so the root must be non-classic.
             _node_plan(plans, nid).realm = "host"
             return
@@ -471,7 +471,7 @@ def _plan(d: Description, g: DescriptionGraph, nid: int,
                 synthetic_realm=_escape_realm(d.restriction, lattice))
         return
     if isinstance(d, AllAttr):
-        if subsumes_graph(d.restriction, thing_graph()):
+        if covers_everything(d.restriction):
             _node_plan(plans, nid).realm = "host"
             return
         e = g.attr_edge(nid, d.attr)

@@ -8,6 +8,7 @@ registry, which grows monotonically the first time each tag is expanded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import TopologicalSorter
 
 from .descriptions import (
     AllAttr,
@@ -207,8 +208,34 @@ class Taxonomy:
         ]
 
 
+def _told_parts(told: Description, expanded: Description,
+                names: list[str], clauses: list[Description]) -> None:
+    """Split a definition into its told names and its other conjuncts.
+
+    ``expand`` keeps the shape of ``and``, so the told and the expanded
+    definition are walked in step: a named reference is kept by name, and
+    every other conjunct is kept in its expanded form."""
+    if isinstance(told, NamedRef):
+        names.append(told.name)
+    elif isinstance(told, And):
+        for t, e in zip(told.items, expanded.items):
+            _told_parts(t, e, names, clauses)
+    else:
+        clauses.append(expanded)
+
+
 def classify(kb: KnowledgeBase) -> Taxonomy:
-    """Build the taxonomy DAG for all named concepts in the base."""
+    """Build the taxonomy DAG for all named concepts in the base.
+
+    Every ordered pair of names is decided: ``a`` subsumes ``b`` exactly
+    when the expanded definition of ``a`` subsumes the canonical graph of
+    ``b``.  The row of ``a`` is filled from the rows of its told
+    subsumers: a conjunct that names ``p`` holds above ``b`` iff ``p``
+    subsumes ``b``, and each other conjunct runs the structural test only
+    while every told name holds.  Rows are filled in told order, so a told
+    subsumer's row is complete before it is read.  Names equivalent to
+    THING (``covers_everything``) join the root node.
+    """
     from . import normalize, subsume
     from .graph import translate
 
@@ -216,12 +243,19 @@ def classify(kb: KnowledgeBase) -> Taxonomy:
     expanded = {n: expand(NamedRef(n), kb) for n in names}
     canon = {n: normalize.canonicalize(translate(expanded[n]), kb)
              for n in names}
+    parts: dict[str, tuple[list[str], list[Description]]] = {
+        n: ([], []) for n in names}
+    for n in names:
+        _told_parts(kb.named[n], expanded[n], *parts[n])
     geq: dict[tuple[str, str], bool] = {}
-    for a in names:
+    order = TopologicalSorter({n: parts[n][0] for n in names})
+    for a in order.static_order():
+        told, clauses = parts[a]
         for b in names:
-            geq[(a, b)] = subsume.subsumes_graph(expanded[a], canon[b])
-    top = subsume.thing_graph()
-    equiv_thing = {n: subsume.subsumes_graph(expanded[n], top)
+            geq[(a, b)] = (all(geq[(p, b)] for p in told)
+                           and all(subsume.subsumes_graph(c, canon[b])
+                                   for c in clauses))
+    equiv_thing = {n: subsume.covers_everything(expanded[n])
                    for n in names}
 
     # Group names into equivalence classes, preserving alphabetical order.

@@ -5,7 +5,9 @@ description graph by a disjunction of purely structural conditions — atom
 membership, bound comparisons, recursive checks through role and attribute
 edges, attribute-path equalities, and filler/dom containment.  No facts
 about individuals beyond the graph's own filler and dom fields are
-consulted.  ``subsumes`` wires up the full pipeline: expand both
+consulted.  Each clause is tested once, in one pass over the subsumer;
+``covers_everything`` is the syntactic THING-equivalence the ``all``
+cases need.  ``subsumes`` wires up the full pipeline: expand both
 descriptions, translate and canonicalize the subsumee, then test.
 """
 
@@ -40,22 +42,19 @@ from .graph import DescriptionGraph, translate
 from .kb import KnowledgeBase, expand
 from .normalize import canonicalize
 
-_THING_GRAPH: DescriptionGraph | None = None
 
-
-def thing_graph() -> DescriptionGraph:
-    """The canonical graph of THING (memoized)."""
-    global _THING_GRAPH
-    if _THING_GRAPH is None:
-        _THING_GRAPH = canonicalize(translate(Thing()))
-    return _THING_GRAPH
-
-
-def _is_bare_thing(g: DescriptionGraph) -> bool:
-    if g.incoherent or len(g.nodes) != 1 or g.a_edges:
-        return False
-    node = g.root_node
-    return node.atoms == {THING} and not node.r_edges and node.dom is None
+def covers_everything(d: Description) -> bool:
+    """True iff the expanded description is equivalent to THING: ``thing``,
+    the atom ``THING``, or a conjunction of such.  Every other constructor
+    fails against the one-node THING graph, which has no edge, no dom, no
+    ``CLASSIC-THING`` atom, and follows no non-empty attribute chain."""
+    if isinstance(d, Thing):
+        return True
+    if isinstance(d, (ConceptName, HostConcept)):
+        return d.name == THING
+    if isinstance(d, And):
+        return all(covers_everything(c) for c in d.items)
+    return False
 
 
 def subsumes_graph(d: Description, g: DescriptionGraph) -> bool:
@@ -65,22 +64,18 @@ def subsumes_graph(d: Description, g: DescriptionGraph) -> bool:
     # An incoherent subsumee is below everything.
     if g.incoherent:
         return True
-    # A subsumer equivalent to THING is above everything; equivalence is a
-    # syntactic check plus a recursive test against the THING graph (short-
-    # circuited when the subsumee already is that graph).
+    # A subsumer equivalent to THING is above everything.  That needs no
+    # check of its own: ``thing`` is answered here, the atom THING in the
+    # atom case, and a conjunction of them decomposes.
     if isinstance(d, Thing):
-        return True
-    if not _is_bare_thing(g) and subsumes_graph(d, thing_graph()):
         return True
     # Conjunctions decompose.
     if isinstance(d, And):
         return all(subsumes_graph(c, g) for c in d.items)
 
     root = g.root_node
-    if isinstance(d, ConceptName):
-        return d.name in root.atoms
-    if isinstance(d, HostConcept):
-        return d.name in root.atoms
+    if isinstance(d, (ConceptName, HostConcept)):
+        return d.name in root.atoms or d.name == THING
     if isinstance(d, ClassicThing):
         return CLASSIC_THING in root.atoms
     if isinstance(d, HostThing):
@@ -99,13 +94,13 @@ def subsumes_graph(d: Description, g: DescriptionGraph) -> bool:
             return True
         # A universal role restriction whose body covers everything only
         # needs the subsumee to be classic, so the role is applicable.
-        return (subsumes_graph(d.restriction, thing_graph())
+        return (covers_everything(d.restriction)
                 and CLASSIC_THING in root.atoms)
     if isinstance(d, AllAttr):
         e = g.attr_edge(g.root, d.attr)
         if e is not None and subsumes_graph(d.restriction, g.rerooted(e.dst)):
             return True
-        return (subsumes_graph(d.restriction, thing_graph())
+        return (covers_everything(d.restriction)
                 and CLASSIC_THING in root.atoms)
     if isinstance(d, SameAs):
         end, taken = g.follow(g.root, d.left)

@@ -546,12 +546,13 @@ def sample_interpretation(sig: Signature, seed: int,
     """A seeded random world interpreting the signature.
 
     Classic individuals get disjoint extensions of one to three elements;
-    roles get random filler sets; attributes get random total tables (the
-    sink fallback covers whatever is left implicit).  Role fillers and
-    attribute targets are biased toward classic elements, so that
-    attribute chains usually go on past their first step and fillers
-    often belong to an individual; host targets and the sink stay in the
-    draw.
+    each classic element gets a random number of distinct fillers per role,
+    up to one more than the signature's largest number restriction and at
+    most four; attributes get random total tables (the sink fallback covers
+    whatever is left implicit).  Role fillers and attribute targets are
+    biased toward classic elements, so that attribute chains usually go on
+    past their first step and fillers often belong to an individual; host
+    targets and the sink stay in the draw.
     Each signature equation is then closed at a random subset of about
     half of the classic elements: the chains' intermediate steps are sent
     to classic elements and the right chain's last attribute is pointed at
@@ -602,9 +603,13 @@ def sample_interpretation(sig: Signature, seed: int,
         pairs = set()
         for e in classic:
             k = rng.randint(0, min(sig.max_number + 1, 4))
-            pairs.update(
-                (e, rng.choice(classic if rng.random() < 0.5 else everything))
-                for _ in range(k))
+            # Draw until k fillers are distinct; ``everything`` holds at
+            # least 16 host elements, so this ends.
+            fillers = set()
+            while len(fillers) < k:
+                fillers.add(rng.choice(
+                    classic if rng.random() < 0.5 else everything))
+            pairs.update((e, f) for f in fillers)
         world.role_ext[role] = pairs
     for attr in sorted(sig.attrs):
         table = {}

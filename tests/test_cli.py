@@ -116,6 +116,18 @@ def test_fuzz_subcommand(capsys):
     assert data["completeness"]["violations"] == 0
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--cases", "-3"), ("--cases", "0"),
+    ("--max-domain", "0"), ("--max-domain", "-1"),
+])
+def test_fuzz_rejects_non_positive_counts(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "at least 1" in err
+
+
 def test_output_deterministic(capsys):
     _, out1, _ = run(capsys, "canon", FIG1)
     _, out2, _ = run(capsys, "canon", FIG1)

@@ -1,14 +1,31 @@
+import json
+import random
+
 import pytest
 
-from classicdl.descriptions import And, AtLeast, ConceptName, NamedRef
+from classicdl import subsume
+from classicdl.descriptions import (
+    And,
+    AtLeast,
+    ConceptName,
+    NamedRef,
+    Thing,
+    to_text,
+    walk,
+)
+from classicdl.graph import translate
 from classicdl.kb import (
     HostLattice,
     KbError,
     KnowledgeBase,
+    Taxonomy,
+    TaxonomyNode,
     classify,
     expand,
 )
+from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description, parse_kb
+from classicdl.randgen import random_description
 from classicdl.subsume import equivalent, subsumes
 
 
@@ -171,3 +188,172 @@ def test_taxonomy_dump_shape():
     data = classify(kb).to_jsonable()
     assert data[0]["members"] == ["THING"]
     assert {"node", "members", "parents"} <= set(data[1].keys())
+
+
+# -- classification against the n^2 reference ------------------------------
+
+def reference_classify(kb: KnowledgeBase) -> Taxonomy:
+    """The n^2 classification, kept as an oracle: every name's whole
+    expanded definition is tested against every canonical graph, and
+    THING-equivalence is a test against the canonical graph of ``thing``."""
+    names = sorted(kb.named)
+    expanded = {n: expand(NamedRef(n), kb) for n in names}
+    canon = {n: canonicalize(translate(expanded[n]), kb) for n in names}
+    geq = {(a, b): subsume.subsumes_graph(expanded[a], canon[b])
+           for a in names for b in names}
+    top = canonicalize(translate(Thing()))
+    equiv_thing = {n: subsume.subsumes_graph(expanded[n], top)
+                   for n in names}
+
+    classes: list[list[str]] = []
+    for n in names:
+        for cls in classes:
+            rep = cls[0]
+            if geq[(n, rep)] and geq[(rep, n)]:
+                cls.append(n)
+                break
+        else:
+            classes.append([n])
+
+    nodes = [TaxonomyNode(members=["THING"], parents=[])]
+    index_of: dict[int, int] = {}
+    for i, cls in enumerate(classes):
+        if equiv_thing[cls[0]]:
+            nodes[0].members.extend(cls)
+            continue
+        index_of[i] = len(nodes)
+        nodes.append(TaxonomyNode(members=list(cls), parents=[]))
+
+    def above(i: int, j: int) -> bool:
+        return geq[(classes[i][0], classes[j][0])] and \
+            not geq[(classes[j][0], classes[i][0])]
+
+    for i, idx in index_of.items():
+        ancestors = [j for j in index_of if above(j, i)]
+        nearest = [j for j in ancestors
+                   if not any(above(j, k) for k in ancestors if k != j)]
+        nodes[idx].parents = sorted(index_of[j] for j in nearest) or [0]
+    return Taxonomy(nodes)
+
+
+_VOCABULARY = ["role r", "role s", "attribute f", "attribute g",
+               "attribute h", "individual P", "individual Q", "individual V",
+               "disjoint RED GREEN BLUE", "disjoint TALL SMALL"]
+_TAGS = {"animal": "at-least(1, r)", "artifact": "all(s, GAME)",
+         "agent": "and(PERSON, same-as((f),(g)))"}
+
+
+def oracle_kb_text(seed: int, n: int) -> str:
+    """``n`` named concepts in every shape classification meets: told
+    chains, two told parents, told synonyms, ``thing`` and ``and(D, thing)``,
+    told names nested inside ``and``, primitives with one body per tag,
+    test concepts, atoms of disjointness groups, value restrictions on
+    earlier names, and random clauses (incoherent ones included)."""
+    rng = random.Random("oracle/%d/%d" % (seed, n))
+
+    def clause() -> str:
+        if rng.random() < 0.3:
+            return rng.choice(("RED", "GREEN", "BLUE", "TALL", "SMALL"))
+        return to_text(random_description(rng, depth=2))
+
+    lines = list(_VOCABULARY)
+    for i in range(n):
+        earlier = ["C%d" % j for j in range(i)]
+        shape = rng.randrange(11) if earlier else 0
+        if shape == 0:
+            body = clause()
+        elif shape == 1:
+            body = rng.choice(earlier)
+        elif shape == 2:
+            body = "thing"
+        elif shape == 3:
+            body = "and(%s, thing)" % rng.choice(earlier)
+        elif shape == 4:
+            body = "and(C%d, %s)" % (i - 1, clause())
+        elif shape == 5:
+            p, q = rng.choice(earlier), rng.choice(earlier)
+            body = "and(%s, %s, %s)" % (p, q, clause())
+        elif shape == 6:
+            body = "and(%s, and(%s, %s))" % (
+                rng.choice(earlier), rng.choice(earlier), clause())
+        elif shape == 7:
+            tag = rng.choice(sorted(_TAGS))
+            body = "and(%s, primitive(%s, %s))" % (
+                rng.choice(earlier), _TAGS[tag], tag)
+        elif shape == 8:
+            body = "and(%s, test(%s, classic))" % (
+                rng.choice(earlier), rng.choice(("big", "odd")))
+        elif shape == 9:
+            body = "and(%s, all(%s, %s))" % (
+                clause(), rng.choice("rs"), rng.choice(earlier))
+        else:
+            body = "and(%s, %s)" % (rng.choice(earlier), rng.choice(earlier))
+        lines.append("concept C%d := %s" % (i, body))
+    return "\n".join(lines) + "\n"
+
+
+def told_heap_kb_text(n: int) -> str:
+    """``n`` concepts whose told subsumers form a 4-ary heap, each adding
+    one atom and one number restriction."""
+    lines = ["role r0", "role r1"]
+    for i in range(n):
+        own = "A%d, at-least(%d, r%d)" % (i % 8, 1 + i % 3, i % 2)
+        body = "and(C%d, %s)" % (i // 4, own) if i >= 4 else "and(%s)" % own
+        lines.append("concept C%d := %s" % (i, body))
+    return "\n".join(lines) + "\n"
+
+
+def count_subsume_calls(monkeypatch, fn, *args):
+    calls = [0]
+    real = subsume.subsumes_graph
+
+    def counted(*a):
+        calls[0] += 1
+        return real(*a)
+
+    monkeypatch.setattr(subsume, "subsumes_graph", counted)
+    result = fn(*args)
+    monkeypatch.setattr(subsume, "subsumes_graph", real)
+    return result, calls[0]
+
+
+def test_oracle_kbs_cover_every_shape():
+    text = "".join(oracle_kb_text(seed, n)
+                   for seed in range(3) for n in (10, 40, 100))
+    for shape in (" := C", ":= thing", ", thing)", "primitive(", "test(",
+                  "and(C", ", and(C", "RED"):
+        assert shape in text
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", (10, 25, 50, 100))
+def test_classify_matches_reference(seed, n):
+    kb = parse_kb(oracle_kb_text(seed, n))
+    got = json.dumps(classify(kb).to_jsonable())
+    assert got == json.dumps(reference_classify(kb).to_jsonable())
+
+
+def test_classify_matches_reference_on_told_heap():
+    kb = parse_kb(told_heap_kb_text(100))
+    got = json.dumps(classify(kb).to_jsonable())
+    assert got == json.dumps(reference_classify(kb).to_jsonable())
+
+
+def test_classify_reuses_told_rows(monkeypatch):
+    # On a told heap most pairs are settled by a told subsumer's row, so
+    # classify needs far fewer structural tests than the n^2 reference.
+    kb = parse_kb(told_heap_kb_text(100))
+    _, fast = count_subsume_calls(monkeypatch, classify, kb)
+    _, slow = count_subsume_calls(monkeypatch, reference_classify, kb)
+    assert fast * 10 <= slow
+
+
+def test_classify_without_told_names_costs_no_more(monkeypatch):
+    kb = parse_kb("\n".join(_VOCABULARY) + "\n" + "".join(
+        "concept C%d := %s\n" % (i, to_text(random_description(
+            random.Random(i), depth=2))) for i in range(30)))
+    assert not any(isinstance(c, NamedRef)
+                   for d in kb.named.values() for c in walk(d))
+    _, fast = count_subsume_calls(monkeypatch, classify, kb)
+    _, slow = count_subsume_calls(monkeypatch, reference_classify, kb)
+    assert fast <= slow

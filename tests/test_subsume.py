@@ -1,10 +1,27 @@
+import random
+
 import pytest
 
-from classicdl.descriptions import Thing
+from classicdl import subsume
+from classicdl.descriptions import (
+    AllRole,
+    And,
+    ClassicThing,
+    ConceptName,
+    THING,
+    Thing,
+    walk,
+)
 from classicdl.graph import translate
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description
-from classicdl.subsume import equivalent, subsumes, subsumes_graph
+from classicdl.randgen import random_pair
+from classicdl.subsume import (
+    covers_everything,
+    equivalent,
+    subsumes,
+    subsumes_graph,
+)
 
 
 def test_participants_example(parse, kb):
@@ -196,3 +213,63 @@ def test_nested_zero_bound_equivalences(parse, kb):
 def test_host_string_fill_equivalence(parse, kb):
     assert equivalent(parse('fills(coach, "hi")'),
                       parse('all(coach, one-of("hi"))'), kb)
+
+
+def _thing_graph_test(d):
+    return subsumes_graph(d, canonicalize(translate(Thing())))
+
+
+def test_covers_everything_matches_thing_graph():
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for _ in range(1500):
+        for side in random_pair(rng):
+            for sub in walk(side):
+                got = covers_everything(sub)
+                assert got == _thing_graph_test(sub), sub
+                seen[got] += 1
+    assert seen[True] > 100 and seen[False] > 100
+
+
+def test_covers_everything_built_cases():
+    thing_atom = ConceptName(THING)
+    cases = {
+        Thing(): True,
+        thing_atom: True,
+        And((Thing(), And((thing_atom, Thing())))): True,
+        AllRole("r", Thing()): False,
+        And((Thing(), ClassicThing())): False,
+    }
+    # a subsumer equivalent to THING is above graphs whose root does not
+    # carry the THING atom
+    others = [canonicalize(translate(parse_description(t)))
+              for t in ("GAME", "at-least(1, r)", "same-as((f),(g))")]
+    for d, want in cases.items():
+        assert covers_everything(d) is want, d
+        assert _thing_graph_test(d) is want, d
+        if want:
+            assert all(subsumes_graph(d, g) for g in others), d
+
+
+def _nested_all(depth: int) -> str:
+    text = "X0"
+    for k in range(1, depth + 1):
+        text = "all(r, and(X%d, at-least(1, r), %s))" % (k, text)
+    return text
+
+
+def test_nested_all_yes_query_makes_linear_calls(monkeypatch):
+    # Each level costs the and, its three conjuncts and no THING re-check.
+    depth = 80
+    d = parse_description(_nested_all(depth))
+    g = canonicalize(translate(d))
+    calls = [0]
+    real = subsume.subsumes_graph
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(subsume, "subsumes_graph", counted)
+    assert subsume.subsumes_graph(d, g)
+    assert calls[0] <= 4 * depth + 1
