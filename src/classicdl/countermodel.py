@@ -163,7 +163,7 @@ def _finalize(b: _Builder, g: DescriptionGraph,
     memberships, so existing extensions are unaffected."""
     sig = signature_of_graph(g, lattice)
     if steering is not None:
-        sig = sig.merge(signature_of_description(steering, lattice))
+        sig = sig.merge(signature_of_description(steering))
     for atom in sig.atoms:
         b.world.concept_ext.setdefault(atom, set())
     for v in sig.host_values:
@@ -360,39 +360,23 @@ def _counter_build(b: _Builder, d: Description, g: DescriptionGraph) -> dict:
 # Steering plans (mirrors the completeness argument, case by case)
 
 
-def realm_of(d: Description, lattice: HostLattice) -> str:
-    """Which realm the description's extension is confined to: "classic",
-    "host", "either" (provably empty), or "thing" (the whole domain)."""
-    host = classic = False
+def _host_confined(d: Description) -> bool:
+    """Whether the description's extension is confined to the host realm:
+    it names a host constructor and no classic one.  A fresh bare element
+    escapes such a description in the classic realm, any other in the
+    host realm."""
+    host = False
     for node in walk(d):
-        if isinstance(node, (HostThing, HostConcept)):
+        if isinstance(node, (HostThing, HostConcept)) or (
+                isinstance(node, OneOf) and node.is_host) or (
+                isinstance(node, ConceptName)
+                and node.name.startswith(HOST_TEST_ATOM_PREFIX)):
             host = True
-        elif isinstance(node, OneOf):
-            if node.is_host:
-                host = True
-            else:
-                classic = True
-        elif isinstance(node, ConceptName):
-            if node.name.startswith(HOST_TEST_ATOM_PREFIX):
-                host = True
-            else:
-                classic = True
-        elif isinstance(node, (ClassicThing, AllRole, AllAttr, AtLeast,
-                               AtMost, SameAs, FillsRole, FillsAttr,
-                               Nothing)):
-            classic = True
-    if host and classic:
-        return "either"
-    if host:
-        return "host"
-    if classic:
-        return "classic"
-    return "thing"
-
-
-def _escape_realm(d: Description, lattice: HostLattice) -> str:
-    """Realm in which a fresh bare element escapes the description."""
-    return "classic" if realm_of(d, lattice) == "host" else "host"
+        elif isinstance(node, (OneOf, ConceptName, ClassicThing, AllRole,
+                               AllAttr, AtLeast, AtMost, SameAs, FillsRole,
+                               FillsAttr, Nothing)):
+            return False
+    return host
 
 
 def _node_plan(plans: dict[int, NodePlan], nid: int) -> NodePlan:
@@ -466,9 +450,9 @@ def _plan(d: Description, g: DescriptionGraph, nid: int,
         if e is not None:
             edge_plans[(nid, d.role)] = EdgePlan(counter_desc=d.restriction)
         else:
-            edge_plans[(nid, d.role)] = EdgePlan(
-                count=1,
-                synthetic_realm=_escape_realm(d.restriction, lattice))
+            realm = "classic" if _host_confined(d.restriction) else "host"
+            edge_plans[(nid, d.role)] = EdgePlan(count=1,
+                                                 synthetic_realm=realm)
         return
     if isinstance(d, AllAttr):
         if covers_everything(d.restriction):
@@ -478,9 +462,8 @@ def _plan(d: Description, g: DescriptionGraph, nid: int,
         if e is not None:
             _plan(d.restriction, g, e.dst, plans, edge_plans, lattice)
         else:
-            realm = _escape_realm(d.restriction, lattice)
             _node_plan(plans, nid).attr_set[d.attr] = "fresh-" + (
-                "classic" if realm == "classic" else "anon")
+                "classic" if _host_confined(d.restriction) else "anon")
         return
     if isinstance(d, SameAs):
         _plan_same_as(d, g, nid, plans, lattice)

@@ -142,9 +142,6 @@ class DescriptionGraph:
         self.nodes[nid] = node
         return nid
 
-    def node(self, nid: int) -> GraphNode:
-        return self.nodes[nid]
-
     @property
     def root_node(self) -> GraphNode:
         return self.nodes[self.root]

@@ -278,14 +278,13 @@ def classify(kb: KnowledgeBase) -> Taxonomy:
         index_of[i] = len(nodes)
         nodes.append(TaxonomyNode(members=list(cls), parents=[]))
 
-    def above(i: int, j: int) -> bool:
-        """Class i strictly subsumes class j."""
-        return geq[(classes[i][0], classes[j][0])] and \
-            not geq[(classes[j][0], classes[i][0])]
-
+    # Strict ancestors of each class; the nearest ones are those that are
+    # no other ancestor's ancestor.
+    reps = {i: classes[i][0] for i in index_of}
+    anc = {i: {j for j, r in reps.items()
+               if geq[(r, reps[i])] and not geq[(reps[i], r)]}
+           for i in index_of}
     for i, idx in index_of.items():
-        ancestors = [j for j in index_of if above(j, i)]
-        nearest = [j for j in ancestors
-                   if not any(above(j, k) for k in ancestors if k != j)]
+        nearest = anc[i].difference(*(anc[k] for k in anc[i]))
         nodes[idx].parents = sorted(index_of[j] for j in nearest) or [0]
     return Taxonomy(nodes)

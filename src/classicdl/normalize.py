@@ -20,6 +20,13 @@ a graph and all of its nested restriction graphs:
 * individual bookkeeping — filler sets push into doms and mins, doms cap
   maxes, and contradictions between fillers and doms mark incoherence.
 
+The rules of a graph read its restriction graphs but change only their
+own graph, with two exceptions: an r-edge merge builds a new restriction
+graph, and filler bookkeeping narrows a restriction's root dom.  So
+``canonicalize`` normalizes every restriction graph once, children before
+parents, and those two rules normalize the one graph they changed on the
+spot.
+
 Each merge removes a node and every numeric step moves a bound
 monotonically, so the fixpoint exists; ``canonicalize`` accepts two rule
 schedules to let tests check that both reach isomorphic results.
@@ -82,66 +89,52 @@ def canonicalize(g: DescriptionGraph,
     """Return the canonical form of ``g``; the input is not modified.
 
     ``g`` is cloned once, up front; every merge the rules make moves parts
-    of that private copy, so no node is copied again.
+    of that private copy, so no node is copied again.  Each restriction
+    graph of the copy is normalized once, children before parents.
 
-    ``schedule`` picks the order in which rule families are tried within
-    each fixpoint round ("standard" or "alternate"); the result is the
-    same up to node renaming either way.
+    ``schedule`` picks the order of each fixpoint round: "standard", or
+    "alternate", which tries the rule families and the nodes in reverse;
+    the result is the same up to node renaming either way.
     """
     if schedule not in ("standard", "alternate"):
         raise ValueError("unknown schedule: %r" % schedule)
     lattice = kb.lattice if kb is not None else _DEFAULT_LATTICE
     groups = kb.disjoint_groups if kb is not None else []
     work = g.clone()
-    _normalize_graph(work, lattice, groups, schedule)
+    for sub in reversed(list(work.subgraphs())):
+        _normalize_graph(sub, lattice, groups, schedule)
     return work
 
 
-def _normalize_graph(g: DescriptionGraph, lattice, groups, schedule) -> bool:
-    if g.incoherent:
-        return False
-    changed_ever = False
-    while True:
+def _normalize_graph(g: DescriptionGraph, lattice, groups, schedule) -> None:
+    """Run ``g``'s own rules to a fixpoint.  Its restriction graphs must be
+    canonical already; a rule that changes one re-normalizes it."""
+    step = 1 if schedule == "standard" else -1
+    while not g.incoherent:
+        node_order = list(g.nodes)[::step]
         changed = False
-        # Descendant restriction graphs reach their own fixpoints first.
-        for node in g.nodes.values():
-            for e in node.r_edges:
-                changed |= _normalize_graph(e.restriction, lattice, groups,
-                                            schedule)
-        if schedule == "standard":
-            passes = (_node_local_pass, _redge_pass, _aedge_pass,
-                      _individual_pass)
-            node_order = list(g.nodes)
-        else:
-            passes = (_individual_pass, _aedge_pass, _redge_pass,
-                      _node_local_pass)
-            node_order = list(reversed(list(g.nodes)))
-        for p in passes:
-            changed |= p(g, node_order, lattice, groups)
+        for p in (_node_local_pass, _redge_pass, _aedge_pass,
+                  _individual_pass)[::step]:
+            changed |= p(g, node_order, lattice, groups, schedule)
             node_order = [n for n in node_order if n in g.nodes]
         if any(is_incoherent_node(n) for n in g.nodes.values()):
             mark_graph_incoherent(g)
-            return True
-        if not changed:
-            return changed_ever
-        changed_ever = True
+        elif not changed:
+            return
 
 
 # -- node-local steps -------------------------------------------------------
 
 
-def _node_local_pass(g, node_order, lattice, groups) -> bool:
+def _node_local_pass(g, node_order, lattice, groups, schedule) -> bool:
     changed = False
     for nid in node_order:
         node = g.nodes[nid]
         changed |= _close_atoms(node, lattice)
         changed |= _realm_conflicts(node, lattice)
         changed |= _disjointness(node, groups)
-        for e in node.r_edges:
-            if e.min > e.max:
-                changed |= mark_node_incoherent(node)
-                break
-        node = g.nodes[nid]
+        if any(e.min > e.max for e in node.r_edges):
+            changed |= mark_node_incoherent(node)
         if node.dom is not None and not node.dom:
             changed |= mark_node_incoherent(node)
         changed |= _dom_typing(node, lattice)
@@ -229,19 +222,22 @@ def _dom_typing(node: GraphNode, lattice) -> bool:
 # -- r-edge merging ---------------------------------------------------------
 
 
-def _merged_redge(edges: list[REdge]) -> REdge:
+def _merged_redge(edges: list[REdge], lattice, groups, schedule) -> REdge:
     """One r-edge for a role: tightest bounds, merged restriction graphs
-    (moved, since the old edges are dropped) and the union of fillers."""
+    (moved, since the old edges are dropped, and normalized again) and the
+    union of fillers."""
+    restriction = merge_graphs(*(e.restriction for e in edges))
+    _normalize_graph(restriction, lattice, groups, schedule)
     return REdge(
         role=edges[0].role,
         min=max(e.min for e in edges),
         max=min(e.max for e in edges),
-        restriction=merge_graphs(*(e.restriction for e in edges)),
+        restriction=restriction,
         fillers=set().union(*(e.fillers for e in edges)),
     )
 
 
-def _redge_pass(g, node_order, lattice, groups) -> bool:
+def _redge_pass(g, node_order, lattice, groups, schedule) -> bool:
     changed = False
     for nid in node_order:
         node = g.nodes[nid]
@@ -249,8 +245,10 @@ def _redge_pass(g, node_order, lattice, groups) -> bool:
         for e in node.r_edges:
             by_role.setdefault(e.role, []).append(e)
         if len(by_role) < len(node.r_edges):
-            node.r_edges = [es[0] if len(es) == 1 else _merged_redge(es)
-                            for es in by_role.values()]
+            node.r_edges = [
+                es[0] if len(es) == 1
+                else _merged_redge(es, lattice, groups, schedule)
+                for es in by_role.values()]
             changed = True
     return changed
 
@@ -281,7 +279,7 @@ class _UnionFind:
         return True
 
 
-def _aedge_pass(g, node_order, lattice, groups) -> bool:
+def _aedge_pass(g, node_order, lattice, groups, schedule) -> bool:
     """Collapse duplicate (source, attribute) a-edges, cascading target
     merges through a union-find over the merge-pending node classes."""
     if not g.a_edges:
@@ -335,7 +333,7 @@ def _aedge_pass(g, node_order, lattice, groups) -> bool:
 # -- individual bookkeeping -------------------------------------------------
 
 
-def _individual_pass(g, node_order, lattice, groups) -> bool:
+def _individual_pass(g, node_order, lattice, groups, schedule) -> bool:
     changed = False
     # a-edges: filler multiplicity, dom pushing, filler/dom agreement.
     for e in g.a_edges:
@@ -358,8 +356,6 @@ def _individual_pass(g, node_order, lattice, groups) -> bool:
                 changed = True
     # r-edges: filler/dom subset rule and bound/cardinality arithmetic.
     for nid in node_order:
-        if nid not in g.nodes:
-            continue
         node = g.nodes[nid]
         for e in node.r_edges:
             if e.min < len(e.fillers):
@@ -385,5 +381,7 @@ def _individual_pass(g, node_order, lattice, groups) -> bool:
                 new_dom = intersect_doms(head.dom, frozenset(e.fillers))
                 if new_dom != head.dom:
                     head.dom = new_dom
+                    _normalize_graph(e.restriction, lattice, groups,
+                                     schedule)
                     changed = True
     return changed

@@ -13,9 +13,10 @@ The description grammar is a prefix/functional ASCII notation::
 
 KB files are line-oriented: ``role NAME``, ``attribute NAME``,
 ``individual NAME``, ``host-type NAME [subtype-of NAME]``,
-``concept NAME := DESC``, ``disjoint NAME NAME ...``; ``#`` starts a
+``concept NAME := DESC``, ``disjoint ATOM ATOM ...``; ``#`` starts a
 comment.  Concept bodies may reference concepts declared on any line;
-host-type parents must be declared first.
+host-type parents must be declared first.  A disjoint group names only
+atoms that no line declares and that are not host types.
 
 With a knowledge base in hand the parser is strict: every role, attribute,
 and individual must be declared.  Without one it infers — names used in
@@ -397,6 +398,7 @@ def parse_kb(text: str) -> KnowledgeBase:
     kb = KnowledgeBase.empty()
     declared: dict[str, int] = {}
     concept_bodies: list[tuple[str, str, int]] = []
+    disjoint_names: list[tuple[Token, int]] = []
 
     def declare(name: str, lineno: int):
         if name in declared:
@@ -462,6 +464,7 @@ def parse_kb(text: str) -> KnowledgeBase:
                     raise ParseError("expected concept names", tok.pos,
                                      lineno)
                 names.append(tok.text)
+                disjoint_names.append((tok, lineno))
             if len(names) < 2:
                 raise ParseError("disjoint needs at least two names",
                                  head.pos, lineno)
@@ -469,6 +472,17 @@ def parse_kb(text: str) -> KnowledgeBase:
         else:
             raise ParseError("unknown declaration %r" % head.text, head.pos,
                              lineno)
+
+    # Only undeclared atoms can be disjoint.  Expansion replaces a concept
+    # name by its definition and roles, attributes and individuals never
+    # stand as atoms, so a group naming one never fires; the type lattice
+    # alone decides which host types are disjoint.
+    for tok, lineno in disjoint_names:
+        kind = kb.kind_of(tok.text)
+        if kind is not None:
+            raise ParseError("disjoint names the %s %s; only undeclared "
+                             "atoms can be disjoint" % (kind, tok.text),
+                             tok.pos, lineno)
 
     # Second pass: concept bodies may reference any declared concept.
     for name, body_text, lineno in concept_bodies:

@@ -409,11 +409,6 @@ def _element_in_node(node: GraphNode, elem, world: Interpretation) -> bool:
 def merge_worlds(i1: Interpretation, i2: Interpretation) -> Interpretation:
     """Disjoint union on the classic realms (elements are relabelled),
     plain union on the host realms; extensions merge accordingly."""
-    out, _, _ = merge_worlds_with_maps(i1, i2)
-    return out
-
-
-def merge_worlds_with_maps(i1: Interpretation, i2: Interpretation):
     out = Interpretation(lattice=i1.lattice)
     map1 = {e: ClassicElement(i) for i, e in
             enumerate(sorted(i1.classic, key=lambda e: e.eid))}
@@ -441,7 +436,7 @@ def merge_worlds_with_maps(i1: Interpretation, i2: Interpretation):
                 tgt[f(x)] = f(y)
         for name, ext in world.indiv_ext.items():
             out.indiv_ext.setdefault(name, set()).update(f(e) for e in ext)
-    return out, map1, map2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +474,7 @@ def _sig_add_individual(sig: Signature, ind: Individual) -> None:
         sig.individuals.add(ind.name)
 
 
-def signature_of_description(d: Description,
-                             lattice: HostLattice | None = None) -> Signature:
-    lattice = lattice or _DEFAULT_LATTICE
+def signature_of_description(d: Description) -> Signature:
     sig = Signature()
     for node in walk(d):
         if isinstance(node, ConceptName):

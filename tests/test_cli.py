@@ -171,6 +171,16 @@ def test_inference_pooled_across_descriptions(capsys):
     assert code == 0 and out.strip() == "yes"
 
 
+def test_disjoint_declared_name_is_an_input_error(tmp_path, capsys):
+    kb_file = tmp_path / "kb.cdl"
+    kb_file.write_text("role r\nconcept TALL := primitive(thing, tall)\n"
+                       "disjoint TALL SMALL\n")
+    code, out, err = run(capsys, "canon", "--kb", str(kb_file),
+                         "and(all(r, TALL), all(r, SMALL), at-least(1, r))")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "line 3" in err
+
+
 def test_missing_kb_file_is_an_input_error(tmp_path, capsys):
     missing = tmp_path / "absent.cdl"
     code, out, err = run(capsys, "subsumes", "--kb", str(missing),

@@ -1,7 +1,13 @@
+import random
+
+import pytest
+
+from classicdl import normalize
 from classicdl.descriptions import CLASSIC_THING, Individual, NOTHING
 from classicdl.graph import isomorphic, translate
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description, parse_kb
+from classicdl.randgen import corpus_kb, random_pair
 
 
 def canon(parse, text, kb=None):
@@ -259,3 +265,63 @@ def test_dom_typing_keeps_compatible_values(parse, kb):
     g = canonicalize(translate(parse('and(one-of(1, 2.5, "x"), NUMBER)')),
                      kb)
     assert sorted(i.name for i in g.root_node.dom) == ["1", "2.5"]
+
+
+def _nested_all(depth: int) -> str:
+    text = "X0"
+    for k in range(1, depth + 1):
+        text = "all(r, and(X%d, at-least(1, r), %s))" % (k, text)
+    return text
+
+
+@pytest.mark.parametrize("depth", [20, 40, 80])
+def test_normalize_calls_grow_linearly_on_nested_all(depth, monkeypatch):
+    # each restriction graph is normalized once, and again only where a
+    # merge or a narrowed dom changes it
+    calls = []
+    original = normalize._normalize_graph
+
+    def counted(g, *rest):
+        calls.append(g)
+        return original(g, *rest)
+
+    monkeypatch.setattr(normalize, "_normalize_graph", counted)
+    canonicalize(translate(parse_description(_nested_all(depth))))
+    assert len(calls) <= 4 * depth
+
+
+# Each case needs a restriction graph normalized again after its parent's
+# rules changed it: a merge of two restrictions on r, and a dom narrowed
+# to the filler "a" that INTEGER does not admit.
+RENORMALIZED_CASES = [
+    'and(fills(r, "a"), at-most(1, r), all(r, INTEGER))',
+    "and(all(r, TALL), all(r, SMALL), at-least(1, r))",
+]
+
+
+def _disjoint_kb():
+    kb = corpus_kb()
+    kb.disjoint_groups.append(frozenset({"TALL", "SMALL"}))
+    return kb
+
+
+@pytest.mark.parametrize("schedule", ["standard", "alternate"])
+@pytest.mark.parametrize("text", RENORMALIZED_CASES)
+def test_renormalized_restrictions_are_incoherent(text, schedule):
+    kb = _disjoint_kb()
+    g = canonicalize(translate(parse_description(text, kb)), kb,
+                     schedule=schedule)
+    assert g.incoherent
+
+
+@pytest.mark.parametrize("schedule", ["standard", "alternate"])
+def test_every_restriction_graph_is_canonical(schedule):
+    kb = _disjoint_kb()
+    rng = random.Random(3)
+    descriptions = [parse_description(t, kb) for t in RENORMALIZED_CASES]
+    for _ in range(300):
+        descriptions.extend(random_pair(rng))
+    for d in descriptions:
+        g = canonicalize(translate(d), kb, schedule=schedule)
+        for sub in g.subgraphs():
+            assert isomorphic(sub, canonicalize(sub, kb, schedule=schedule))

@@ -147,6 +147,24 @@ def test_disjoint_declaration():
     assert frozenset({"MALE", "FEMALE"}) in kb.disjoint_groups
 
 
+@pytest.mark.parametrize("declaration, name, kind", [
+    ("concept TALL := primitive(thing, tall)", "TALL", "concept"),
+    ("role TALL", "TALL", "role"),
+    ("attribute TALL", "TALL", "attribute"),
+    ("individual TALL", "TALL", "individual"),
+    ("host-type TALL", "TALL", "host-type"),
+    ("role r", "INTEGER", "host-type"),
+])
+def test_disjoint_rejects_declared_names(declaration, name, kind):
+    # the group comes first: names are checked once every line is read
+    text = "disjoint SMALL %s\n%s\n" % (name, declaration)
+    with pytest.raises(ParseError, match="disjoint names the %s %s"
+                       % (kind, name)) as exc:
+        parse_kb(text)
+    assert exc.value.line == 1
+    assert exc.value.pos == len("disjoint SMALL ")
+
+
 def test_round_trip_with_kb(kb):
     texts = [
         "and(GAME, at-least(4, participants))",
