@@ -6,12 +6,13 @@ shared builder, so the disjoint unions the construction calls for come
 free: every node of every (nested) island gets a fresh element.
 
 With a steering description the free choices of the construction are made
-against it, case by case on the description's shape — filler counts one
-below or above the bound, wrong-realm fillers for missing edges, distinct
-end values for attribute chains, dom picks outside an enumeration — so the
-distinguished element lands inside the graph's extension but outside the
-description's.  The result is verified by evaluation before it is
-returned; a verification failure raises ``CounterModelError``.
+against the clause where the structural test fails (``subsume.explain``),
+case by case on its shape — filler counts one below or above the bound,
+wrong-realm fillers for missing edges, distinct end values for attribute
+chains, dom picks outside an enumeration — so the distinguished element
+lands inside the graph's extension but outside the description's.  The
+result is verified by evaluation before it is returned; a verification
+failure raises ``CounterModelError``.
 
 Known limitation, inherent to the algorithm being modelled: a host-valued
 dom can force the distinguished element to be a literal whose built-in
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from .descriptions import (
     AllAttr,
     AllRole,
-    And,
     AtLeast,
     AtMost,
     CLASSIC_THING,
@@ -46,12 +46,11 @@ from .descriptions import (
     OneOf,
     SameAs,
     THING,
-    Thing,
     walk,
 )
 from .graph import DescriptionGraph, GraphNode, INF
 from .kb import HostLattice, KnowledgeBase
-from .subsume import covers_everything, subsumes_graph
+from .subsume import Failure, covers_everything, explain
 from .worlds import (
     ClassicElement,
     HostElement,
@@ -80,7 +79,7 @@ class NodePlan:
 @dataclass
 class EdgePlan:
     count: int | None = None
-    counter_desc: Description | None = None
+    counter: Failure | None = None         # the body's failure to follow
     dom_avoid: frozenset = frozenset()
     synthetic_realm: str | None = None    # fillers for a role with no edge
 
@@ -133,14 +132,15 @@ def construct_graphical_world(g: DescriptionGraph,
     if g.incoherent:
         raise ValueError("cannot build a world for an incoherent graph")
     lattice = kb.lattice if kb is not None else HostLattice()
-    if steering is not None and subsumes_graph(steering, g):
-        raise ValueError("the description subsumes the graph; no "
-                         "counter-model exists")
     b = _Builder(lattice)
     plans: dict[int, NodePlan] = {}
     edge_plans: dict[tuple[int, str], EdgePlan] = {}
     if steering is not None:
-        _plan(steering, g, g.root, plans, edge_plans, lattice)
+        failure = explain(steering, g)
+        if failure is None:
+            raise ValueError("the description subsumes the graph; no "
+                             "counter-model exists")
+        _plan(failure, plans, edge_plans, lattice)
     elems = _build_island(b, g, plans, edge_plans)
     distinguished = elems[g.root]
     _finalize(b, g, steering, lattice)
@@ -260,12 +260,14 @@ def _build_node(b: _Builder, nid: int, node: GraphNode,
         for a in node.atoms)
     if not classicish and plan is not None and plan.realm == "host":
         return b.fresh_anon()
+    join = _pick_join(node, plan, forced_fillers)
+    if not classicish and join is not None and join.is_host:
+        return b.host_value(join)
     elem = b.fresh_classic()
     for atom in node.atoms:
         if atom in (THING, CLASSIC_THING, NOTHING) or lattice.is_type(atom):
             continue
         b.add_membership(atom, elem)
-    join = _pick_join(node, plan, forced_fillers)
     if join is not None:
         if join.is_host:
             raise CounterModelError("host join on a classic node")
@@ -285,12 +287,12 @@ def _build_node(b: _Builder, nid: int, node: GraphNode,
 def _build_redge(b: _Builder, parent, e, plan: EdgePlan | None) -> None:
     head = e.restriction.root_node
     fillers = sorted(e.fillers, key=Individual.sort_key)
-    counter = plan.counter_desc if plan else None
+    counter = plan.counter if plan else None
     filler_elems = []
     used: set[Individual] = set()
 
     if counter is not None:
-        sub = _counter_build(b, counter, e.restriction)
+        sub = _counter_build(b, counter)
         root_elem = sub[e.restriction.root]
         filler_elems.append(root_elem)
         j = _join_of(b, root_elem)
@@ -349,11 +351,11 @@ def _join_of(b: _Builder, elem) -> Individual | None:
     return None
 
 
-def _counter_build(b: _Builder, d: Description, g: DescriptionGraph) -> dict:
+def _counter_build(b: _Builder, failure: Failure) -> dict:
     plans: dict[int, NodePlan] = {}
     edge_plans: dict[tuple[int, str], EdgePlan] = {}
-    _plan(d, g, g.root, plans, edge_plans, b.world.lattice)
-    return _build_island(b, g, plans, edge_plans)
+    _plan(failure, plans, edge_plans, b.world.lattice)
+    return _build_island(b, failure.graph, plans, edge_plans)
 
 
 # ---------------------------------------------------------------------------
@@ -385,20 +387,15 @@ def _node_plan(plans: dict[int, NodePlan], nid: int) -> NodePlan:
     return plans[nid]
 
 
-def _plan(d: Description, g: DescriptionGraph, nid: int,
-          plans: dict[int, NodePlan],
+def _plan(failure: Failure, plans: dict[int, NodePlan],
           edge_plans: dict[tuple[int, str], EdgePlan],
           lattice: HostLattice) -> None:
-    """Steer the island containing ``nid`` so its element escapes ``d``.
-
-    Precondition: the structural subsumption test is negative for ``d``
-    against the graph rooted at ``nid``.
-    """
-    view = g.rerooted(nid)
+    """Steer the island of ``failure.graph`` so the element of
+    ``failure.node`` escapes ``failure.clause``, which the structural test
+    found not to hold there."""
+    d, g, nid = failure.clause, failure.graph, failure.node
     node = g.nodes[nid]
 
-    if isinstance(d, Thing):
-        raise CounterModelError("THING admits no counter-model")
     if isinstance(d, Nothing):
         return  # nothing is escaped by every element of a coherent graph
     if HOST_THING in node.atoms and isinstance(
@@ -407,22 +404,15 @@ def _plan(d: Description, g: DescriptionGraph, nid: int,
         # These constructors confine their extension to the classic realm;
         # a host element escapes them with no steering at all.
         return
-    if isinstance(d, And):
-        for item in d.items:
-            if not subsumes_graph(item, view):
-                _plan(item, g, nid, plans, edge_plans, lattice)
-                return
-        raise CounterModelError("no failing conjunct found")
     if isinstance(d, (ConceptName, HostConcept)):
         _plan_atom(d, node, nid, plans, lattice)
         return
     if isinstance(d, ClassicThing):
-        if CLASSIC_THING not in node.atoms and HOST_THING not in node.atoms:
+        if HOST_THING not in node.atoms:
             _node_plan(plans, nid).realm = "host"
         return
     if isinstance(d, HostThing):
-        if HOST_THING not in node.atoms:
-            _node_plan(plans, nid).realm = "classic"
+        _node_plan(plans, nid).realm = "classic"
         return
     if isinstance(d, AtLeast):
         e = g.role_edge(nid, d.role)
@@ -445,28 +435,25 @@ def _plan(d: Description, g: DescriptionGraph, nid: int,
         if covers_everything(d.restriction):
             # The body covers everything, so the root must be non-classic.
             _node_plan(plans, nid).realm = "host"
-            return
-        e = g.role_edge(nid, d.role)
-        if e is not None:
-            edge_plans[(nid, d.role)] = EdgePlan(counter_desc=d.restriction)
+        elif failure.inner is not None:
+            # The body fails in the edge's restriction graph.
+            edge_plans[(nid, d.role)] = EdgePlan(counter=failure.inner)
         else:
             realm = "classic" if _host_confined(d.restriction) else "host"
             edge_plans[(nid, d.role)] = EdgePlan(count=1,
                                                  synthetic_realm=realm)
         return
     if isinstance(d, AllAttr):
+        # A body failing through an edge is reported at the edge's target,
+        # so the attribute has no edge here.
         if covers_everything(d.restriction):
             _node_plan(plans, nid).realm = "host"
-            return
-        e = g.attr_edge(nid, d.attr)
-        if e is not None:
-            _plan(d.restriction, g, e.dst, plans, edge_plans, lattice)
         else:
             _node_plan(plans, nid).attr_set[d.attr] = "fresh-" + (
                 "classic" if _host_confined(d.restriction) else "anon")
         return
     if isinstance(d, SameAs):
-        _plan_same_as(d, g, nid, plans, lattice)
+        _plan_same_as(d, g, nid, plans)
         return
     if isinstance(d, FillsRole):
         e = g.role_edge(nid, d.role)
@@ -492,8 +479,6 @@ def _plan(d: Description, g: DescriptionGraph, nid: int,
 
 def _plan_atom(d, node, nid, plans, lattice) -> None:
     name = d.name
-    if name in node.atoms:
-        raise CounterModelError("atom already present; not a counter case")
     if isinstance(d, HostConcept) and HOST_THING in node.atoms:
         if node.dom is not None:
             outside = [v for v in sorted(node.dom, key=Individual.sort_key)
@@ -510,7 +495,7 @@ def _plan_atom(d, node, nid, plans, lattice) -> None:
 
 
 def _plan_same_as(d: SameAs, g: DescriptionGraph, nid: int,
-                  plans: dict[int, NodePlan], lattice) -> None:
+                  plans: dict[int, NodePlan]) -> None:
     l_pre, l_taken = g.follow(nid, d.left[:-1])
     r_pre, r_taken = g.follow(nid, d.right[:-1])
     l_full = l_taken == len(d.left) - 1 and \
@@ -528,19 +513,16 @@ def _plan_same_as(d: SameAs, g: DescriptionGraph, nid: int,
         # get distinct elements, so nothing to steer.
         return
     if l_pre == r_pre:
-        node = g.nodes[l_pre]
-        if CLASSIC_THING not in node.atoms:
-            _node_plan(plans, l_pre).realm = "host"
-            return
+        # A shared tail from a classic junction would have satisfied the
+        # test, so a classic junction has two distinct tail attributes.
         plan = _node_plan(plans, l_pre)
-        la, ra = d.left[-1], d.right[-1]
-        if la == ra:
-            raise CounterModelError("shared tail on a classic node; not a "
-                                    "counter case")
+        if CLASSIC_THING not in g.nodes[l_pre].atoms:
+            plan.realm = "host"
+            return
         if not l_full:
-            plan.attr_set[la] = "fresh-anon"
+            plan.attr_set[d.left[-1]] = "fresh-anon"
         if not r_full:
-            plan.attr_set[ra] = "fresh-anon"
+            plan.attr_set[d.right[-1]] = "fresh-anon"
         return
     # Prefixes end at distinct nodes: give any missing tail its own fresh
     # value; existing tails point at distinct nodes already.

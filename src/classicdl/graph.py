@@ -125,8 +125,7 @@ class DescriptionGraph:
     """Rooted description graph; treated as an immutable value once built.
 
     ``attr_edge``, ``role_edge`` and ``follow`` answer from a hashed edge
-    index that is built on the first of them called, or on the first
-    ``rerooted`` view, and shared with every such view.  The graph must not
+    index that is built on the first of them called.  The graph must not
     change after that: the index would not see the change.
     """
 
@@ -152,19 +151,6 @@ class DescriptionGraph:
         g.a_edges = [e.clone() for e in self.a_edges]
         g.root = self.root
         g.incoherent = self.incoherent
-        return g
-
-    def rerooted(self, nid: int) -> "DescriptionGraph":
-        """A view of the same island with a different distinguished node.
-
-        Shares node and edge storage; callers must treat it as read-only.
-        """
-        g = DescriptionGraph()
-        g.nodes = self.nodes
-        g.a_edges = self.a_edges
-        g.root = nid
-        g.incoherent = self.incoherent
-        g._index = self._index or self._build_index()
         return g
 
     def _build_index(self) -> _EdgeIndex:

@@ -1,17 +1,22 @@
 """Structural subsumption between a description and a canonical graph.
 
-``subsumes_graph`` decides whether a description subsumes a canonical
+``explain`` decides whether a description subsumes a canonical
 description graph by a disjunction of purely structural conditions — atom
 membership, bound comparisons, recursive checks through role and attribute
-edges, attribute-path equalities, and filler/dom containment.  No facts
-about individuals beyond the graph's own filler and dom fields are
-consulted.  Each clause is tested once, in one pass over the subsumer;
+edges, attribute-path equalities, and filler/dom containment — and returns
+None or the ``Failure``: the clause and node where the test fails, from
+which ``countermodel`` builds its world.  ``subsumes_graph`` is
+``explain(d, g) is None``.  No facts about individuals beyond the graph's
+own filler and dom fields are consulted.  Each clause is tested once, in
+one pass over the subsumer, by one recursive core, ``_failure``;
 ``covers_everything`` is the syntactic THING-equivalence the ``all``
 cases need.  ``subsumes`` wires up the full pipeline: expand both
 descriptions, translate and canonicalize the subsumee, then test.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .descriptions import (
     AllAttr,
@@ -57,74 +62,109 @@ def covers_everything(d: Description) -> bool:
     return False
 
 
-def subsumes_graph(d: Description, g: DescriptionGraph) -> bool:
-    """True iff the description subsumes the canonical graph."""
+@dataclass(frozen=True)
+class Failure:
+    """The first subsumer ``clause`` (never an ``and``) that fails at
+    ``node`` of ``graph``.  ``inner`` is the failure of an ``all`` over a
+    role inside the role's restriction graph; a body failing through an
+    attribute edge is reported at the edge's target instead."""
+
+    clause: Description
+    graph: DescriptionGraph
+    node: int
+    inner: Failure | None = None
+
+
+def explain(d: Description, g: DescriptionGraph) -> Failure | None:
+    """None iff the description subsumes the canonical graph; otherwise
+    the ``Failure`` that shows it does not."""
     if isinstance(d, (NamedRef, Primitive, Test)):
         raise ValueError("description must be expanded before subsumption")
     # An incoherent subsumee is below everything.
     if g.incoherent:
-        return True
+        return None
+    return _failure(d, g, g.root)
+
+
+def subsumes_graph(d: Description, g: DescriptionGraph) -> bool:
+    """True iff the description subsumes the canonical graph."""
+    return explain(d, g) is None
+
+
+def _failure(d: Description, g: DescriptionGraph, nid: int) -> Failure | None:
+    """The structural test of ``d`` at node ``nid``: None if it holds."""
     # A subsumer equivalent to THING is above everything.  That needs no
     # check of its own: ``thing`` is answered here, the atom THING in the
     # atom case, and a conjunction of them decomposes.
     if isinstance(d, Thing):
-        return True
+        return None
     # Conjunctions decompose.
     if isinstance(d, And):
-        return all(subsumes_graph(c, g) for c in d.items)
+        for c in d.items:
+            failure = _failure(c, g, nid)
+            if failure is not None:
+                return failure
+        return None
+    if isinstance(d, AllRole):
+        e = g.role_edge(nid, d.role)
+        if e is not None:
+            inner = explain(d.restriction, e.restriction)
+            return None if inner is None else Failure(d, g, nid, inner)
+    elif isinstance(d, AllAttr):
+        e = g.attr_edge(nid, d.attr)
+        if e is not None:
+            return _failure(d.restriction, g, e.dst)
+    else:
+        return None if _holds(d, g, nid) else Failure(d, g, nid)
+    # A universal restriction whose body covers everything only needs the
+    # subsumee to be classic, so the role or attribute is applicable.  Such
+    # a body also holds through any edge, so only the edgeless case asks.
+    if (covers_everything(d.restriction)
+            and CLASSIC_THING in g.nodes[nid].atoms):
+        return None
+    return Failure(d, g, nid)
 
-    root = g.root_node
+
+def _holds(d: Description, g: DescriptionGraph, nid: int) -> bool:
+    """The clauses that do not recurse."""
+    node = g.nodes[nid]
     if isinstance(d, (ConceptName, HostConcept)):
-        return d.name in root.atoms or d.name == THING
+        return d.name in node.atoms or d.name == THING
     if isinstance(d, ClassicThing):
-        return CLASSIC_THING in root.atoms
+        return CLASSIC_THING in node.atoms
     if isinstance(d, HostThing):
-        return HOST_THING in root.atoms
+        return HOST_THING in node.atoms
     if isinstance(d, Nothing):
-        return NOTHING in root.atoms
+        return NOTHING in node.atoms
     if isinstance(d, AtLeast):
-        e = g.role_edge(g.root, d.role)
+        e = g.role_edge(nid, d.role)
         return e is not None and e.min >= d.n
     if isinstance(d, AtMost):
-        e = g.role_edge(g.root, d.role)
+        e = g.role_edge(nid, d.role)
         return e is not None and e.max <= d.n
-    if isinstance(d, AllRole):
-        e = g.role_edge(g.root, d.role)
-        if e is not None and subsumes_graph(d.restriction, e.restriction):
-            return True
-        # A universal role restriction whose body covers everything only
-        # needs the subsumee to be classic, so the role is applicable.
-        return (covers_everything(d.restriction)
-                and CLASSIC_THING in root.atoms)
-    if isinstance(d, AllAttr):
-        e = g.attr_edge(g.root, d.attr)
-        if e is not None and subsumes_graph(d.restriction, g.rerooted(e.dst)):
-            return True
-        return (covers_everything(d.restriction)
-                and CLASSIC_THING in root.atoms)
     if isinstance(d, SameAs):
-        end, taken = g.follow(g.root, d.left)
+        end, taken = g.follow(nid, d.left)
         if (taken == len(d.left)
-                and g.follow(g.root, d.right) == (end, len(d.right))):
+                and g.follow(nid, d.right) == (end, len(d.right))):
             return True
         # Equal chains extended by one shared attribute stay equal as long
         # as the shared prefix ends at a classic node.
         if d.left[-1] == d.right[-1]:
             left, right = d.left[:-1], d.right[:-1]
-            pre, taken = g.follow(g.root, left)
+            pre, taken = g.follow(nid, left)
             if (taken == len(left)
-                    and g.follow(g.root, right) == (pre, len(right))
+                    and g.follow(nid, right) == (pre, len(right))
                     and CLASSIC_THING in g.nodes[pre].atoms):
                 return True
         return False
     if isinstance(d, FillsRole):
-        e = g.role_edge(g.root, d.role)
+        e = g.role_edge(nid, d.role)
         return e is not None and d.who in e.fillers
     if isinstance(d, FillsAttr):
-        e = g.attr_edge(g.root, d.attr)
+        e = g.attr_edge(nid, d.attr)
         return e is not None and d.who in e.fillers
     if isinstance(d, OneOf):
-        return root.dom is not None and root.dom <= set(d.members)
+        return node.dom is not None and node.dom <= set(d.members)
     raise TypeError("not a description: %r" % (d,))
 
 

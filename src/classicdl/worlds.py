@@ -303,12 +303,8 @@ def _chain_value(world: Interpretation, chain, elem):
 
 
 def eval_graph(g: DescriptionGraph, world: Interpretation) -> frozenset:
-    """The exact extension of a description graph in a world, by witness
-    search over node-to-element assignments.
-
-    A-edges force assignments functionally from the root, so the search
-    only enumerates for nodes a hand-built graph left unreachable.
-    """
+    """The exact extension of a description graph in a world: the
+    elements that have a witness (``find_witness``)."""
     if g.incoherent:
         return frozenset()
     return frozenset(e for e in world.domain() if element_in_graph(g, e, world))
@@ -325,8 +321,9 @@ def find_witness(g: DescriptionGraph, elem,
 
     The root maps to the element; every node's image satisfies its atoms,
     bounds, and dom; every a-edge's images are related by its attribute.
-    Attribute application from the root forces the assignment, so only
-    nodes a hand-built graph leaves unreachable are searched for.
+    Attribute application from the root forces the assignment.  Translated
+    and canonical graphs reach every node from the root through a-edges; a
+    node that none reaches raises ``ValueError``.
     """
     if g.incoherent:
         return None
@@ -352,18 +349,9 @@ def find_witness(g: DescriptionGraph, elem,
         pending = still
     unassigned = [nid for nid in g.nodes if nid not in assign]
     if unassigned:
-        return _search_unassigned(g, unassigned, assign, world)
+        raise ValueError("graph node %d is not reachable from the root"
+                         % unassigned[0])
     return assign if _check_assignment(g, assign, world) else None
-
-
-def _search_unassigned(g, unassigned, assign, world) -> dict | None:
-    domain = list(world.domain())
-    for values in itertools.product(domain, repeat=len(unassigned)):
-        trial = dict(assign)
-        trial.update(zip(unassigned, values))
-        if _check_assignment(g, trial, world):
-            return trial
-    return None
 
 
 def _check_assignment(g, assign, world) -> bool:

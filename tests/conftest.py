@@ -1,5 +1,6 @@
 import pytest
 
+from classicdl import subsume
 from classicdl.kb import KnowledgeBase
 from classicdl.parsing import parse_description, parse_kb
 
@@ -38,3 +39,23 @@ def parse(kb):
         return parse_description(text, kb)
 
     return go
+
+
+@pytest.fixture
+def count_steps(monkeypatch):
+    """``count_steps(fn, *args)`` returns ``(fn(*args), steps)``, where
+    ``steps`` counts the structural test's clause checks: the calls of its
+    recursive core ``subsume._failure``."""
+    real = subsume._failure
+
+    def count(fn, *args):
+        steps = [0]
+
+        def counted(*a):
+            steps[0] += 1
+            return real(*a)
+
+        monkeypatch.setattr(subsume, "_failure", counted)
+        return fn(*args), steps[0]
+
+    return count

@@ -216,6 +216,18 @@ def test_criterion_9_reduction_demo():
         assert elapsed < 30, "took %.1fs" % elapsed
 
 
+def _grown_conjunction(n: int) -> And:
+    items = []
+    for i in range(n):
+        if i % 3 == 0:
+            items.append(ConceptName("A%d" % i))
+        elif i % 3 == 1:
+            items.append(AtLeast(1 + i % 3, "r%d" % i))
+        else:
+            items.append(SameAs(("f%d" % i,), ("g%d" % i,)))
+    return And(tuple(items))
+
+
 def test_criterion_10_complexity_trends():
     with _report(10, "chain normalization exponent <= 2.3; query time "
                      "fits |D|*log|G| within factor 3"):
@@ -233,22 +245,11 @@ def test_criterion_10_complexity_trends():
         assert slope <= 2.3, "slope %.2f" % slope
 
         # Subsumption queries on grown conjunctions.
-        def family(n):
-            items = []
-            for i in range(n):
-                if i % 3 == 0:
-                    items.append(ConceptName("A%d" % i))
-                elif i % 3 == 1:
-                    items.append(AtLeast(1 + i % 3, "r%d" % i))
-                else:
-                    items.append(SameAs(("f%d" % i,), ("g%d" % i,)))
-            return And(tuple(items))
-
         from classicdl.subsume import subsumes_graph
 
         metrics = []
         for n in (32, 64, 128, 256, 512):
-            d = family(n)
+            d = _grown_conjunction(n)
             g = canonicalize(translate(d))
             reps = 20
 
@@ -261,3 +262,16 @@ def test_criterion_10_complexity_trends():
                                         * math.log(graph_size(g))))
         ratio = max(metrics) / min(metrics)
         assert ratio <= 3.0, "trend ratio %.2f" % ratio
+
+
+def test_criterion_10_operation_counts(count_steps):
+    with _report(10, "a query on a grown conjunction of n clauses takes "
+                     "n + 1 structural steps"):
+        from classicdl.subsume import subsumes_graph
+
+        for n in (32, 64, 128, 256, 512):
+            d = _grown_conjunction(n)
+            yes, steps = count_steps(subsumes_graph, d,
+                                     canonicalize(translate(d)))
+            assert yes
+            assert steps == n + 1, "n=%d: %d steps" % (n, steps)

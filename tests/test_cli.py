@@ -67,6 +67,14 @@ def test_countermodel_output(capsys):
     assert len(data["roles"]["r"]) == 2
 
 
+def test_countermodel_host_filler(capsys):
+    # the filler 2 is realized by the host value itself
+    code, out, _ = run(capsys, "countermodel", "all(r, one-of(1))",
+                       "fills(r, 2)")
+    assert code == 0
+    assert ["c0", "2"] in json.loads(out)["roles"]["r"]
+
+
 def test_countermodel_refuses_positive(capsys):
     code, _, err = run(capsys, "countermodel", "at-least(1,r)",
                        "at-least(2,r)")

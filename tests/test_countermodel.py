@@ -5,7 +5,7 @@ from classicdl.graph import translate
 from classicdl.kb import expand
 from classicdl.normalize import canonicalize
 from classicdl.subsume import subsumes_graph
-from classicdl.worlds import eval_description, eval_graph
+from classicdl.worlds import HostElement, eval_description, eval_graph
 
 
 def build(parse, kb, subsumee_text, steering_text=None):
@@ -168,6 +168,19 @@ def test_steering_through_nested_roles(parse, kb):
           "all(r, all(s, and(GAME, PERSON)))")
     build(parse, kb, "and(at-least(1, r), all(r, at-least(1, s)))",
           "all(r, at-least(2, s))")
+
+
+@pytest.mark.parametrize("steering", [
+    None, "all(r, one-of(1))", "all(r, INTEGER)", "at-least(3, r)"])
+@pytest.mark.parametrize("subsumee", [
+    "fills(r, 2)", 'fills(r, "s")', "and(fills(r, 2), at-least(2, r))"])
+def test_host_filler_on_thing_only_restriction(parse, kb, subsumee,
+                                               steering):
+    # the restriction node carries no classic atom, so the element that
+    # realizes a host filler is that host value
+    world, elem = build(parse, kb, subsumee, steering)
+    assert any(isinstance(f, HostElement) and not f.is_anon
+               for f in world.role_fillers("r", elem))
 
 
 def test_wrong_realm_fillers_for_missing_edges(parse, kb):

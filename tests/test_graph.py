@@ -232,25 +232,6 @@ def test_edge_lookups_on_figure1(parse):
     assert g.follow(g.root, ("captain", "coach", "father")) == (mid, 1)
 
 
-def test_rerooted_view_answers_like_parent(parse):
-    g = figure1_canonical(parse)
-    # a view taken before any lookup on the parent
-    top = g.rerooted(g.root)
-    mid, _ = top.follow(top.root, ("captain",))
-    view = g.rerooted(mid)
-    assert view.root == mid
-    for nid in g.nodes:
-        for attr in ("coach", "captain", "father"):
-            assert view.attr_edge(nid, attr) is g.attr_edge(nid, attr)
-            assert top.attr_edge(nid, attr) is g.attr_edge(nid, attr)
-        assert view.role_edge(nid, "participants") is \
-            g.role_edge(nid, "participants")
-    assert view.follow(view.root, ("father",)) == \
-        g.follow(g.root, ("coach",))
-    assert view.follow(g.root, ("captain", "father")) == \
-        g.follow(g.root, ("captain", "father"))
-
-
 # The deep shapes of the scaling families: n-ary and, same-as chain, and
 # nested all.  Names are inferred (no KB).
 def _and_shape(n: int) -> str:

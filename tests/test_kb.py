@@ -303,20 +303,6 @@ def told_heap_kb_text(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def count_subsume_calls(monkeypatch, fn, *args):
-    calls = [0]
-    real = subsume.subsumes_graph
-
-    def counted(*a):
-        calls[0] += 1
-        return real(*a)
-
-    monkeypatch.setattr(subsume, "subsumes_graph", counted)
-    result = fn(*args)
-    monkeypatch.setattr(subsume, "subsumes_graph", real)
-    return result, calls[0]
-
-
 def test_oracle_kbs_cover_every_shape():
     text = "".join(oracle_kb_text(seed, n)
                    for seed in range(3) for n in (10, 40, 100))
@@ -339,21 +325,21 @@ def test_classify_matches_reference_on_told_heap():
     assert got == json.dumps(reference_classify(kb).to_jsonable())
 
 
-def test_classify_reuses_told_rows(monkeypatch):
+def test_classify_reuses_told_rows(count_steps):
     # On a told heap most pairs are settled by a told subsumer's row, so
     # classify needs far fewer structural tests than the n^2 reference.
     kb = parse_kb(told_heap_kb_text(100))
-    _, fast = count_subsume_calls(monkeypatch, classify, kb)
-    _, slow = count_subsume_calls(monkeypatch, reference_classify, kb)
+    _, fast = count_steps(classify, kb)
+    _, slow = count_steps(reference_classify, kb)
     assert fast * 10 <= slow
 
 
-def test_classify_without_told_names_costs_no_more(monkeypatch):
+def test_classify_without_told_names_costs_no_more(count_steps):
     kb = parse_kb("\n".join(_VOCABULARY) + "\n" + "".join(
         "concept C%d := %s\n" % (i, to_text(random_description(
             random.Random(i), depth=2))) for i in range(30)))
     assert not any(isinstance(c, NamedRef)
                    for d in kb.named.values() for c in walk(d))
-    _, fast = count_subsume_calls(monkeypatch, classify, kb)
-    _, slow = count_subsume_calls(monkeypatch, reference_classify, kb)
+    _, fast = count_steps(classify, kb)
+    _, slow = count_steps(reference_classify, kb)
     assert fast <= slow

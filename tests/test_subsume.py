@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from classicdl import subsume
 from classicdl.descriptions import (
     AllRole,
     And,
@@ -12,6 +11,7 @@ from classicdl.descriptions import (
     Thing,
     walk,
 )
+from classicdl.countermodel import construct_graphical_world
 from classicdl.graph import translate
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description
@@ -251,25 +251,33 @@ def test_covers_everything_built_cases():
             assert all(subsumes_graph(d, g) for g in others), d
 
 
-def _nested_all(depth: int) -> str:
-    text = "X0"
+def _nested_all(depth: int, extra: bool = False) -> str:
+    # With ``extra`` the subsumer has one more conjunct at the innermost
+    # level, so a "no" is found only at the bottom of the recursion.
+    text = "and(X0, EXTRA)" if extra else "X0"
     for k in range(1, depth + 1):
         text = "all(r, and(X%d, at-least(1, r), %s))" % (k, text)
     return text
 
 
-def test_nested_all_yes_query_makes_linear_calls(monkeypatch):
+def test_nested_all_yes_query_makes_linear_calls(count_steps):
     # Each level costs the and, its three conjuncts and no THING re-check.
     depth = 80
     d = parse_description(_nested_all(depth))
     g = canonicalize(translate(d))
-    calls = [0]
-    real = subsume.subsumes_graph
+    yes, steps = count_steps(subsumes_graph, d, g)
+    assert yes
+    assert steps <= 4 * depth + 1
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
 
-    monkeypatch.setattr(subsume, "subsumes_graph", counted)
-    assert subsume.subsumes_graph(d, g)
-    assert calls[0] <= 4 * depth + 1
+@pytest.mark.parametrize("depth", (20, 40, 80))
+def test_nested_all_counter_model_steps_equal_one_test(count_steps, depth):
+    # The counter-model follows the test's failure down the ladder instead
+    # of re-testing every conjunct at every level.
+    d = parse_description(_nested_all(depth, extra=True))
+    g = canonicalize(translate(parse_description(_nested_all(depth))))
+    yes, test_steps = count_steps(subsumes_graph, d, g)
+    assert not yes
+    assert test_steps == 4 * depth + 3
+    _, steps = count_steps(construct_graphical_world, g, d)
+    assert steps == test_steps

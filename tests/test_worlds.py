@@ -10,7 +10,7 @@ from classicdl.descriptions import (
     Individual,
     walk,
 )
-from classicdl.graph import translate
+from classicdl.graph import GraphNode, translate
 from classicdl.kb import expand
 from classicdl.normalize import canonicalize
 from classicdl.randgen import corpus_kb, random_pair
@@ -404,3 +404,34 @@ def test_witness_mapping_clauses(parse, kb):
     w = sample_interpretation(sig, seed=0)
     outside = [x for x in w.domain() if x not in eval_graph(g, w)]
     assert all(find_witness(g, x, w) is None for x in outside)
+
+
+def test_unreached_node_raises(parse, kb):
+    # a hand-built graph whose second node no a-edge reaches
+    g = canonicalize(translate(expand(parse("GAME"), kb)), kb)
+    lost = g.add_node(GraphNode(atoms={"GAME"}))
+    w = _world()
+    with pytest.raises(ValueError, match="node %d" % lost):
+        eval_graph(g, w)
+
+
+def _reached(g) -> set:
+    seen, todo = {g.root}, [g.root]
+    while todo:
+        nid = todo.pop()
+        for e in g.a_edges:
+            if e.src == nid and e.dst not in seen:
+                seen.add(e.dst)
+                todo.append(e.dst)
+    return seen
+
+
+def test_translated_and_canonical_graphs_reach_every_node():
+    # find_witness relies on it: a-edges from the root assign every node
+    kb = corpus_kb()
+    for seed in range(2000):
+        for d in random_pair(random.Random(seed)):
+            raw = translate(d)
+            for g in (raw, canonicalize(raw, kb)):
+                for sub in g.subgraphs():
+                    assert _reached(sub) == set(sub.nodes), (seed, d)
