@@ -2,7 +2,8 @@
 
 Subcommands: ``parse``, ``graph``, ``canon``, ``subsumes``, ``classify``,
 ``countermodel``, ``reduce``, ``fuzz``.  Output is deterministic JSON (or
-"yes"/"no" for subsumption).  Exit codes: 0 success (and "yes"), 1 "no"
+"yes"/"no" for subsumption; ``subsumes --explain`` prints the failing
+clause as JSON instead).  Exit codes: 0 success (and "yes"), 1 "no"
 or a failed property run, 2 usage errors, 3 parse, knowledge-base and
 DIMACS errors, and input files that cannot be read.
 """
@@ -20,7 +21,7 @@ from .graph import to_jsonable as graph_jsonable, translate
 from .kb import KbError, KnowledgeBase, classify, expand
 from .normalize import canonicalize
 from .parsing import ParseError, infer_attr_names, parse_description, parse_kb
-from .subsume import subsumes_graph
+from .subsume import explain, subsumes_graph
 from .worlds import to_jsonable as world_jsonable
 
 PARSE_ERROR_EXIT = 3
@@ -100,6 +101,8 @@ def main(argv: list[str] | None = None) -> int:
             "kb")
     p.add_argument("subsumer")
     p.add_argument("subsumee")
+    p.add_argument("--explain", action="store_true",
+                   help="print the failing clause as JSON (null for yes)")
     p = add("classify", "dump the taxonomy of a knowledge base", "kb")
     p = add("countermodel", "build a world separating two descriptions",
             "kb")
@@ -134,10 +137,13 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "subsumes":
         kb, (d, c) = _parse_all(args.kb, args.subsumer, args.subsumee)
-        yes = subsumes_graph(expand(d, kb),
-                             canonicalize(translate(expand(c, kb)), kb))
-        print("yes" if yes else "no")
-        return 0 if yes else 1
+        failure = explain(expand(d, kb),
+                          canonicalize(translate(expand(c, kb)), kb))
+        if args.explain:
+            _emit(failure and failure.to_jsonable())
+        else:
+            print("no" if failure else "yes")
+        return 1 if failure else 0
     if cmd == "classify":
         kb = _load_kb(args.kb)
         _emit(classify(kb).to_jsonable())

@@ -11,8 +11,9 @@ case by case on its shape — filler counts one below or above the bound,
 wrong-realm fillers for missing edges, distinct end values for attribute
 chains, dom picks outside an enumeration — so the distinguished element
 lands inside the graph's extension but outside the description's.  The
-result is verified by evaluation before it is returned; a verification
-failure raises ``CounterModelError``.
+result is verified before it is returned, by evaluating the graph and the
+description at the distinguished element alone; a verification failure
+raises ``CounterModelError``.
 
 Known limitation, inherent to the algorithm being modelled: a host-valued
 dom can force the distinguished element to be a literal whose built-in
@@ -149,7 +150,7 @@ def construct_graphical_world(g: DescriptionGraph,
         raise CounterModelError("constructed element fell outside the "
                                 "graph's extension")
     if steering is not None and \
-            distinguished in eval_description(steering, world):
+            eval_description(steering, world, {distinguished}):
         raise CounterModelError("constructed element did not escape the "
                                 "steering description")
     return world, distinguished
@@ -168,7 +169,7 @@ def _finalize(b: _Builder, g: DescriptionGraph,
         b.world.concept_ext.setdefault(atom, set())
     for v in sig.host_values:
         b.host_value(v)
-    for name in sig.individuals:
+    for name in sorted(sig.individuals):
         if not b.world.indiv_ext.get(name):
             b.join_individual(name, b.fresh_classic())
 

@@ -377,7 +377,7 @@ def graph_size(g: DescriptionGraph) -> int:
 # Deterministic ordering, dumps, and isomorphism
 
 
-def _traversal_ranks(g: DescriptionGraph) -> dict[int, int]:
+def traversal_ranks(g: DescriptionGraph) -> dict[int, int]:
     """Rank nodes by a deterministic traversal from the root.
 
     Out-edges are followed in (attribute, stored order) so canonical graphs
@@ -419,7 +419,7 @@ def _fillers_jsonable(fillers: set[Individual]):
 def to_jsonable(g: DescriptionGraph) -> dict:
     """Structured dump with deterministic ordering; ``dom: "*"`` encodes
     the universal marker and ``max: "inf"`` the unbounded maximum."""
-    ranks = _traversal_ranks(g)
+    ranks = traversal_ranks(g)
     nodes = []
     for nid in sorted(g.nodes, key=lambda n: ranks[n]):
         node = g.nodes[nid]
@@ -458,7 +458,7 @@ def signature(g: DescriptionGraph):
     Intended for canonical graphs, where the (node, attribute) out-edges
     are unique and every node is reachable from the root.
     """
-    ranks = _traversal_ranks(g)
+    ranks = traversal_ranks(g)
 
     def node_sig(node: GraphNode):
         redges = tuple(sorted(

@@ -42,8 +42,9 @@ from .descriptions import (
     Test,
     THING,
     Thing,
+    to_text,
 )
-from .graph import DescriptionGraph, translate
+from .graph import DescriptionGraph, translate, traversal_ranks
 from .kb import KnowledgeBase, expand
 from .normalize import canonicalize
 
@@ -73,6 +74,13 @@ class Failure:
     graph: DescriptionGraph
     node: int
     inner: Failure | None = None
+
+    def to_jsonable(self) -> dict:
+        """The clause's text, the node's id as the ``canon`` dump of its
+        graph numbers it, and the nested failure."""
+        return {"clause": to_text(self.clause),
+                "node": traversal_ranks(self.graph)[self.node],
+                "inner": self.inner and self.inner.to_jsonable()}
 
 
 def explain(d: Description, g: DescriptionGraph) -> Failure | None:

@@ -221,74 +221,97 @@ class Interpretation:
 # Extension evaluation
 
 
-def eval_description(d: Description, world: Interpretation) -> frozenset:
-    """The exact extension of an expanded description in a world."""
+def eval_description(d: Description, world: Interpretation,
+                     within: set | frozenset | None = None) -> frozenset:
+    """The exact extension of an expanded description in a world; with a
+    set of elements ``within``, just the part of it inside that set.
+
+    Every case looks only at candidates in ``within``: a conjunction
+    narrows the candidates conjunct by conjunct, and an ``all`` evaluates
+    its body only at the role fillers or attribute values of its
+    candidates.  So a membership question about one element,
+    ``eval_description(d, world, {e})``, costs about the size of ``d``
+    rather than ``|d|`` times the world.  Each role's fillers are read
+    from one scan of the role per call, never cached on the world, since a
+    world may still change.
+    """
+    return _eval(d, world, None if within is None else frozenset(within),
+                 {})
+
+
+def _eval(d: Description, world: Interpretation, within: frozenset | None,
+          fillers_of: dict) -> frozenset:
+    """``eval_description`` with each role's ``fillers_by_source`` map
+    kept in ``fillers_of`` for the rest of the top-level call."""
     if isinstance(d, (NamedRef, Primitive, Test)):
         raise EvalError("description must be expanded before evaluation")
+    if within is None:
+        classic, hosts = world.classic, world.hosts
+    else:
+        classic, hosts = world.classic & within, world.hosts & within
     if isinstance(d, Thing):
-        return frozenset(world.domain())
+        return frozenset(classic | hosts)
     if isinstance(d, ClassicThing):
-        return frozenset(world.classic)
+        return frozenset(classic)
     if isinstance(d, HostThing):
-        return frozenset(world.hosts)
+        return frozenset(hosts)
     if isinstance(d, Nothing):
         return frozenset()
     if isinstance(d, ConceptName):
-        return frozenset(world.atom_ext(d.name))
+        ext = world.atom_ext(d.name)
+        return frozenset(ext) if within is None else within & ext
     if isinstance(d, HostConcept):
-        return frozenset(e for e in world.hosts
-                         if world.in_atom(d.name, e))
+        return frozenset(e for e in hosts if world.in_atom(d.name, e))
     if isinstance(d, And):
-        out = eval_description(d.items[0], world)
-        for item in d.items[1:]:
-            out &= eval_description(item, world)
+        out = within
+        for item in d.items:
+            out = _eval(item, world, out, fillers_of)
         return out
-    if isinstance(d, AllRole):
-        inner = eval_description(d.restriction, world)
-        fillers = world.fillers_by_source(d.role)
-        return frozenset(
-            e for e in world.classic
-            if all(x in inner for x in fillers.get(e, ())))
     if isinstance(d, AllAttr):
-        inner = eval_description(d.restriction, world)
-        return frozenset(
-            e for e in world.classic
-            if world.attr_value(d.attr, e) in inner)
-    if isinstance(d, AtLeast):
-        fillers = world.fillers_by_source(d.role)
-        return frozenset(
-            e for e in world.classic
-            if world.count_non_congruent(fillers.get(e, ())) >= d.n)
-    if isinstance(d, AtMost):
-        fillers = world.fillers_by_source(d.role)
-        return frozenset(
-            e for e in world.classic
-            if world.count_non_congruent(fillers.get(e, ())) <= d.n)
+        value = {e: world.attr_value(d.attr, e) for e in classic}
+        inner = _eval(d.restriction, world, frozenset(value.values()),
+                      fillers_of)
+        return frozenset(e for e, v in value.items() if v in inner)
     if isinstance(d, SameAs):
         out = set()
-        for e in world.classic:
+        for e in classic:
             lv = _chain_value(world, d.left, e)
             rv = _chain_value(world, d.right, e)
             if lv is not None and lv == rv:
                 out.add(e)
         return frozenset(out)
-    if isinstance(d, FillsRole):
-        ext = world.individual_ext(d.who)
-        fillers = world.fillers_by_source(d.role)
-        return frozenset(
-            e for e in world.classic
-            if any(x in ext for x in fillers.get(e, ())))
     if isinstance(d, FillsAttr):
         ext = world.individual_ext(d.who)
-        return frozenset(
-            e for e in world.classic
-            if world.attr_value(d.attr, e) in ext)
+        return frozenset(e for e in classic
+                         if world.attr_value(d.attr, e) in ext)
     if isinstance(d, OneOf):
         out: set = set()
         for m in d.members:
             out |= world.individual_ext(m)
-        return frozenset(out)
-    raise TypeError("not a description: %r" % (d,))
+        return frozenset(out) if within is None else within & out
+    if not isinstance(d, (AllRole, AtLeast, AtMost, FillsRole)):
+        raise TypeError("not a description: %r" % (d,))
+    if d.role not in fillers_of:
+        fillers_of[d.role] = world.fillers_by_source(d.role)
+    fillers = fillers_of[d.role]
+    if isinstance(d, AllRole):
+        targets = frozenset(x for e in classic for x in fillers.get(e, ()))
+        inner = _eval(d.restriction, world, targets, fillers_of)
+        return frozenset(
+            e for e in classic
+            if all(x in inner for x in fillers.get(e, ())))
+    if isinstance(d, AtLeast):
+        return frozenset(
+            e for e in classic
+            if world.count_non_congruent(fillers.get(e, ())) >= d.n)
+    if isinstance(d, AtMost):
+        return frozenset(
+            e for e in classic
+            if world.count_non_congruent(fillers.get(e, ())) <= d.n)
+    ext = world.individual_ext(d.who)
+    return frozenset(
+        e for e in classic
+        if any(x in ext for x in fillers.get(e, ())))
 
 
 def _chain_value(world: Interpretation, chain, elem):

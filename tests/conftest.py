@@ -3,6 +3,7 @@ import pytest
 from classicdl import subsume
 from classicdl.kb import KnowledgeBase
 from classicdl.parsing import parse_description, parse_kb
+from classicdl.worlds import eval_description
 
 BASIC_KB_TEXT = """\
 # shared test vocabulary
@@ -59,3 +60,22 @@ def count_steps(monkeypatch):
         return fn(*args), steps[0]
 
     return count
+
+
+@pytest.fixture(scope="session")
+def within_agrees():
+    """``within_agrees(d, world, rng)`` checks that
+    ``eval_description(d, world, S)`` is ``ext(d) & S`` for every
+    single-element ``S`` and three random subsets of the domain, and
+    returns the number of single elements checked."""
+    def check(d, world, rng) -> int:
+        ext = eval_description(d, world)
+        domain = list(world.domain())
+        for e in domain:
+            assert eval_description(d, world, {e}) == ext & {e}, (d, e)
+        for _ in range(3):
+            s = frozenset(rng.sample(domain, rng.randint(0, len(domain))))
+            assert eval_description(d, world, s) == ext & s, d
+        return len(domain)
+
+    return check

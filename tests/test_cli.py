@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import classicdl
 from classicdl.cli import main
 
 FIG1 = ("and(GAME, all(participants, PERSON), "
@@ -215,3 +220,39 @@ def test_reduce_malformed_dimacs_is_an_input_error(tmp_path, capsys, text,
     code, out, err = run(capsys, "reduce", str(cnf))
     assert code == 3 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_subsumes_explain(capsys):
+    code, out, _ = run(capsys, "subsumes", "--explain",
+                       "at-least(2,participants)",
+                       "and(GAME, at-least(4,participants))")
+    assert code == 0 and json.loads(out) is None
+    code, out, _ = run(capsys, "subsumes", "--explain",
+                       "and(GAME, at-least(4,participants))",
+                       "and(GAME, at-least(2,participants))")
+    assert code == 1
+    assert json.loads(out) == {"clause": "at-least(4, participants)",
+                               "node": 0, "inner": None}
+    # node ids are those of the ``canon`` dump; the body of all(coach, ...)
+    # fails at the coach edge's target inside the r restriction
+    code, out, _ = run(capsys, "subsumes", "--explain",
+                       "all(r, all(coach, and(A, B)))",
+                       "all(r, and(C, all(coach, A), same-as((coach),(h))))")
+    assert code == 1
+    assert json.loads(out) == {
+        "clause": "all(r, all(coach, and(A, B)))", "node": 0,
+        "inner": {"clause": "B", "node": 1, "inner": None}}
+
+
+def test_countermodel_same_bytes_under_any_hash_seed():
+    # fresh elements for unjoined individuals are handed out in name order
+    src = str(pathlib.Path(classicdl.__file__).resolve().parents[1])
+    outs = set()
+    for seed in range(1, 9):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "classicdl", "countermodel",
+             "at-most(1, s)", "one-of(P, Q, V)"],
+            env=env, capture_output=True, check=True, timeout=60)
+        outs.add(proc.stdout)
+    assert len(outs) == 1

@@ -1,11 +1,22 @@
+import random
+from collections import Counter
+
 import pytest
 
 from classicdl.countermodel import CounterModelError, construct_graphical_world
+from classicdl.descriptions import walk
 from classicdl.graph import translate
-from classicdl.kb import expand
+from classicdl.kb import KnowledgeBase, expand
 from classicdl.normalize import canonicalize
+from classicdl.parsing import infer_attr_names, parse_description
+from classicdl.randgen import corpus_kb, random_pair
 from classicdl.subsume import subsumes_graph
-from classicdl.worlds import HostElement, eval_description, eval_graph
+from classicdl.worlds import (
+    HostElement,
+    Interpretation,
+    eval_description,
+    eval_graph,
+)
 
 
 def build(parse, kb, subsumee_text, steering_text=None):
@@ -191,3 +202,85 @@ def test_wrong_realm_fillers_for_missing_edges(parse, kb):
     build(parse, kb, "and(GAME, all(coach, classic-thing))",
           "all(coach, INTEGER)")
     build(parse, kb, "GAME", "fills(coach, 4)")
+
+
+# The benchmark's ladders: an n-ary conjunction of atoms, at-least and
+# same-as clauses; a same-as chain; n levels of nested ``all``.  The "no"
+# query's subsumer has one conjunct more, in the nested ladder at its
+# innermost level.
+
+def _and_text(n, extra=False):
+    items = [("A%d" % i, "at-least(%d, r%d)" % (1 + i % 3, i),
+              "same-as((f%d),(g%d))" % (i, i))[i % 3] for i in range(n)]
+    return "and(%s)" % ", ".join(items + ["EXTRA"] * extra)
+
+
+def _chain_text(n, extra=False):
+    parts = ["same-as((a%d),(b%d))" % (i, i) for i in range(1, n + 1)]
+    parts += ["same-as((a%d),(a%d))" % (i, i + 1) for i in range(1, n)]
+    return "and(%s)" % ", ".join(parts + ["same-as((a1),(z1))"] * extra)
+
+
+def _nested_text(n, extra=False):
+    text = "and(X0, EXTRA)" if extra else "X0"
+    for k in range(1, n + 1):
+        text = "all(r, and(X%d, at-least(1, r), %s))" % (k, text)
+    return text
+
+
+def _ladder_no_query(make, n):
+    """(D, canonical graph of C) for the ladder's "no" query, parsed the
+    way the CLI parses two descriptions without a knowledge base."""
+    d_text, c_text = make(n, extra=True), make(n)
+    attrs = infer_attr_names(d_text, c_text)
+    d, c = (parse_description(t, None, inferred_attrs=set(attrs))
+            for t in (d_text, c_text))
+    kb = KnowledgeBase.empty()
+    return expand(d, kb), canonicalize(translate(expand(c, kb)), kb)
+
+
+def test_within_agrees_in_counter_model_worlds(within_agrees):
+    # the worlds the membership check runs in: ladder and corpus "no" cases
+    rng = random.Random(0)
+    queries = [_ladder_no_query(make, n) for make, sizes in (
+        (_and_text, (8, 32)), (_chain_text, (4, 16)),
+        (_nested_text, (4, 8))) for n in sizes]
+    kb = corpus_kb()
+    for seed in range(800):
+        d, c = random_pair(random.Random(seed))
+        g = canonicalize(translate(c), kb)
+        if not subsumes_graph(d, g):
+            queries.append((d, g))
+    built = checks = 0
+    for d, g in queries:
+        try:
+            world, _ = construct_graphical_world(g, steering=d, kb=kb)
+        except CounterModelError:
+            continue
+        built += 1
+        for sub in dict.fromkeys(walk(d)):
+            checks += within_agrees(sub, world, rng)
+    assert built > 250 and checks > 4000, (built, checks)
+
+
+@pytest.mark.parametrize("make, sizes", [(_and_text, (64, 128, 256)),
+                                         (_nested_text, (16, 32, 64))])
+def test_counter_model_check_is_linear(monkeypatch, make, sizes):
+    # The check evaluates D at the distinguished element, and each conjunct
+    # only at the candidates the earlier ones left, so the world lookups of
+    # one construction grow linearly with the ladder; evaluating every
+    # clause over the whole world made them grow with |D| times the world.
+    calls = Counter()
+    for name in ("attr_value", "count_non_congruent"):
+        real = getattr(Interpretation, name)
+
+        def counted(self, *args, real=real, name=name):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(Interpretation, name, counted)
+    for n in sizes:
+        d, g = _ladder_no_query(make, n)
+        calls.clear()
+        construct_graphical_world(g, steering=d)
+        assert sum(calls.values()) <= 4 * n, (n, calls)

@@ -435,3 +435,18 @@ def test_translated_and_canonical_graphs_reach_every_node():
             for g in (raw, canonicalize(raw, kb)):
                 for sub in g.subgraphs():
                     assert _reached(sub) == set(sub.nodes), (seed, d)
+
+
+def test_within_is_extension_intersected_with_candidates(within_agrees):
+    # every sub-description of the corpus pairs, in one sampled world each
+    kb, checks, proper = corpus_kb(), 0, 0
+    for seed in range(800):
+        rng = random.Random(seed)
+        d, c = (expand(x, kb) for x in random_pair(rng))
+        sig = signature_of_description(d).merge(signature_of_description(c))
+        world = sample_interpretation(sig, seed=seed)
+        for sub in dict.fromkeys([*walk(d), *walk(c)]):
+            checks += within_agrees(sub, world, rng)
+            proper += 0 < len(eval_description(sub, world)) < len(
+                world.classic)
+    assert checks > 90_000 and proper > 1000, (checks, proper)
