@@ -50,8 +50,7 @@ def _parse_all(kb_path: str | None, *texts: str):
     consistent."""
     kb = _load_kb(kb_path)
     inferred = infer_attr_names(*texts) if kb_path is None else None
-    descs = [parse_description(t, kb if kb_path else None,
-                               inferred_attrs=set(inferred or ()))
+    descs = [parse_description(t, kb if kb_path else None, inferred)
              for t in texts]
     return kb, descs
 

@@ -18,16 +18,24 @@ comment.  Concept bodies may reference concepts declared on any line;
 host-type parents must be declared first.  A disjoint group names only
 atoms that no line declares and that are not host types.
 
+:func:`tokenize` is the one lexical pass; it also collects the names
+inside same-as chains.  ``parse_description`` lexes its text once and
+``parse_kb`` each line once; a concept body is parsed from its line's
+tokens, so its error offsets count from the start of the line like every
+other KB error.
+
 With a knowledge base in hand the parser is strict: every role, attribute,
-and individual must be declared.  Without one it infers — names used in
-same-as chains are attributes, other role-or-attribute positions default
-to roles, and bare names in individual positions are classic individuals.
+and individual must be declared, in KB files and in descriptions parsed
+against one.  Without one it infers — names used in same-as chains are
+attributes, other role-or-attribute positions default to roles, and bare
+names in individual positions are classic individuals.
 """
 
 from __future__ import annotations
 
+import graphlib
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .descriptions import (
     AllAttr,
@@ -55,6 +63,7 @@ from .descriptions import (
     host_int,
     host_real,
     host_string,
+    walk,
 )
 from .kb import KbError, KnowledgeBase
 
@@ -71,18 +80,24 @@ class ParseError(Exception):
         super().__init__("%s (%s)" % (message, where))
 
 
+# Whitespace and comments are skipped before each token; the most frequent
+# kinds come first.  ``eof`` matches at the end of the text and ``bad`` at
+# any other character, so the matches cover the text without gaps.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<decimal>\d+\.\d+)
-  | (?P<int>\d+)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<assign>:=)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<comma>,)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_!?-]*)
-""", re.VERBOSE)
+    \s*(?:\#[^\n]*\s*)*
+    (?:
+        (?P<ident>[A-Za-z_][A-Za-z0-9_!?-]*)
+      | (?P<lparen>\()
+      | (?P<rparen>\))
+      | (?P<comma>,)
+      | (?P<decimal>\d+\.\d+)
+      | (?P<int>\d+)
+      | (?P<string>"(?:[^"\\]|\\.)*")
+      | (?P<assign>:=)
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
+""", re.VERBOSE | re.DOTALL)
 
 KEYWORDS = frozenset({
     "and", "all", "at-least", "at-most", "same-as", "fills", "one-of",
@@ -94,26 +109,42 @@ _RESERVED_ATOMS = frozenset({"THING", "CLASSIC-THING", "HOST-THING",
                              "NOTHING"})
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int
 
 
-def tokenize(text: str, line: int | None = None) -> list[Token]:
+def tokenize(text: str, line: int | None = None
+             ) -> tuple[list[Token], set[str]]:
+    """The tokens of ``text``, ending with an ``eof`` token, and the names
+    inside its same-as chains: identifiers two or more parentheses deep
+    after a ``same-as``, up to the parenthesis that closes it."""
     tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError("unexpected character %r" % text[i], i, line)
+    chain_names: set[str] = set()
+    depth = None  # parenthesis depth inside the open same-as, if any
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, m.group(), m.start()))
-        i = m.end()
+        if kind == "eof":
+            break
+        value = m.group(kind)
+        pos = m.start(kind)
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % value, pos, line)
+        tokens.append(Token(kind, value, pos))
+        if depth is not None:
+            if kind == "lparen":
+                depth += 1
+            elif kind == "rparen":
+                depth -= 1
+                if depth <= 0:
+                    depth = None
+            elif kind == "ident" and depth >= 2:
+                chain_names.add(value)
+        elif kind == "ident" and value == "same-as":
+            depth = 0
     tokens.append(Token("eof", "", len(text)))
-    return tokens
+    return tokens, chain_names
 
 
 def _unquote(text: str) -> str:
@@ -129,35 +160,13 @@ def _unquote(text: str) -> str:
     return "".join(out)
 
 
-def _same_as_attr_names(tokens: list[Token]) -> set[str]:
-    """Names appearing inside same-as chains; used for kind inference when
-    parsing without a knowledge base."""
-    names: set[str] = set()
-    for i, tok in enumerate(tokens):
-        if tok.kind == "ident" and tok.text == "same-as":
-            depth = 0
-            for t in tokens[i + 1:]:
-                if t.kind == "lparen":
-                    depth += 1
-                elif t.kind == "rparen":
-                    depth -= 1
-                    if depth <= 0:
-                        break
-                elif t.kind == "ident" and depth >= 2:
-                    names.add(t.text)
-    return names
-
-
 class _DescriptionParser:
     def __init__(self, tokens: list[Token], kb: KnowledgeBase | None,
-                 line: int | None = None,
-                 inferred_attrs: set[str] | None = None):
+                 inferred_attrs: set[str], line: int | None = None):
         self.tokens = tokens
         self.kb = kb
         self.line = line
         self.pos = 0
-        if inferred_attrs is None:
-            inferred_attrs = _same_as_attr_names(tokens)
         self.inferred_attrs = inferred_attrs
 
     # -- token plumbing --
@@ -182,13 +191,19 @@ class _DescriptionParser:
         tok = tok or self.peek()
         raise ParseError(message, tok.pos, self.line)
 
+    def whole(self) -> Description:
+        """A description that runs to the end of the tokens."""
+        d = self.description()
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.fail("unexpected trailing input %r" % tok.text, tok)
+        return d
+
     # -- name classification --
 
     def kind_of(self, name: str) -> str | None:
         if self.kb is not None:
-            kind = self.kb.kind_of(name)
-            if kind is not None:
-                return kind
+            return self.kb.kind_of(name)
         if name in self.inferred_attrs:
             return "attribute"
         return None
@@ -373,23 +388,20 @@ class _DescriptionParser:
 
 def parse_description(text: str, kb: KnowledgeBase | None = None,
                       inferred_attrs: set[str] | None = None) -> Description:
-    """Parse one description.  ``inferred_attrs`` pre-seeds attribute
-    inference for knowledge-base-free parsing (the CLI uses this to keep
-    two descriptions consistent with each other)."""
-    tokens = tokenize(text)
-    parser = _DescriptionParser(tokens, kb, inferred_attrs=inferred_attrs)
-    d = parser.description()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ParseError("unexpected trailing input %r" % trailing.text,
-                         trailing.pos)
-    return d
+    """Parse one description.  With a knowledge base every name must be
+    declared.  Without one, ``inferred_attrs`` are the attribute names
+    (the CLI pools them across two descriptions to keep them consistent
+    with each other); by default they are the text's same-as names."""
+    tokens, chain_names = tokenize(text)
+    if inferred_attrs is None:
+        inferred_attrs = chain_names
+    return _DescriptionParser(tokens, kb, inferred_attrs).whole()
 
 
 def infer_attr_names(*texts: str) -> set[str]:
     names: set[str] = set()
     for text in texts:
-        names |= _same_as_attr_names(tokenize(text))
+        names |= tokenize(text)[1]
     return names
 
 
@@ -397,7 +409,7 @@ def parse_kb(text: str) -> KnowledgeBase:
     """Parse a line-oriented knowledge-base file."""
     kb = KnowledgeBase.empty()
     declared: dict[str, int] = {}
-    concept_bodies: list[tuple[str, str, int]] = []
+    concept_bodies: list[tuple[str, list[Token], int]] = []
     disjoint_names: list[tuple[Token, int]] = []
 
     def declare(name: str, lineno: int):
@@ -409,7 +421,7 @@ def parse_kb(text: str) -> KnowledgeBase:
         declared[name] = lineno
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = tokenize(raw, line=lineno)
+        tokens = tokenize(raw, line=lineno)[0]
         if tokens[0].kind == "eof":
             continue
         head = tokens[0]
@@ -452,8 +464,7 @@ def parse_kb(text: str) -> KnowledgeBase:
                                  tokens[1].pos, lineno)
             name = tokens[1].text
             declare(name, lineno)
-            body_text = raw[tokens[2].pos + 2:]
-            concept_bodies.append((name, body_text, lineno))
+            concept_bodies.append((name, tokens[3:], lineno))
             kb.named[name] = Thing()  # placeholder until the second pass
         elif head.text == "disjoint":
             names = []
@@ -485,41 +496,14 @@ def parse_kb(text: str) -> KnowledgeBase:
                              tok.pos, lineno)
 
     # Second pass: concept bodies may reference any declared concept.
-    for name, body_text, lineno in concept_bodies:
-        tokens = tokenize(body_text, line=lineno)
-        parser = _DescriptionParser(tokens, kb, line=lineno)
-        body = parser.description()
-        if parser.peek().kind != "eof":
-            raise ParseError("unexpected trailing input %r"
-                             % parser.peek().text, parser.peek().pos, lineno)
-        kb.named[name] = body
+    for name, tokens, lineno in concept_bodies:
+        kb.named[name] = _DescriptionParser(tokens, kb, set(), lineno).whole()
 
-    _check_acyclic(kb)
+    refs = {name: {d.name for d in walk(body) if isinstance(d, NamedRef)}
+            for name, body in kb.named.items()}
+    try:
+        graphlib.TopologicalSorter(refs).prepare()
+    except graphlib.CycleError as exc:
+        raise KbError("recursive named concept: %s" % exc.args[1][0]) \
+            from None
     return kb
-
-
-def _check_acyclic(kb: KnowledgeBase) -> None:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in kb.named}
-
-    def refs(d: Description):
-        from .descriptions import walk
-
-        for node in walk(d):
-            if isinstance(node, NamedRef):
-                yield node.name
-
-    def visit(name: str):
-        color[name] = GREY
-        for ref in refs(kb.named[name]):
-            if ref not in color:
-                continue
-            if color[ref] == GREY:
-                raise KbError("recursive named concept: %s" % ref)
-            if color[ref] == WHITE:
-                visit(ref)
-        color[name] = BLACK
-
-    for name in kb.named:
-        if color[name] == WHITE:
-            visit(name)
