@@ -15,7 +15,11 @@ import json
 import sys
 
 from . import randgen, reduction
-from .countermodel import CounterModelError, construct_graphical_world
+from .countermodel import (
+    CounterModelError,
+    construct_graphical_world,
+    interpret_rest,
+)
 from .descriptions import to_jsonable as ast_jsonable
 from .graph import to_jsonable as graph_jsonable, translate
 from .kb import KbError, KnowledgeBase, classify, expand
@@ -149,8 +153,8 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "countermodel":
         kb, (d, c) = _parse_all(args.kb, args.subsumer, args.subsumee)
-        de = expand(d, kb)
-        canon = canonicalize(translate(expand(c, kb)), kb)
+        de, ce = expand(d, kb), expand(c, kb)
+        canon = canonicalize(translate(ce), kb)
         if subsumes_graph(de, canon):
             print("error: subsumption holds; no counter-model exists",
                   file=sys.stderr)
@@ -161,6 +165,7 @@ def _dispatch(args) -> int:
         except CounterModelError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 1
+        interpret_rest(world, ce)
         _emit(world_jsonable(world, distinguished=elem))
         return 0
     if cmd == "reduce":

@@ -57,6 +57,7 @@ from .worlds import (
     HostElement,
     host_literal_name,
     Interpretation,
+    Signature,
     element_in_graph,
     eval_description,
     host_element_for,
@@ -156,22 +157,45 @@ def construct_graphical_world(g: DescriptionGraph,
     return world, distinguished
 
 
+def interpret_rest(world: Interpretation, *descs: Description) -> None:
+    """Interpret the names of ``descs`` that ``world`` leaves open.
+
+    The counter-model interprets the names of the canonical graph and of
+    the steering description; names that canonicalization removed from
+    the subsumee get an empty concept or a fresh isolated element here.
+    Neither changes whether an element already in the world lies in the
+    graph, so the distinguished element stays a counter-model."""
+    sig = Signature()
+    for d in descs:
+        sig = sig.merge(signature_of_description(d))
+    _interpret_names(world, sig)
+
+
 def _finalize(b: _Builder, g: DescriptionGraph,
               steering: Description | None, lattice) -> None:
-    """Interpret every name in sight: seed empty concept extensions, give
-    every mentioned individual a non-empty extension, and materialize
-    mentioned host values.  Fresh padding elements carry no other
-    memberships, so existing extensions are unaffected."""
+    """Interpret every name in sight and materialize mentioned host
+    values."""
     sig = signature_of_graph(g, lattice)
     if steering is not None:
         sig = sig.merge(signature_of_description(steering))
-    for atom in sig.atoms:
-        b.world.concept_ext.setdefault(atom, set())
     for v in sig.host_values:
         b.host_value(v)
+    _interpret_names(b.world, sig)
+
+
+def _interpret_names(world: Interpretation, sig: Signature) -> None:
+    """Seed empty concept extensions and give every individual without
+    one a fresh classic element.  Fresh padding elements carry no other
+    memberships, so existing extensions are unaffected."""
+    for atom in sig.atoms:
+        world.concept_ext.setdefault(atom, set())
+    next_id = max((e.eid for e in world.classic), default=-1) + 1
     for name in sorted(sig.individuals):
-        if not b.world.indiv_ext.get(name):
-            b.join_individual(name, b.fresh_classic())
+        if not world.indiv_ext.get(name):
+            elem = ClassicElement(next_id)
+            next_id += 1
+            world.classic.add(elem)
+            world.indiv_ext[name] = {elem}
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ host-type parents must be declared first.  A disjoint group names only
 atoms that no line declares and that are not host types.
 
 :func:`tokenize` is the one lexical pass; it also collects the names
-inside same-as chains.  ``parse_description`` lexes its text once and
-``parse_kb`` each line once; a concept body is parsed from its line's
-tokens, so its error offsets count from the start of the line like every
-other KB error.
+inside same-as chains.  Tokens are plain ``(kind, text, pos)`` tuples.
+``parse_description`` lexes its text once and ``parse_kb`` each line once;
+a concept body is parsed from its line's tokens, so its error offsets
+count from the start of the line like every other KB error.  A two-entry
+memo on ``tokenize`` makes ``infer_attr_names(d, c)`` followed by
+``parse_description`` of each lex each distinct text once.
 
 With a knowledge base in hand the parser is strict: every role, attribute,
 and individual must be declared, in KB files and in descriptions parsed
@@ -33,9 +35,9 @@ names in individual positions are classic individuals.
 
 from __future__ import annotations
 
+import functools
 import graphlib
 import re
-from typing import NamedTuple
 
 from .descriptions import (
     AllAttr,
@@ -109,19 +111,15 @@ _RESERVED_ATOMS = frozenset({"THING", "CLASSIC-THING", "HOST-THING",
                              "NOTHING"})
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-
-
+@functools.lru_cache(maxsize=2)
 def tokenize(text: str, line: int | None = None
-             ) -> tuple[list[Token], set[str]]:
+             ) -> tuple[tuple[tuple[str, str, int], ...], frozenset[str]]:
     """The tokens of ``text``, ending with an ``eof`` token, and the names
     inside its same-as chains: identifiers two or more parentheses deep
-    after a ``same-as``, up to the parenthesis that closes it."""
+    after a ``same-as``, up to the parenthesis that closes it.  Both are
+    immutable, as the memo shares them; errors carry each call's line."""
     tokens = []
-    chain_names: set[str] = set()
+    chain_names = set()
     depth = None  # parenthesis depth inside the open same-as, if any
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -131,7 +129,7 @@ def tokenize(text: str, line: int | None = None
         pos = m.start(kind)
         if kind == "bad":
             raise ParseError("unexpected character %r" % value, pos, line)
-        tokens.append(Token(kind, value, pos))
+        tokens.append((kind, value, pos))
         if depth is not None:
             if kind == "lparen":
                 depth += 1
@@ -143,8 +141,8 @@ def tokenize(text: str, line: int | None = None
                 chain_names.add(value)
         elif kind == "ident" and value == "same-as":
             depth = 0
-    tokens.append(Token("eof", "", len(text)))
-    return tokens, chain_names
+    tokens.append(("eof", "", len(text)))
+    return tuple(tokens), frozenset(chain_names)
 
 
 def _unquote(text: str) -> str:
@@ -161,7 +159,7 @@ def _unquote(text: str) -> str:
 
 
 class _DescriptionParser:
-    def __init__(self, tokens: list[Token], kb: KnowledgeBase | None,
+    def __init__(self, tokens: tuple, kb: KnowledgeBase | None,
                  inferred_attrs: set[str], line: int | None = None):
         self.tokens = tokens
         self.kb = kb
@@ -171,32 +169,32 @@ class _DescriptionParser:
 
     # -- token plumbing --
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def take(self) -> Token:
+    def take(self) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> Token:
+    def expect(self, kind: str, what: str) -> tuple:
         tok = self.peek()
-        if tok.kind != kind:
-            self.fail("expected %s, found %r" % (what, tok.text or "end of input"),
+        if tok[0] != kind:
+            self.fail("expected %s, found %r" % (what, tok[1] or "end of input"),
                       tok)
         return self.take()
 
-    def fail(self, message: str, tok: Token | None = None):
+    def fail(self, message: str, tok: tuple | None = None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.pos, self.line)
+        raise ParseError(message, tok[2], self.line)
 
     def whole(self) -> Description:
         """A description that runs to the end of the tokens."""
         d = self.description()
         tok = self.peek()
-        if tok.kind != "eof":
-            self.fail("unexpected trailing input %r" % tok.text, tok)
+        if tok[0] != "eof":
+            self.fail("unexpected trailing input %r" % tok[1], tok)
         return d
 
     # -- name classification --
@@ -210,67 +208,71 @@ class _DescriptionParser:
 
     def pname(self, what: str = "role or attribute") -> tuple[str, str]:
         tok = self.expect("ident", "a %s name" % what)
-        kind = self.kind_of(tok.text)
+        name = tok[1]
+        kind = self.kind_of(name)
         if kind in ("role", "attribute"):
-            return tok.text, kind
+            return name, kind
         if kind is not None:
             self.fail("%s is declared as a %s, not a role or attribute"
-                      % (tok.text, kind), tok)
+                      % (name, kind), tok)
         if self.kb is not None:
-            self.fail("unknown role or attribute: %s" % tok.text, tok)
-        return tok.text, "role"
+            self.fail("unknown role or attribute: %s" % name, tok)
+        return name, "role"
 
     def rname(self) -> str:
         tok = self.expect("ident", "a role name")
-        kind = self.kind_of(tok.text)
+        name = tok[1]
+        kind = self.kind_of(name)
         if kind == "role":
-            return tok.text
+            return name
         if kind is not None:
             self.fail("number restrictions take a role; %s is declared as "
-                      "a %s" % (tok.text, kind), tok)
+                      "a %s" % (name, kind), tok)
         if self.kb is not None:
-            self.fail("unknown role: %s" % tok.text, tok)
-        return tok.text
+            self.fail("unknown role: %s" % name, tok)
+        return name
 
     def aname(self) -> str:
         tok = self.expect("ident", "an attribute name")
-        kind = self.kind_of(tok.text)
+        name = tok[1]
+        kind = self.kind_of(name)
         if kind == "attribute":
-            return tok.text
+            return name
         if kind is not None:
             self.fail("same-as chains contain attributes only; %s is "
-                      "declared as a %s" % (tok.text, kind), tok)
+                      "declared as a %s" % (name, kind), tok)
         if self.kb is not None:
-            self.fail("unknown attribute: %s" % tok.text, tok)
-        return tok.text
+            self.fail("unknown attribute: %s" % name, tok)
+        return name
 
     def individual(self) -> Individual:
         tok = self.take()
-        if tok.kind == "int":
-            return host_int(int(tok.text))
-        if tok.kind == "decimal":
-            return host_real(float(tok.text))
-        if tok.kind == "string":
-            return host_string(_unquote(tok.text))
-        if tok.kind == "ident":
+        lexeme, text, _ = tok
+        if lexeme == "int":
+            return host_int(int(text))
+        if lexeme == "decimal":
+            return host_real(float(text))
+        if lexeme == "string":
+            return host_string(_unquote(text))
+        if lexeme == "ident":
             if self.kb is not None:
-                if tok.text in self.kb.individuals:
-                    return self.kb.individuals[tok.text]
-                kind = self.kb.kind_of(tok.text)
+                if text in self.kb.individuals:
+                    return self.kb.individuals[text]
+                kind = self.kb.kind_of(text)
                 if kind is not None:
                     self.fail("%s is declared as a %s, not an individual"
-                              % (tok.text, kind), tok)
-                self.fail("unknown individual: %s" % tok.text, tok)
-            return Individual(tok.text)
+                              % (text, kind), tok)
+                self.fail("unknown individual: %s" % text, tok)
+            return Individual(text)
         self.fail("expected an individual", tok)
 
     # -- grammar --
 
     def description(self) -> Description:
         tok = self.peek()
-        if tok.kind != "ident":
+        if tok[0] != "ident":
             self.fail("expected a description", tok)
-        name = tok.text
+        name = tok[1]
         if name == "thing":
             self.take()
             return Thing()
@@ -306,7 +308,7 @@ class _DescriptionParser:
         self.expect("lparen", "'('")
         if head == "and":
             items = [self.description()]
-            while self.peek().kind == "comma":
+            while self.peek()[0] == "comma":
                 self.take()
                 items.append(self.description())
             if len(items) < 2:
@@ -323,14 +325,14 @@ class _DescriptionParser:
             return AllRole(name, body)
         if head in ("at-least", "at-most"):
             tok = self.expect("int", "an integer")
-            n = int(tok.text)
+            n = int(tok[1])
             self.expect("comma", "','")
             role = self.rname()
             self.expect("rparen", "')'")
             if head == "at-least":
                 if n < 1:
                     raise ParseError("at-least bound must be positive",
-                                     tok.pos, self.line)
+                                     tok[2], self.line)
                 return AtLeast(n, role)
             return AtMost(n, role)
         if head == "same-as":
@@ -349,7 +351,7 @@ class _DescriptionParser:
             return FillsRole(name, who)
         if head == "one-of":
             members = [self.individual()]
-            while self.peek().kind == "comma":
+            while self.peek()[0] == "comma":
                 self.take()
                 members.append(self.individual())
             close = self.peek()
@@ -357,29 +359,29 @@ class _DescriptionParser:
             hosts = {m.is_host for m in members}
             if len(hosts) > 1:
                 raise ParseError("one-of members must be all host values or "
-                                 "all classic individuals", close.pos,
+                                 "all classic individuals", close[2],
                                  self.line)
             return OneOf(tuple(members))
         if head == "primitive":
             body = self.description()
             self.expect("comma", "','")
-            tag = self.expect("ident", "a primitive tag").text
+            tag = self.expect("ident", "a primitive tag")[1]
             self.expect("rparen", "')'")
             return Primitive(body, tag)
         if head == "test":
-            func = self.expect("ident", "a function name").text
+            func = self.expect("ident", "a function name")[1]
             self.expect("comma", "','")
             realm_tok = self.expect("ident", "'classic' or 'host'")
-            if realm_tok.text not in (REALM_CLASSIC, REALM_HOST):
+            if realm_tok[1] not in (REALM_CLASSIC, REALM_HOST):
                 self.fail("test realm must be 'classic' or 'host'", realm_tok)
             self.expect("rparen", "')'")
-            return Test(func, realm_tok.text)
+            return Test(func, realm_tok[1])
         self.fail("unknown constructor %r" % head)
 
     def attr_chain(self) -> tuple[str, ...]:
         self.expect("lparen", "'('")
         names = [self.aname()]
-        while self.peek().kind == "comma":
+        while self.peek()[0] == "comma":
             self.take()
             names.append(self.aname())
         self.expect("rparen", "')'")
@@ -399,18 +401,16 @@ def parse_description(text: str, kb: KnowledgeBase | None = None,
 
 
 def infer_attr_names(*texts: str) -> set[str]:
-    names: set[str] = set()
-    for text in texts:
-        names |= tokenize(text)[1]
-    return names
+    """The same-as names of all ``texts``, pooled."""
+    return set().union(*(tokenize(text)[1] for text in texts))
 
 
 def parse_kb(text: str) -> KnowledgeBase:
     """Parse a line-oriented knowledge-base file."""
     kb = KnowledgeBase.empty()
     declared: dict[str, int] = {}
-    concept_bodies: list[tuple[str, list[Token], int]] = []
-    disjoint_names: list[tuple[Token, int]] = []
+    concept_bodies: list[tuple[str, tuple, int]] = []
+    disjoint_names: list[tuple[tuple, int]] = []
 
     def declare(name: str, lineno: int):
         if name in declared:
@@ -421,67 +421,67 @@ def parse_kb(text: str) -> KnowledgeBase:
         declared[name] = lineno
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = tokenize(raw, line=lineno)[0]
-        if tokens[0].kind == "eof":
+        tokens = tokenize(raw, lineno)[0]
+        kind, word, pos = tokens[0]
+        if kind == "eof":
             continue
-        head = tokens[0]
-        if head.kind != "ident":
-            raise ParseError("expected a declaration", head.pos, lineno)
-        if head.text in ("role", "attribute", "individual"):
-            if tokens[1].kind != "ident" or tokens[2].kind != "eof":
-                raise ParseError("expected: %s NAME" % head.text,
-                                 tokens[1].pos, lineno)
-            name = tokens[1].text
+        if kind != "ident":
+            raise ParseError("expected a declaration", pos, lineno)
+        if word in ("role", "attribute", "individual"):
+            if tokens[1][0] != "ident" or tokens[2][0] != "eof":
+                raise ParseError("expected: %s NAME" % word,
+                                 tokens[1][2], lineno)
+            name = tokens[1][1]
             declare(name, lineno)
-            if head.text == "role":
+            if word == "role":
                 kb.roles.add(name)
-            elif head.text == "attribute":
+            elif word == "attribute":
                 kb.attributes.add(name)
             else:
                 kb.individuals[name] = Individual(name)
-        elif head.text == "host-type":
-            if tokens[1].kind != "ident":
+        elif word == "host-type":
+            if tokens[1][0] != "ident":
                 raise ParseError("expected: host-type NAME [subtype-of NAME]",
-                                 tokens[1].pos, lineno)
-            name = tokens[1].text
+                                 tokens[1][2], lineno)
+            name = tokens[1][1]
             parent = None
-            if tokens[2].kind == "ident" and tokens[2].text == "subtype-of":
-                if tokens[3].kind != "ident" or tokens[4].kind != "eof":
+            if tokens[2][0] == "ident" and tokens[2][1] == "subtype-of":
+                if tokens[3][0] != "ident" or tokens[4][0] != "eof":
                     raise ParseError("expected a parent type name",
-                                     tokens[3].pos, lineno)
-                parent = tokens[3].text
-            elif tokens[2].kind != "eof":
+                                     tokens[3][2], lineno)
+                parent = tokens[3][1]
+            elif tokens[2][0] != "eof":
                 raise ParseError("expected: host-type NAME [subtype-of NAME]",
-                                 tokens[2].pos, lineno)
+                                 tokens[2][2], lineno)
             declare(name, lineno)
             try:
                 kb.lattice.add_type(name, parent)
             except KbError as exc:
-                raise ParseError(str(exc), head.pos, lineno) from exc
-        elif head.text == "concept":
-            if tokens[1].kind != "ident" or tokens[2].kind != "assign":
+                raise ParseError(str(exc), pos, lineno) from exc
+        elif word == "concept":
+            if tokens[1][0] != "ident" or tokens[2][0] != "assign":
                 raise ParseError("expected: concept NAME := DESCRIPTION",
-                                 tokens[1].pos, lineno)
-            name = tokens[1].text
+                                 tokens[1][2], lineno)
+            name = tokens[1][1]
             declare(name, lineno)
             concept_bodies.append((name, tokens[3:], lineno))
             kb.named[name] = Thing()  # placeholder until the second pass
-        elif head.text == "disjoint":
+        elif word == "disjoint":
             names = []
             for tok in tokens[1:]:
-                if tok.kind == "eof":
+                if tok[0] == "eof":
                     break
-                if tok.kind != "ident":
-                    raise ParseError("expected concept names", tok.pos,
+                if tok[0] != "ident":
+                    raise ParseError("expected concept names", tok[2],
                                      lineno)
-                names.append(tok.text)
+                names.append(tok[1])
                 disjoint_names.append((tok, lineno))
             if len(names) < 2:
                 raise ParseError("disjoint needs at least two names",
-                                 head.pos, lineno)
+                                 pos, lineno)
             kb.disjoint_groups.append(frozenset(names))
         else:
-            raise ParseError("unknown declaration %r" % head.text, head.pos,
+            raise ParseError("unknown declaration %r" % word, pos,
                              lineno)
 
     # Only undeclared atoms can be disjoint.  Expansion replaces a concept
@@ -489,11 +489,11 @@ def parse_kb(text: str) -> KnowledgeBase:
     # stand as atoms, so a group naming one never fires; the type lattice
     # alone decides which host types are disjoint.
     for tok, lineno in disjoint_names:
-        kind = kb.kind_of(tok.text)
+        kind = kb.kind_of(tok[1])
         if kind is not None:
             raise ParseError("disjoint names the %s %s; only undeclared "
-                             "atoms can be disjoint" % (kind, tok.text),
-                             tok.pos, lineno)
+                             "atoms can be disjoint" % (kind, tok[1]),
+                             tok[2], lineno)
 
     # Second pass: concept bodies may reference any declared concept.
     for name, tokens, lineno in concept_bodies:

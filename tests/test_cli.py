@@ -1,13 +1,20 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 import classicdl
+from classicdl import cli
 from classicdl.cli import main
+from classicdl.descriptions import to_text
+from classicdl.kb import expand
+from classicdl.parsing import parse_description, parse_kb
+from classicdl.randgen import ATTRS, INDIVIDUALS, ROLES, random_pair
+from classicdl.worlds import eval_description
 
 FIG1 = ("and(GAME, all(participants, PERSON), "
         "same-as((coach),(captain,father)))")
@@ -256,3 +263,36 @@ def test_countermodel_same_bytes_under_any_hash_seed():
             env=env, capture_output=True, check=True, timeout=60)
         outs.add(proc.stdout)
     assert len(outs) == 1
+
+
+def test_countermodel_worlds_interpret_the_subsumee(capsys, monkeypatch,
+                                                    tmp_path):
+    # Canonicalization can drop names from C (seed 453 drops the individual
+    # V under a nothing); the printed world must still interpret them, so
+    # both descriptions evaluate and the element separates them.
+    kb_text = "\n".join(["role %s" % r for r in ROLES]
+                        + ["attribute %s" % a for a in ATTRS]
+                        + ["individual %s" % i.name for i in INDIVIDUALS])
+    kb_path = tmp_path / "vocabulary.kb"
+    kb_path.write_text(kb_text)
+    kb = parse_kb(kb_text)
+    printed = []
+    emit = cli.world_jsonable
+
+    def capture(world, distinguished):
+        printed.append((world, distinguished))
+        return emit(world, distinguished=distinguished)
+
+    monkeypatch.setattr(cli, "world_jsonable", capture)
+    built = []
+    for seed in range(800):
+        texts = [to_text(x) for x in random_pair(random.Random(seed))]
+        printed.clear()
+        if run(capsys, "countermodel", "--kb", str(kb_path), *texts)[0]:
+            continue
+        built.append(seed)
+        (world, elem), = printed
+        d, c = (expand(parse_description(t, kb), kb) for t in texts)
+        assert elem in eval_description(c, world), seed
+        assert elem not in eval_description(d, world), seed
+    assert len(built) > 250 and 453 in built, len(built)

@@ -1,15 +1,21 @@
 """The front end's single lexical pass: same-as inference against a two-pass
-reference, one tokenization per text or KB line, strict KB parsing, line
-offsets in concept bodies and the order-independent cycle check."""
+reference, one tokenization per text or KB line, one scan per distinct text
+on the infer-then-parse path, the token memo's safety, strict KB parsing,
+line offsets in concept bodies and the order-independent cycle check."""
 
 import random
 
 import pytest
 
-from classicdl import parsing
+from classicdl import cli, parsing
 from classicdl.descriptions import to_text
 from classicdl.kb import KbError
-from classicdl.parsing import ParseError, parse_description, parse_kb
+from classicdl.parsing import (
+    ParseError,
+    infer_attr_names,
+    parse_description,
+    parse_kb,
+)
 from classicdl.randgen import random_pair
 
 
@@ -19,17 +25,17 @@ def reference_chain_names(tokens) -> set[str]:
     parenthesis that closes it."""
     names: set[str] = set()
     for i, tok in enumerate(tokens):
-        if tok.kind == "ident" and tok.text == "same-as":
+        if tok[0] == "ident" and tok[1] == "same-as":
             depth = 0
             for t in tokens[i + 1:]:
-                if t.kind == "lparen":
+                if t[0] == "lparen":
                     depth += 1
-                elif t.kind == "rparen":
+                elif t[0] == "rparen":
                     depth -= 1
                     if depth <= 0:
                         break
-                elif t.kind == "ident" and depth >= 2:
-                    names.add(t.text)
+                elif t[0] == "ident" and depth >= 2:
+                    names.add(t[1])
     return names
 
 
@@ -176,3 +182,88 @@ def test_long_definition_cycle_is_rejected_in_either_line_order():
     for order in (lines, lines[::-1]):
         with pytest.raises(KbError, match="recursive named concept: C"):
             parse_kb("\n".join(order))
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The texts the scanner's ``finditer`` loop runs over, counted through
+    a proxy of the token pattern, with the token memo cleared first."""
+    texts = []
+    pattern = parsing._TOKEN_RE
+
+    class CountingPattern:
+        def finditer(self, text):
+            texts.append(text)
+            return pattern.finditer(text)
+
+    parsing.tokenize.cache_clear()
+    monkeypatch.setattr(parsing, "_TOKEN_RE", CountingPattern())
+    yield texts
+    parsing.tokenize.cache_clear()
+
+
+LEX_ONCE_PAIRS = [
+    ("and(X, same-as((f),(g)))", "all(f, same-as((g),(h)))"),
+    (_chain_text(8), _chain_text(8)),
+    (_nested_text(4), "and(%s, EXTRA)" % _nested_text(4)),
+]
+LEX_ONCE_IDS = ["distinct", "equal", "nested"]
+
+
+@pytest.mark.parametrize("d, c", LEX_ONCE_PAIRS, ids=LEX_ONCE_IDS)
+def test_infer_then_parse_scans_each_text_once(scans, d, c):
+    attrs = infer_attr_names(d, c)
+    parse_description(d, None, attrs)
+    parse_description(c, None, attrs)
+    assert scans == list(dict.fromkeys([d, c]))
+
+
+@pytest.mark.parametrize("d, c", LEX_ONCE_PAIRS, ids=LEX_ONCE_IDS)
+def test_cli_subsumes_scans_each_text_once(scans, capsys, d, c):
+    assert cli.main(["subsumes", d, c]) in (0, 1)
+    capsys.readouterr()
+    assert scans == list(dict.fromkeys([d, c]))
+
+
+def test_parse_kb_scans_each_line_once(scans):
+    lines = ["# a knowledge base", "role r", "attribute f", "attribute g",
+             "", "individual Pat", "concept A := and(GAME, fills(r, Pat))",
+             "concept B := and(A, all(r, same-as((f),(g))))", "   ",
+             "disjoint MALE FEMALE"]
+    parse_kb("\n".join(lines))
+    assert scans == lines
+
+
+def test_tokens_from_the_memo_are_immutable():
+    tokens, names = parsing.tokenize("and(X, same-as((f),(g, h)))")
+    assert isinstance(tokens, tuple) and isinstance(names, frozenset)
+    assert all(isinstance(tok, tuple) and len(tok) == 3 for tok in tokens)
+    assert tokens[-1][0] == "eof" and names == {"f", "g", "h"}
+    assert parsing.tokenize("and(X, same-as((f),(g, h)))") == (tokens, names)
+
+
+def test_bad_character_raises_on_every_call_with_its_own_line():
+    bad = "concept A := and(X, $)"
+    short = "role r\n" + bad
+    long = "role r\nrole s\nattribute f\nattribute g\n" + bad
+    for kb_text, line in [(short, 2), (long, 5), (short, 2), (long, 5)]:
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse_kb(kb_text)
+        assert (exc.value.line, exc.value.pos) == (line, 20)
+    for _ in range(3):
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse_description("and(X, $)")
+        assert (exc.value.line, exc.value.pos) == (None, 7)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("all(f, same-as((f),(g)))", "unknown role or attribute: f"),
+    ("same-as((f),(g))", "unknown attribute: f"),
+])
+def test_memoized_text_still_gets_strict_kb_errors(text, message):
+    kb = parse_kb("role r")
+    infer_attr_names(text)
+    assert to_text(parse_description(text)) == text
+    with pytest.raises(ParseError, match=message):
+        parse_description(text, kb)
+    assert to_text(parse_description(text)) == text
