@@ -5,7 +5,8 @@ Subcommands: ``parse``, ``graph``, ``canon``, ``subsumes``, ``classify``,
 "yes"/"no" for subsumption; ``subsumes --explain`` prints the failing
 clause as JSON instead).  Exit codes: 0 success (and "yes"), 1 "no"
 or a failed property run, 2 usage errors, 3 parse, knowledge-base and
-DIMACS errors, and input files that cannot be read.
+DIMACS errors, input files that cannot be read, and input nested too
+deeply for the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -121,6 +122,12 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(args)
     except (ParseError, KbError, reduction.DimacsError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return PARSE_ERROR_EXIT
+    except RecursionError:
+        # The layers recurse once or more per nesting level, so the
+        # interpreter's recursion limit bounds the depth of an input.
+        print("error: input nested too deeply (recursion limit %d)"
+              % sys.getrecursionlimit(), file=sys.stderr)
         return PARSE_ERROR_EXIT
 
 

@@ -452,33 +452,6 @@ def to_jsonable(g: DescriptionGraph) -> dict:
     }
 
 
-def signature(g: DescriptionGraph):
-    """Hashable structure identifying the graph up to node renaming.
-
-    Intended for canonical graphs, where the (node, attribute) out-edges
-    are unique and every node is reachable from the root.
-    """
-    ranks = traversal_ranks(g)
-
-    def node_sig(node: GraphNode):
-        redges = tuple(sorted(
-            (e.role, e.min, e.max,
-             tuple(sorted(f.name for f in e.fillers)),
-             signature(e.restriction))
-            for e in node.r_edges))
-        dom = None if node.dom is None else \
-            tuple(sorted(f.name for f in node.dom))
-        return (tuple(sorted(node.atoms)), dom, redges)
-
-    nodes = tuple(node_sig(g.nodes[nid])
-                  for nid in sorted(g.nodes, key=lambda n: ranks[n]))
-    edges = tuple(sorted(
-        (ranks[e.src], e.attr, ranks[e.dst],
-         tuple(sorted(f.name for f in e.fillers)))
-        for e in g.a_edges))
-    return (g.incoherent, nodes, edges)
-
-
 def isomorphic(g1: DescriptionGraph, g2: DescriptionGraph) -> bool:
     """Structural equality up to node renaming (canonical graphs)."""
-    return signature(g1) == signature(g2)
+    return to_jsonable(g1) == to_jsonable(g2)

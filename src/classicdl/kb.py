@@ -8,7 +8,7 @@ registry, which grows monotonically the first time each tag is expanded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from graphlib import TopologicalSorter
+from graphlib import CycleError, TopologicalSorter
 
 from .descriptions import (
     AllAttr,
@@ -116,6 +116,16 @@ class KnowledgeBase:
         return None
 
 
+def _definition_order(refs: dict[str, set[str] | list[str]]) -> list[str]:
+    """The named concepts ordered so that each follows the names its
+    definition refers to; a cycle is a ``KbError``."""
+    try:
+        return list(TopologicalSorter(refs).static_order())
+    except CycleError as exc:
+        raise KbError("recursive named concept: %s" % exc.args[1][0]) \
+            from None
+
+
 def primitive_atom(tag: str) -> str:
     return PRIMITIVE_ATOM_PREFIX + tag
 
@@ -208,83 +218,85 @@ class Taxonomy:
         ]
 
 
-def _told_parts(told: Description, expanded: Description,
-                names: list[str], clauses: list[Description]) -> None:
-    """Split a definition into its told names and its other conjuncts.
-
-    ``expand`` keeps the shape of ``and``, so the told and the expanded
-    definition are walked in step: a named reference is kept by name, and
-    every other conjunct is kept in its expanded form."""
-    if isinstance(told, NamedRef):
-        names.append(told.name)
-    elif isinstance(told, And):
-        for t, e in zip(told.items, expanded.items):
-            _told_parts(t, e, names, clauses)
+def _told_parts(d: Description, kb: KnowledgeBase, names: list[str],
+                clauses: list[Description]) -> None:
+    """Split a definition into its told names and its other conjuncts,
+    and expand only the latter.  An unknown name is left to ``expand``,
+    which reports it."""
+    if isinstance(d, NamedRef) and d.name in kb.named:
+        names.append(d.name)
+    elif isinstance(d, And):
+        for c in d.items:
+            _told_parts(c, kb, names, clauses)
     else:
-        clauses.append(expanded)
+        clauses.append(expand(d, kb))
+
+
+def _told_graphs(kb: KnowledgeBase):
+    """The names in told order, each name's told parts, and each name's
+    canonical graph: its told names' graphs merged with the translations
+    of its other clauses, then canonicalized."""
+    from .graph import merge_graphs, translate
+    from .normalize import canonicalize
+
+    parts = {n: ([], []) for n in kb.named}
+    for n, (told, clauses) in parts.items():
+        _told_parts(kb.named[n], kb, told, clauses)
+    order = _definition_order({n: told for n, (told, _) in parts.items()})
+    canon = {}
+    for a in order:
+        told, clauses = parts[a]
+        canon[a] = canonicalize(merge_graphs(
+            *(canon[p].clone() for p in told),
+            *(translate(c) for c in clauses)), kb)
+    return order, parts, canon
 
 
 def classify(kb: KnowledgeBase) -> Taxonomy:
     """Build the taxonomy DAG for all named concepts in the base.
 
-    Every ordered pair of names is decided: ``a`` subsumes ``b`` exactly
-    when the expanded definition of ``a`` subsumes the canonical graph of
-    ``b``.  The row of ``a`` is filled from the rows of its told
-    subsumers: a conjunct that names ``p`` holds above ``b`` iff ``p``
-    subsumes ``b``, and each other conjunct runs the structural test only
-    while every told name holds.  Rows are filled in told order, so a told
-    subsumer's row is complete before it is read.  Names equivalent to
-    THING (``covers_everything``) join the root node.
+    ``below[a]``, the names that ``a`` subsumes, is filled in told order:
+    ``a``'s candidates are the names below all of its told names, and each
+    other clause runs the structural test on the candidates' canonical
+    graphs.  Names with equal sets of subsumers form one node; a node's
+    parents are its nearest strict ancestors.  Names equivalent to THING
+    (``covers_everything``) join the root node.
     """
-    from . import normalize, subsume
-    from .graph import translate
+    from .subsume import covers_everything, subsumes_graph
 
+    order, parts, canon = _told_graphs(kb)
     names = sorted(kb.named)
-    expanded = {n: expand(NamedRef(n), kb) for n in names}
-    canon = {n: normalize.canonicalize(translate(expanded[n]), kb)
-             for n in names}
-    parts: dict[str, tuple[list[str], list[Description]]] = {
-        n: ([], []) for n in names}
-    for n in names:
-        _told_parts(kb.named[n], expanded[n], *parts[n])
-    geq: dict[tuple[str, str], bool] = {}
-    order = TopologicalSorter({n: parts[n][0] for n in names})
-    for a in order.static_order():
+    below: dict[str, set[str]] = {}
+    above: dict[str, set[str]] = {n: set() for n in names}
+    top: dict[str, bool] = {}
+    for a in order:
         told, clauses = parts[a]
-        for b in names:
-            geq[(a, b)] = (all(geq[(p, b)] for p in told)
-                           and all(subsume.subsumes_graph(c, canon[b])
-                                   for c in clauses))
-    equiv_thing = {n: subsume.covers_everything(expanded[n])
-                   for n in names}
-
-    # Group names into equivalence classes, preserving alphabetical order.
-    classes: list[list[str]] = []
+        below[a] = {b for b in (set.intersection(*(below[p] for p in told))
+                                if told else names)
+                    if all(subsumes_graph(c, canon[b]) for c in clauses)}
+        for b in below[a]:
+            above[b].add(a)
+        top[a] = all(top[p] for p in told) and \
+            all(map(covers_everything, clauses))
+    key = {n: frozenset(above[n]) for n in names}
+    classes: dict[frozenset[str], list[str]] = {}
     for n in names:
-        for cls in classes:
-            rep = cls[0]
-            if geq[(n, rep)] and geq[(rep, n)]:
-                cls.append(n)
-                break
-        else:
-            classes.append([n])
+        classes.setdefault(key[n], []).append(n)
 
     nodes = [TaxonomyNode(members=["THING"], parents=[])]
-    index_of: dict[int, int] = {}
-    for i, cls in enumerate(classes):
-        if equiv_thing[cls[0]]:
-            nodes[0].members.extend(cls)
-            continue
-        index_of[i] = len(nodes)
-        nodes.append(TaxonomyNode(members=list(cls), parents=[]))
-
-    # Strict ancestors of each class; the nearest ones are those that are
-    # no other ancestor's ancestor.
-    reps = {i: classes[i][0] for i in index_of}
-    anc = {i: {j for j, r in reps.items()
-               if geq[(r, reps[i])] and not geq[(reps[i], r)]}
-           for i in index_of}
-    for i, idx in index_of.items():
-        nearest = anc[i].difference(*(anc[k] for k in anc[i]))
-        nodes[idx].parents = sorted(index_of[j] for j in nearest) or [0]
+    index: dict[frozenset[str], int] = {}
+    for k, members in classes.items():
+        index[k] = 0 if top[members[0]] else len(nodes)
+        if index[k]:
+            nodes.append(TaxonomyNode(members=members, parents=[]))
+        else:
+            nodes[0].members.extend(members)
+    # The strict ancestors of a class are the classes of its subsumers
+    # outside it; the nearest ones are no other ancestor's ancestor.
+    anc = {k: {key[x] for x in k.difference(members)}
+           for k, members in classes.items()}
+    for k, i in index.items():
+        if i:
+            nearest = anc[k].difference(*(anc[j] for j in anc[k]))
+            nodes[i].parents = sorted(index[j] for j in nearest) or [0]
     return Taxonomy(nodes)

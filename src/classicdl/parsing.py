@@ -36,7 +36,6 @@ names in individual positions are classic individuals.
 from __future__ import annotations
 
 import functools
-import graphlib
 import re
 
 from .descriptions import (
@@ -67,7 +66,7 @@ from .descriptions import (
     host_string,
     walk,
 )
-from .kb import KbError, KnowledgeBase
+from .kb import KbError, KnowledgeBase, _definition_order
 
 
 class ParseError(Exception):
@@ -499,11 +498,7 @@ def parse_kb(text: str) -> KnowledgeBase:
     for name, tokens, lineno in concept_bodies:
         kb.named[name] = _DescriptionParser(tokens, kb, set(), lineno).whole()
 
-    refs = {name: {d.name for d in walk(body) if isinstance(d, NamedRef)}
-            for name, body in kb.named.items()}
-    try:
-        graphlib.TopologicalSorter(refs).prepare()
-    except graphlib.CycleError as exc:
-        raise KbError("recursive named concept: %s" % exc.args[1][0]) \
-            from None
+    _definition_order({name: {d.name for d in walk(body)
+                              if isinstance(d, NamedRef)}
+                       for name, body in kb.named.items()})
     return kb

@@ -209,6 +209,22 @@ def test_missing_kb_file_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: cannot read") and str(missing) in err
 
 
+@pytest.mark.parametrize("argv", [("parse",), ("canon",), ("subsumes",),
+                                  ("subsumes", "--explain"),
+                                  ("countermodel",)])
+def test_too_deep_input_is_an_input_error(capsys, argv):
+    # 300 levels of all(r, and(X_k, at-least(1, r), ...)) exceed the
+    # interpreter's recursion limit in the parser.
+    text = "X0"
+    for k in range(1, 301):
+        text = "all(r, and(X%d, at-least(1, r), %s))" % (k, text)
+    texts = (text,) if argv[0] in ("parse", "canon") else (text, text)
+    code, out, err = run(capsys, *argv, *texts)
+    assert code == 3 and out == ""
+    assert err.startswith("error: input nested too deeply")
+    assert err.count("\n") == 1
+
+
 def test_reduce_missing_file_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "reduce", str(tmp_path / "absent.cnf"))
     assert code == 3 and out == ""

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from classicdl import subsume
+from classicdl import graph, subsume
 from classicdl.descriptions import (
     And,
     AtLeast,
@@ -13,13 +13,14 @@ from classicdl.descriptions import (
     to_text,
     walk,
 )
-from classicdl.graph import translate
+from classicdl.graph import isomorphic, translate
 from classicdl.kb import (
     HostLattice,
     KbError,
     KnowledgeBase,
     Taxonomy,
     TaxonomyNode,
+    _told_graphs,
     classify,
     expand,
 )
@@ -97,15 +98,29 @@ def test_minted_atoms_are_namespaced(parse, kb):
         parse_description(atom, kb)
 
 
-def test_expansion_limit():
-    # doubling chain: growth is exponential in the number of definitions
+def _doubling_chain_kb() -> KnowledgeBase:
+    # growth of the expansion is exponential in the number of definitions
     lines = ["role r", "concept C0 := and(GAME, at-least(1, r))"]
     for i in range(1, 18):
         lines.append("concept C%d := and(C%d, C%d)" % (i, i - 1, i - 1))
     kb = parse_kb("\n".join(lines))
     kb.expansion_limit = 10_000
+    return kb
+
+
+def test_expansion_limit():
+    kb = _doubling_chain_kb()
     with pytest.raises(KbError, match="size limit"):
         expand(NamedRef("C17"), kb)
+
+
+def test_classify_does_not_expand_told_names():
+    # Every name of the doubling chain is equivalent to C0, although the
+    # expansion of the last ones exceeds the size limit.
+    kb = _doubling_chain_kb()
+    tax = classify(kb)
+    assert [(n.members, n.parents) for n in tax.nodes] == \
+        [(["THING"], []), (sorted(kb.named), [0])]
 
 
 def test_host_lattice_rules():
@@ -116,6 +131,14 @@ def test_host_lattice_rules():
     assert not lat.comparable("STRING", "REAL")
     with pytest.raises(KbError, match="already declared"):
         lat.add_type("INTEGER")
+
+
+def test_classify_rejects_told_cycle():
+    kb = KnowledgeBase.empty()
+    kb.named["A"] = And((NamedRef("B"), ConceptName("GAME")))
+    kb.named["B"] = NamedRef("A")
+    with pytest.raises(KbError, match="recursive named concept"):
+        classify(kb)
 
 
 def test_classify_orders_by_strength():
@@ -311,8 +334,9 @@ def test_oracle_kbs_cover_every_shape():
         assert shape in text
 
 
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("n", (10, 25, 50, 100))
+@pytest.mark.parametrize("n, seed", [(n, seed) for seed in range(3)
+                                     for n in (10, 25, 50, 100)]
+                         + [(200, 0)])
 def test_classify_matches_reference(seed, n):
     kb = parse_kb(oracle_kb_text(seed, n))
     got = json.dumps(classify(kb).to_jsonable())
@@ -320,9 +344,44 @@ def test_classify_matches_reference(seed, n):
 
 
 def test_classify_matches_reference_on_told_heap():
-    kb = parse_kb(told_heap_kb_text(100))
-    got = json.dumps(classify(kb).to_jsonable())
-    assert got == json.dumps(reference_classify(kb).to_jsonable())
+    for n in (100, 400):
+        kb = parse_kb(told_heap_kb_text(n))
+        got = json.dumps(classify(kb).to_jsonable())
+        assert got == json.dumps(reference_classify(kb).to_jsonable()), n
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_told_built_graphs_are_canonical(seed):
+    # A name's graph, built from its told names' canonical graphs, is the
+    # canonical graph of its whole expanded definition.
+    for n in (10, 25, 50, 100, 200):
+        kb = parse_kb(oracle_kb_text(seed, n))
+        _, _, canon = _told_graphs(kb)
+        for name in kb.named:
+            whole = canonicalize(translate(expand(NamedRef(name), kb)), kb)
+            assert isomorphic(canon[name], whole), (n, name)
+
+
+def test_classify_translates_each_clause_once(monkeypatch):
+    # A told chain C_i := and(C_i-1, A_i): rebuilding every told name
+    # inside each name that conjoins it takes about n^2 translate calls,
+    # nested ones included.
+    n = 200
+    kb = parse_kb("concept C0 := A0\n" + "".join(
+        "concept C%d := and(C%d, A%d)\n" % (i, i - 1, i) for i in range(1, n)))
+    calls = [0]
+    real = graph.translate
+
+    def counted(d):
+        calls[0] += 1
+        return real(d)
+
+    monkeypatch.setattr(graph, "translate", counted)
+    tax = classify(kb)
+    assert calls[0] <= 3 * n
+    node_of = {m: i for i, node in enumerate(tax.nodes) for m in node.members}
+    assert all(tax.nodes[node_of["C%d" % i]].parents
+               == [node_of["C%d" % (i - 1)]] for i in range(1, n))
 
 
 def test_classify_reuses_told_rows(count_steps):

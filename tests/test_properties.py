@@ -9,7 +9,7 @@ from classicdl.graph import (
     graph_size,
     isomorphic,
     merge_graphs,
-    signature,
+    to_jsonable,
     translate,
 )
 from classicdl.kb import expand
@@ -220,10 +220,10 @@ def test_canonical_form_ignores_and_nesting():
         for d in random_pair(rng):
             if not isinstance(d, And):
                 continue
-            want = signature(canonicalize(translate(d), KB))
+            want = to_jsonable(canonicalize(translate(d), KB))
             for variant in (_flattened(d), _pairwise(d)):
                 if variant != d:
                     renested += 1
-                assert signature(canonicalize(translate(variant), KB)) == \
+                assert to_jsonable(canonicalize(translate(variant), KB)) == \
                     want, to_text(d)
     assert renested > 100
