@@ -8,15 +8,17 @@ set of admissible individuals.  Edges carry filler sets.  Restriction
 graphs share no nodes with their parent, so role edges are always
 cut-edges.
 
-Node identifiers come from a process-wide counter, which makes the
-disjoint unions taken during merging trivially collision-free; structural
-equality is therefore always up to renaming (see ``isomorphic``).
+Node identifiers come from a process-wide counter, and a clone draws
+fresh ones, which makes the disjoint unions taken during merging
+trivially collision-free; structural equality is therefore always up to
+renaming (see ``isomorphic``).
 
 ``merge_graphs`` and ``merge_nodes`` are n-ary and move their inputs into
 the result instead of cloning them, so ``translate`` builds each graph in
-one pass and an input may not be used after it was merged.
-``normalize.canonicalize`` clones its input once and merges only inside
-that private copy.
+one pass.  The result shares nodes, r-edges and filler sets with its
+inputs: once either side is changed in place, the other may not be used.
+``normalize.canonicalize`` clones its input once and changes only that
+private copy.
 """
 
 from __future__ import annotations
@@ -83,9 +85,6 @@ class AEdge:
     attr: str
     fillers: set[Individual] = field(default_factory=set)
 
-    def clone(self) -> "AEdge":
-        return AEdge(self.src, self.dst, self.attr, set(self.fillers))
-
 
 @dataclass
 class GraphNode:
@@ -146,10 +145,15 @@ class DescriptionGraph:
         return self.nodes[self.root]
 
     def clone(self) -> "DescriptionGraph":
+        """A deep copy whose nodes, those of nested restriction graphs
+        included, get fresh ids, so that it can be merged with any other
+        graph."""
         g = DescriptionGraph()
-        g.nodes = {nid: n.clone() for nid, n in self.nodes.items()}
-        g.a_edges = [e.clone() for e in self.a_edges]
-        g.root = self.root
+        ids = {nid: _fresh_id() for nid in self.nodes}
+        g.nodes = {ids[nid]: n.clone() for nid, n in self.nodes.items()}
+        g.a_edges = [AEdge(ids[e.src], ids[e.dst], e.attr, set(e.fillers))
+                     for e in self.a_edges]
+        g.root = ids[self.root]
         g.incoherent = self.incoherent
         return g
 
@@ -230,8 +234,8 @@ def merge_nodes(*nodes: GraphNode) -> GraphNode:
     """Merge nodes in one pass: atoms union, r-edge bag union (duplicates
     kept), dom intersection with the universal marker as identity.
 
-    The r-edges are moved into the result, not cloned, so the inputs may
-    not be used afterwards.
+    The r-edges are moved into the result, not cloned: it shares them
+    with the inputs.
     """
     atoms: set[str] = set()
     r_edges: list[REdge] = []
@@ -249,7 +253,7 @@ def merge_graphs(*graphs: DescriptionGraph) -> DescriptionGraph:
     are re-targeted to the new root.
 
     Nodes, r-edges and a-edge filler sets are moved into the result, not
-    cloned, so the inputs may not be used afterwards.  A merge with an
+    cloned: it shares them with the inputs.  A merge with an
     incoherent graph is incoherent (the intersection of an empty extension
     with anything is empty).
     """

@@ -224,7 +224,8 @@ def _told_parts(d: Description, kb: KnowledgeBase, names: list[str],
     and expand only the latter.  An unknown name is left to ``expand``,
     which reports it."""
     if isinstance(d, NamedRef) and d.name in kb.named:
-        names.append(d.name)
+        if d.name not in names:
+            names.append(d.name)
     elif isinstance(d, And):
         for c in d.items:
             _told_parts(c, kb, names, clauses)
@@ -235,7 +236,9 @@ def _told_parts(d: Description, kb: KnowledgeBase, names: list[str],
 def _told_graphs(kb: KnowledgeBase):
     """The names in told order, each name's told parts, and each name's
     canonical graph: its told names' graphs merged with the translations
-    of its other clauses, then canonicalized."""
+    of its other clauses, then canonicalized.  A canonical graph's node
+    ids are its own (``canonicalize`` clones), and ``canonicalize`` changes
+    only its clone of the merge, so the told graphs are merged uncopied."""
     from .graph import merge_graphs, translate
     from .normalize import canonicalize
 
@@ -247,7 +250,7 @@ def _told_graphs(kb: KnowledgeBase):
     for a in order:
         told, clauses = parts[a]
         canon[a] = canonicalize(merge_graphs(
-            *(canon[p].clone() for p in told),
+            *(canon[p] for p in told),
             *(translate(c) for c in clauses)), kb)
     return order, parts, canon
 

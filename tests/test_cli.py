@@ -209,15 +209,22 @@ def test_missing_kb_file_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: cannot read") and str(missing) in err
 
 
-@pytest.mark.parametrize("argv", [("parse",), ("canon",), ("subsumes",),
-                                  ("subsumes", "--explain"),
-                                  ("countermodel",)])
-def test_too_deep_input_is_an_input_error(capsys, argv):
+@pytest.mark.parametrize("argv, depth", [
     # 300 levels of all(r, and(X_k, at-least(1, r), ...)) exceed the
     # interpreter's recursion limit in the parser.
+    *((argv, 300) for argv in [("parse",), ("canon",), ("subsumes",),
+                               ("subsumes", "--explain"), ("countermodel",)]),
+    # 200 levels parse, and exceed it in translation, canonicalization
+    # or subsumption.
+    *((argv, 200) for argv in [("canon",), ("subsumes",),
+                               ("subsumes", "--explain"), ("countermodel",)]),
+])
+def test_too_deep_input_is_an_input_error(capsys, argv, depth):
     text = "X0"
-    for k in range(1, 301):
+    for k in range(1, depth + 1):
         text = "all(r, and(X%d, at-least(1, r), %s))" % (k, text)
+    if depth == 200:
+        assert run(capsys, "parse", text)[0] == 0
     texts = (text,) if argv[0] in ("parse", "canon") else (text, text)
     code, out, err = run(capsys, *argv, *texts)
     assert code == 3 and out == ""

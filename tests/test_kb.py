@@ -350,16 +350,44 @@ def test_classify_matches_reference_on_told_heap():
         assert got == json.dumps(reference_classify(kb).to_jsonable()), n
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_told_built_graphs_are_canonical(seed):
+def _assert_told_built_graphs_are_canonical(kb):
     # A name's graph, built from its told names' canonical graphs, is the
     # canonical graph of its whole expanded definition.
+    _, _, canon = _told_graphs(kb)
+    for name in kb.named:
+        whole = canonicalize(translate(expand(NamedRef(name), kb)), kb)
+        assert isomorphic(canon[name], whole), name
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_told_built_graphs_are_canonical(seed):
     for n in (10, 25, 50, 100, 200):
-        kb = parse_kb(oracle_kb_text(seed, n))
-        _, _, canon = _told_graphs(kb)
-        for name in kb.named:
-            whole = canonicalize(translate(expand(NamedRef(name), kb)), kb)
-            assert isomorphic(canon[name], whole), (n, name)
+        _assert_told_built_graphs_are_canonical(
+            parse_kb(oracle_kb_text(seed, n)))
+
+
+# B's told graphs are P's and A's, which is built from P's: the two share
+# every node of P's graph unless they are copied apart.  The r-edge case
+# shares the nodes of a nested restriction graph instead.
+SHARED_TOLD_KBS = [
+    "attribute f\n"
+    "concept P := all(f, X)\n"
+    "concept A := and(P, all(f, Y))\n"
+    "concept B := and(A, P)\n"
+    "concept D := and(P, A, P)\n",
+    "role r\nattribute f\n"
+    "concept P := all(r, all(f, X))\n"
+    "concept A := and(P, all(r, all(f, Y)))\n"
+    "concept B := and(A, P)\n",
+]
+
+
+@pytest.mark.parametrize("text", SHARED_TOLD_KBS, ids=("a-edge", "r-edge"))
+def test_told_names_that_share_a_told_name(text):
+    kb = parse_kb(text)
+    _assert_told_built_graphs_are_canonical(kb)
+    got = json.dumps(classify(kb).to_jsonable())
+    assert got == json.dumps(reference_classify(kb).to_jsonable())
 
 
 def test_classify_translates_each_clause_once(monkeypatch):
