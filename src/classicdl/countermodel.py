@@ -121,7 +121,8 @@ class _Builder:
         self.world.attr_ext.setdefault(attr, {})[src] = dst
 
     def add_role_pair(self, role: str, src, dst) -> None:
-        self.world.role_ext.setdefault(role, set()).add((src, dst))
+        self.world.role_ext.setdefault(role, {}).setdefault(
+            src, set()).add(dst)
 
 
 def construct_graphical_world(g: DescriptionGraph,

@@ -258,24 +258,33 @@ def _told_graphs(kb: KnowledgeBase):
 def classify(kb: KnowledgeBase) -> Taxonomy:
     """Build the taxonomy DAG for all named concepts in the base.
 
-    ``below[a]``, the names that ``a`` subsumes, is filled in told order:
-    ``a``'s candidates are the names below all of its told names, and each
-    other clause runs the structural test on the candidates' canonical
-    graphs.  Names with equal sets of subsumers form one node; a node's
-    parents are its nearest strict ancestors.  Names equivalent to THING
-    (``covers_everything``) join the root node.
+    Incoherent names form the bottom class: each is below every name, so
+    all names are its subsumers, and it takes part in no structural test.
+    ``below[a]``, the coherent names that a coherent ``a`` subsumes, is
+    filled in told order: ``a``'s candidates are the names below all of
+    its told names, and each other clause runs the structural test on the
+    candidates' canonical graphs.  Names with equal sets of subsumers form
+    one node; a node's parents are its nearest strict ancestors.  Names
+    equivalent to THING (``covers_everything``) join the root node.
     """
     from .subsume import covers_everything, subsumes_graph
 
     order, parts, canon = _told_graphs(kb)
     names = sorted(kb.named)
+    bottom = {n for n in names if canon[n].incoherent}
+    coherent = set(names) - bottom
     below: dict[str, set[str]] = {}
-    above: dict[str, set[str]] = {n: set() for n in names}
+    above = {n: set(names) if n in bottom else set() for n in names}
     top: dict[str, bool] = {}
     for a in order:
         told, clauses = parts[a]
-        below[a] = {b for b in (set.intersection(*(below[p] for p in told))
-                                if told else names)
+        if a in bottom:
+            candidates = set()
+        elif told:
+            candidates = set.intersection(*(below[p] for p in told))
+        else:
+            candidates = coherent
+        below[a] = {b for b in candidates
                     if all(subsumes_graph(c, canon[b]) for c in clauses)}
         for b in below[a]:
             above[b].add(a)

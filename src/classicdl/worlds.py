@@ -7,6 +7,10 @@ non-empty set of domain elements, the sets of distinct individuals never
 overlap, and number restrictions count role fillers modulo the congruence
 "same element, or elements of one individual".
 
+Roles and attributes are stored per classic element: a role maps each
+element to its set of fillers, an attribute maps it to its value, so a
+clause reads an element's fillers or value by lookup.
+
 Host elements are concrete typed values; anonymous host elements stand in
 for the infinitely many host values a real host language would provide.
 Attributes are total: lookups fall back to a dedicated host "sink" element
@@ -109,7 +113,8 @@ class Interpretation:
     classic: set[ClassicElement] = field(default_factory=set)
     hosts: set[HostElement] = field(default_factory=set)
     concept_ext: dict[str, set] = field(default_factory=dict)
-    role_ext: dict[str, set] = field(default_factory=dict)
+    role_ext: dict[str, dict[ClassicElement, set]] = field(
+        default_factory=dict)
     attr_ext: dict[str, dict] = field(default_factory=dict)
     indiv_ext: dict[str, set] = field(default_factory=dict)
     sink: HostElement = field(
@@ -130,21 +135,9 @@ class Interpretation:
             return None
         return self.attr_ext.get(attr, {}).get(elem, self.sink)
 
-    def role_fillers(self, role: str, elem) -> list:
-        if not isinstance(elem, ClassicElement):
-            return []
-        return [y for (x, y) in self.role_ext.get(role, ()) if x == elem]
-
-    def fillers_by_source(self, role: str) -> dict:
-        """Every element's role fillers, from one scan of the role.
-
-        Elements with no filler are absent.  Built afresh on each call,
-        since a world may still change.
-        """
-        out: dict = {}
-        for x, y in self.role_ext.get(role, ()):
-            out.setdefault(x, []).append(y)
-        return out
+    def role_fillers(self, role: str, elem) -> set | frozenset:
+        """The element's fillers for the role; none off the classic realm."""
+        return self.role_ext.get(role, {}).get(elem, frozenset())
 
     def individual_ext(self, ind: Individual) -> set:
         if ind.is_host:
@@ -207,8 +200,8 @@ class Interpretation:
             if ext & seen:
                 raise ValueError("individual extensions overlap at %s" % name)
             seen |= ext
-        for role, pairs in self.role_ext.items():
-            for (x, y) in pairs:
+        for role, table in self.role_ext.items():
+            for x in table:
                 if not isinstance(x, ClassicElement):
                     raise ValueError("role %s source off classic realm" % role)
         for attr, table in self.attr_ext.items():
@@ -231,18 +224,14 @@ def eval_description(d: Description, world: Interpretation,
     its body only at the role fillers or attribute values of its
     candidates.  So a membership question about one element,
     ``eval_description(d, world, {e})``, costs about the size of ``d``
-    rather than ``|d|`` times the world.  Each role's fillers are read
-    from one scan of the role per call, never cached on the world, since a
-    world may still change.
+    rather than ``|d|`` times the world.  A candidate's role fillers and
+    attribute values are read from the world's per-element tables.
     """
-    return _eval(d, world, None if within is None else frozenset(within),
-                 {})
+    return _eval(d, world, None if within is None else frozenset(within))
 
 
-def _eval(d: Description, world: Interpretation, within: frozenset | None,
-          fillers_of: dict) -> frozenset:
-    """``eval_description`` with each role's ``fillers_by_source`` map
-    kept in ``fillers_of`` for the rest of the top-level call."""
+def _eval(d: Description, world: Interpretation,
+          within: frozenset | None) -> frozenset:
     if isinstance(d, (NamedRef, Primitive, Test)):
         raise EvalError("description must be expanded before evaluation")
     if within is None:
@@ -265,12 +254,11 @@ def _eval(d: Description, world: Interpretation, within: frozenset | None,
     if isinstance(d, And):
         out = within
         for item in d.items:
-            out = _eval(item, world, out, fillers_of)
+            out = _eval(item, world, out)
         return out
     if isinstance(d, AllAttr):
         value = {e: world.attr_value(d.attr, e) for e in classic}
-        inner = _eval(d.restriction, world, frozenset(value.values()),
-                      fillers_of)
+        inner = _eval(d.restriction, world, frozenset(value.values()))
         return frozenset(e for e, v in value.items() if v in inner)
     if isinstance(d, SameAs):
         out = set()
@@ -291,12 +279,10 @@ def _eval(d: Description, world: Interpretation, within: frozenset | None,
         return frozenset(out) if within is None else within & out
     if not isinstance(d, (AllRole, AtLeast, AtMost, FillsRole)):
         raise TypeError("not a description: %r" % (d,))
-    if d.role not in fillers_of:
-        fillers_of[d.role] = world.fillers_by_source(d.role)
-    fillers = fillers_of[d.role]
+    fillers = world.role_ext.get(d.role, {})
     if isinstance(d, AllRole):
         targets = frozenset(x for e in classic for x in fillers.get(e, ()))
-        inner = _eval(d.restriction, world, targets, fillers_of)
+        inner = _eval(d.restriction, world, targets)
         return frozenset(
             e for e in classic
             if all(x in inner for x in fillers.get(e, ())))
@@ -330,7 +316,8 @@ def eval_graph(g: DescriptionGraph, world: Interpretation) -> frozenset:
     elements that have a witness (``find_witness``)."""
     if g.incoherent:
         return frozenset()
-    return frozenset(e for e in world.domain() if element_in_graph(g, e, world))
+    return frozenset(e for e in world.classic | world.hosts
+                     if element_in_graph(g, e, world))
 
 
 def element_in_graph(g: DescriptionGraph, elem, world: Interpretation) -> bool:
@@ -344,32 +331,29 @@ def find_witness(g: DescriptionGraph, elem,
 
     The root maps to the element; every node's image satisfies its atoms,
     bounds, and dom; every a-edge's images are related by its attribute.
-    Attribute application from the root forces the assignment.  Translated
-    and canonical graphs reach every node from the root through a-edges; a
-    node that none reaches raises ``ValueError``.
+    Attribute application forces the assignment: one walk from the root
+    follows each a-edge once.  Translated and canonical graphs reach every
+    node from the root through a-edges; a node that none reaches raises
+    ``ValueError``.
     """
     if g.incoherent:
         return None
+    out_edges: dict[int, list] = {}
+    for e in g.a_edges:
+        out_edges.setdefault(e.src, []).append(e)
     assign: dict[int, object] = {g.root: elem}
-    pending = list(g.a_edges)
-    progress = True
-    while progress and pending:
-        progress = False
-        still = []
-        for e in pending:
-            if e.src in assign:
-                v = world.attr_value(e.attr, assign[e.src])
-                if v is None:
-                    return None
-                if e.dst in assign:
-                    if assign[e.dst] != v:
-                        return None
-                else:
-                    assign[e.dst] = v
-                progress = True
-            else:
-                still.append(e)
-        pending = still
+    stack = [g.root]
+    while stack:
+        src = stack.pop()
+        for e in out_edges.get(src, ()):
+            v = world.attr_value(e.attr, assign[src])
+            if v is None:
+                return None
+            if e.dst not in assign:
+                assign[e.dst] = v
+                stack.append(e.dst)
+            elif assign[e.dst] != v:
+                return None
     unassigned = [nid for nid in g.nodes if nid not in assign]
     if unassigned:
         raise ValueError("graph node %d is not reachable from the root"
@@ -378,10 +362,9 @@ def find_witness(g: DescriptionGraph, elem,
 
 
 def _check_assignment(g, assign, world) -> bool:
+    """The a-edge fillers and every node's own conditions; the walk in
+    ``find_witness`` has already checked the a-edges' attribute values."""
     for e in g.a_edges:
-        v = world.attr_value(e.attr, assign[e.src])
-        if v is None or v != assign[e.dst]:
-            return False
         for f in e.fillers:
             if assign[e.dst] not in world.individual_ext(f):
                 return False
@@ -438,9 +421,10 @@ def merge_worlds(i1: Interpretation, i2: Interpretation) -> Interpretation:
         out.hosts |= world.hosts
         for atom, ext in world.concept_ext.items():
             out.concept_ext.setdefault(atom, set()).update(f(e) for e in ext)
-        for role, pairs in world.role_ext.items():
-            out.role_ext.setdefault(role, set()).update(
-                (f(x), f(y)) for (x, y) in pairs)
+        for role, table in world.role_ext.items():
+            tgt = out.role_ext.setdefault(role, {})
+            for x, ys in table.items():
+                tgt.setdefault(f(x), set()).update(f(y) for y in ys)
         for attr, table in world.attr_ext.items():
             tgt = out.attr_ext.setdefault(attr, {})
             for x, y in table.items():
@@ -604,17 +588,15 @@ def sample_interpretation(sig: Signature, seed: int,
         world.concept_ext[atom] = {
             e for e in carrier if rng.random() < 0.5}
     for role in sorted(sig.roles):
-        pairs = set()
+        table = world.role_ext[role] = {}
         for e in classic:
             k = rng.randint(0, min(sig.max_number + 1, 4))
             # Draw until k fillers are distinct; ``everything`` holds at
             # least 16 host elements, so this ends.
-            fillers = set()
+            fillers = table[e] = set()
             while len(fillers) < k:
                 fillers.add(rng.choice(
                     classic if rng.random() < 0.5 else everything))
-            pairs.update((e, f) for f in fillers)
-        world.role_ext[role] = pairs
     for attr in sorted(sig.attrs):
         table = {}
         for e in classic:
@@ -722,15 +704,9 @@ def _role_extensions(roles, classic, domain, k):
     per_elem = list(_subsets(domain, k))
     combos = itertools.product(per_elem, repeat=len(classic) * len(roles))
     for combo in combos:
-        table: dict[str, set] = {}
-        idx = 0
-        for role in roles:
-            pairs = set()
-            for e in classic:
-                pairs.update((e, y) for y in combo[idx])
-                idx += 1
-            table[role] = pairs
-        yield table
+        picks = iter(combo)
+        yield {role: {e: set(next(picks)) for e in classic}
+               for role in roles}
 
 
 def _attr_extensions(attrs, classic, choices):
@@ -757,8 +733,9 @@ def to_jsonable(world: Interpretation, distinguished=None) -> dict:
         "hosts": sorted(str(e) for e in world.hosts),
         "concepts": {a: sorted(str(e) for e in ext)
                      for a, ext in sorted(world.concept_ext.items())},
-        "roles": {r: sorted([str(x), str(y)] for (x, y) in pairs)
-                  for r, pairs in sorted(world.role_ext.items())},
+        "roles": {r: sorted([str(x), str(y)] for x, ys in table.items()
+                            for y in ys)
+                  for r, table in sorted(world.role_ext.items())},
         "attributes": {a: {str(x): str(y) for x, y in sorted(
             table.items(), key=lambda kv: kv[0].eid)}
             for a, table in sorted(world.attr_ext.items())},

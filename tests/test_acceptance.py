@@ -140,7 +140,7 @@ def test_criterion_5_modified_semantics_envelope(parse, kb):
         w.hosts |= {yes, no}
         w.indiv_ext = {"Arctic": {d1, d2}, "Antarctic": {d3, d4}}
         w.attr_ext = {"hasPenguins": {d1: yes, d2: no, d3: yes, d4: no}}
-        w.role_ext = {"wantsToVisit": {(e, d1), (e, d3)}}
+        w.role_ext = {"wantsToVisit": {e: {d1, d3}}}
         w.check()
         assert e in eval_description(expand(body, kb), w)
         assert w.count_non_congruent(w.role_fillers("wantsToVisit", e)) == 2

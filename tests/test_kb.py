@@ -350,6 +350,46 @@ def test_classify_matches_reference_on_told_heap():
         assert got == json.dumps(reference_classify(kb).to_jsonable()), n
 
 
+def bottom_kb_text(coherent: int, incoherent: int) -> str:
+    """``told_heap_kb_text(coherent)`` and ``incoherent`` names that conjoin
+    the disjoint atoms X and Y directly, under a coherent told name, or
+    through an earlier incoherent name."""
+    lines = ["role s", "disjoint X Y"]
+    for j in range(incoherent):
+        if j % 3 == 0:
+            body = "and(X, Y, A%d)" % (j % 8)
+        elif j % 3 == 1:
+            body = "and(C%d, X, all(s, B%d), Y)" % (j % coherent, j % 5)
+        else:
+            body = "and(C%d, D%d)" % (j % coherent, j - 1)
+        lines.append("concept D%d := %s" % (j, body))
+    return told_heap_kb_text(coherent) + "\n".join(lines) + "\n"
+
+
+def test_incoherent_names_form_the_bottom_class(monkeypatch):
+    # An incoherent name is below every name: classify gives it all names
+    # as subsumers and tests nothing against it, so the structural tests
+    # grow with the coherent names only (669 here; 67,226 when every
+    # incoherent name stayed a candidate of every test).
+    coherent, incoherent = 40, 160
+    kb = parse_kb(bottom_kb_text(coherent, incoherent))
+    calls = [0]
+    real = subsume.subsumes_graph
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(subsume, "subsumes_graph", counted)
+    tax = classify(kb)
+    monkeypatch.undo()
+    assert calls[0] <= 25 * coherent, calls[0]
+    got = tax.to_jsonable()
+    assert json.dumps(got) == json.dumps(reference_classify(kb).to_jsonable())
+    assert sorted("D%d" % j for j in range(incoherent)) in (
+        sorted(node["members"]) for node in got)
+
+
 def _assert_told_built_graphs_are_canonical(kb):
     # A name's graph, built from its told names' canonical graphs, is the
     # canonical graph of its whole expanded definition.

@@ -32,7 +32,7 @@ def _world() -> Interpretation:
     w = Interpretation()
     w.classic = {ClassicElement(i) for i in range(4)}
     w.concept_ext = {"GAME": {ClassicElement(0), ClassicElement(1)}}
-    w.role_ext = {"r": set()}
+    w.role_ext = {"r": {}}
     w.attr_ext = {"f": {}}
     w.indiv_ext = {}
     return w
@@ -58,7 +58,7 @@ def test_congruent_fillers_count_once(parse):
     w = _world()
     e0, e1, e2 = ClassicElement(0), ClassicElement(1), ClassicElement(2)
     w.indiv_ext["P"] = {e1, e2}
-    w.role_ext["r"] = {(e0, e1), (e0, e2)}
+    w.role_ext["r"] = {e0: {e1, e2}}
     # two fillers inside one individual's extension: congruent, counted once
     assert e0 in eval_description(parse("at-most(1, r)"), w)
     assert e0 not in eval_description(parse("at-least(2, r)"), w)
@@ -76,7 +76,7 @@ def test_jaded_person_witness_world(parse, kb):
     w.hosts |= {yes, no}
     w.indiv_ext = {"Arctic": {d1, d2}, "Antarctic": {d3, d4}}
     w.attr_ext = {"hasPenguins": {d1: yes, d2: no, d3: yes, d4: no}}
-    w.role_ext = {"wantsToVisit": {(e, d1), (e, d3)}}
+    w.role_ext = {"wantsToVisit": {e: {d1, d3}}}
     w.check()
     body = parse('all(wantsToVisit, and(one-of(Arctic, Antarctic), '
                  'all(hasPenguins, one-of("Yes"))))')
@@ -293,6 +293,29 @@ def test_world_check_rejects_overlapping_individuals():
     e0 = ClassicElement(0)
     w.indiv_ext = {"P": {e0}, "Q": {e0}}
     with pytest.raises(ValueError, match="overlap"):
+        w.check()
+
+
+def test_world_check_rejects_host_sources():
+    host = HostElement("INTEGER", 1)
+    w = _world()
+    w.role_ext["r"] = {host: {ClassicElement(0)}}
+    with pytest.raises(ValueError, match="role r source off classic"):
+        w.check()
+    w = _world()
+    w.attr_ext["f"] = {host: ClassicElement(0)}
+    with pytest.raises(ValueError, match="attr f source off classic"):
+        w.check()
+
+
+def test_world_check_rejects_bad_individual_extensions():
+    w = _world()
+    w.indiv_ext = {"P": set()}
+    with pytest.raises(ValueError, match="P has empty extension"):
+        w.check()
+    w = _world()
+    w.indiv_ext = {"P": {ClassicElement(9)}}
+    with pytest.raises(ValueError, match="P outside classic realm"):
         w.check()
 
 
