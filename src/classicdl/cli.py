@@ -190,6 +190,8 @@ def _dispatch(args) -> int:
             "seed": args.seed,
             "cases": args.cases,
             "soundness": {"positives": sound.positives,
+                          "nonvacuous_cases": sound.nonvacuous_cases,
+                          "nonvacuous_worlds": sound.nonvacuous_worlds,
                           "violations": sound.violations,
                           "failures": sound.failures},
             "completeness": {"negatives": complete.negatives,

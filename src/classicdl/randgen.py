@@ -127,6 +127,10 @@ class PropertyRunStats:
     negatives: int = 0
     violations: int = 0
     failures: list[str] = field(default_factory=list)
+    # soundness only: positive cases with a sampled world in which C has a
+    # member, and the number of such worlds; the others check nothing
+    nonvacuous_cases: int = 0
+    nonvacuous_worlds: int = 0
 
     def record_failure(self, message: str) -> None:
         self.violations += 1
@@ -137,7 +141,8 @@ class PropertyRunStats:
 def soundness_run(seed: int, cases: int, worlds_per_case: int = 50,
                   max_domain: int = 5) -> PropertyRunStats:
     """Whenever the engine answers yes, extension containment must hold in
-    every sampled world."""
+    every sampled world.  D is evaluated only inside ext(C): ext(C) lies
+    in ext(D) exactly when ext(D) ∩ ext(C) is all of ext(C)."""
     rng = random.Random(seed)
     kb = corpus_kb()
     stats = PropertyRunStats()
@@ -150,17 +155,21 @@ def soundness_run(seed: int, cases: int, worlds_per_case: int = 50,
             continue
         stats.positives += 1
         sig = signature_of_description(d).merge(signature_of_description(c))
+        nonvacuous = False
         for w in range(worlds_per_case):
             world = sample_interpretation(sig, seed=seed * 1_000_003
                                           + case * 101 + w,
                                           max_domain=max_domain)
             ext_c = eval_description(c, world)
-            ext_d = eval_description(d, world)
-            if not ext_c <= ext_d:
-                stats.record_failure(
-                    "containment violated: D=%s C=%s world=%d"
-                    % (to_text(d), to_text(c), w))
-                break
+            if ext_c:
+                nonvacuous = True
+                stats.nonvacuous_worlds += 1
+                if eval_description(d, world, ext_c) != ext_c:
+                    stats.record_failure(
+                        "containment violated: D=%s C=%s world=%d"
+                        % (to_text(d), to_text(c), w))
+                    break
+        stats.nonvacuous_cases += nonvacuous
     return stats
 
 

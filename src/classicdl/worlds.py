@@ -19,6 +19,7 @@ that the constructors never use for anything meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -64,6 +65,10 @@ class EvalError(Exception):
 @dataclass(frozen=True)
 class ClassicElement:
     eid: int
+
+    def __hash__(self):
+        # The generated hash would build and hash a one-field tuple.
+        return hash(self.eid)
 
     def __str__(self):
         return "c%d" % self.eid
@@ -155,15 +160,17 @@ class Interpretation:
                 return name
         return None
 
-    def congruence_key(self, elem):
-        if isinstance(elem, ClassicElement):
-            owner = self.owner_individual(elem)
-            if owner is not None:
-                return ("ind", owner)
-        return elem
-
     def count_non_congruent(self, elems) -> int:
-        return len({self.congruence_key(e) for e in elems})
+        """The number of congruence classes among distinct elements: the
+        elements of one individual count once.  Individual extensions are
+        disjoint and lie in the classic realm, so each individual holding
+        k > 1 of the elements takes k - 1 from their number."""
+        n = len(elems)
+        for ext in self.indiv_ext.values():
+            k = len(ext.intersection(elems))
+            if k > 1:
+                n -= k - 1
+        return n
 
     def atom_ext(self, atom: str) -> set:
         if atom not in self.concept_ext:
@@ -549,66 +556,80 @@ def sample_interpretation(sig: Signature, seed: int,
     chosen for it.
     """
     rng = random.Random(seed)
-    lattice = lattice or _DEFAULT_LATTICE
-    world = Interpretation(lattice=lattice)
+    rand, choice, randint = rng.random, rng.choice, rng.randint
     need = max(2, len(sig.individuals))
-    n_classic = rng.randint(need, max(need, max_domain))
-    world.classic = {ClassicElement(i) for i in range(n_classic)}
+    n = randint(need, max(need, max_domain))
 
-    for ind in sig.host_values:
-        world.hosts.add(host_element_for(ind))
     # Carrier margin: enough spare host elements per type that no query in
     # the signature can tell the finite carrier from an infinite realm.
-    margin = sig.max_number + len(sig.host_values) + 4
-    anon = 0
-    for vtype in ("INTEGER", "REAL", "STRING", None):
-        for _ in range(margin):
-            world.hosts.add(HostElement(vtype, anon_id=anon))
-            anon += 1
+    hosts, host_set = _host_carrier(
+        sig.max_number + len(sig.host_values) + 4)
+    if sig.host_values:
+        host_set = host_set | {host_element_for(i) for i in sig.host_values}
+        hosts = tuple(sorted(host_set, key=str))
+    world = Interpretation(hosts=set(host_set),
+                           lattice=lattice or _DEFAULT_LATTICE)
 
-    elements = sorted(world.classic, key=lambda e: e.eid)
-    pool = list(elements)
+    # Classic elements are numbered from 0 and fresh ones continue the
+    # numbering, so the realm is always the first n interned elements.
+    pool = _interned_classic(n)
     rng.shuffle(pool)
     for name in sorted(sig.individuals):
-        size = rng.randint(1, 3)
+        size = randint(1, 3)
         if len(pool) < size:
-            fresh = [ClassicElement(len(world.classic) + k)
-                     for k in range(size)]
-            world.classic.update(fresh)
-            pool.extend(fresh)
+            pool.extend(_interned_classic(n + size)[n:])
+            n += size
         world.indiv_ext[name] = {pool.pop() for _ in range(size)}
+    classic = _interned_classic(n)
+    world.classic = set(classic)
 
-    classic = sorted(world.classic, key=lambda e: e.eid)
-    everything = classic + sorted(world.hosts, key=str)
+    everything = (*classic, *hosts)
     for atom in sorted(sig.atoms):
-        if atom.startswith(HOST_TEST_ATOM_PREFIX):
-            carrier = sorted(world.hosts, key=str)
-        else:
-            carrier = classic
-        world.concept_ext[atom] = {
-            e for e in carrier if rng.random() < 0.5}
+        carrier = hosts if atom.startswith(HOST_TEST_ATOM_PREFIX) else classic
+        world.concept_ext[atom] = {e for e in carrier if rand() < 0.5}
+    top = min(sig.max_number + 1, 4)
     for role in sorted(sig.roles):
         table = world.role_ext[role] = {}
         for e in classic:
-            k = rng.randint(0, min(sig.max_number + 1, 4))
+            k = randint(0, top)
             # Draw until k fillers are distinct; ``everything`` holds at
             # least 16 host elements, so this ends.
             fillers = table[e] = set()
             while len(fillers) < k:
-                fillers.add(rng.choice(
-                    classic if rng.random() < 0.5 else everything))
+                fillers.add(choice(classic if rand() < 0.5 else everything))
     for attr in sorted(sig.attrs):
-        table = {}
+        table = world.attr_ext[attr] = {}
         for e in classic:
-            if rng.random() < 0.8:
-                table[e] = rng.choice(
-                    classic if rng.random() < 0.5 else everything)
-        world.attr_ext[attr] = table
+            if rand() < 0.8:
+                table[e] = choice(classic if rand() < 0.5 else everything)
     for left, right in sorted(sig.equations):
         for e in classic:
-            if rng.random() < 0.5:
+            if rand() < 0.5:
                 _close_equation(world, left, right, e, rng, classic)
     return world
+
+
+_CLASSIC_POOL: list[ClassicElement] = []
+
+
+def _interned_classic(n: int) -> list[ClassicElement]:
+    """A new list of ``ClassicElement(0)`` to ``ClassicElement(n - 1)``,
+    the same objects for every world; elements are immutable."""
+    while len(_CLASSIC_POOL) < n:
+        _CLASSIC_POOL.append(ClassicElement(len(_CLASSIC_POOL)))
+    return _CLASSIC_POOL[:n]
+
+
+@functools.lru_cache(maxsize=16)
+def _host_carrier(margin: int) -> tuple[tuple[HostElement, ...], frozenset]:
+    """The sink and ``margin`` anonymous elements of each host type, sorted
+    by name and as a set.  A world's host set is a copy of the frozenset,
+    which reuses the stored hashes."""
+    types = ("INTEGER", "REAL", "STRING", None)
+    elems = [HostElement(vtype, anon_id=i) for i, vtype in
+             enumerate(t for t in types for _ in range(margin))]
+    elems.append(HostElement(None, anon_id=-1))
+    return tuple(sorted(elems, key=str)), frozenset(elems)
 
 
 def _close_equation(world, left, right, elem, rng, classic) -> None:

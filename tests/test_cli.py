@@ -132,8 +132,13 @@ def test_fuzz_subcommand(capsys):
     code, out, _ = run(capsys, "fuzz", "--seed", "5", "--cases", "40")
     assert code == 0
     data = json.loads(out)
-    assert data["soundness"]["violations"] == 0
+    sound = data["soundness"]
+    assert sound["violations"] == 0
     assert data["completeness"]["violations"] == 0
+    # the command samples 10 worlds per positive case
+    assert 0 < sound["nonvacuous_cases"] <= sound["positives"]
+    assert (sound["nonvacuous_cases"] <= sound["nonvacuous_worlds"]
+            <= 10 * sound["nonvacuous_cases"])
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -15,7 +15,13 @@ from classicdl.graph import (
 from classicdl.kb import expand
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description
-from classicdl.randgen import corpus_kb, random_description, random_pair
+from classicdl import randgen
+from classicdl.randgen import (
+    corpus_kb,
+    random_description,
+    random_pair,
+    soundness_run,
+)
 from classicdl.subsume import subsumes, subsumes_graph
 from classicdl.worlds import (
     eval_description,
@@ -164,6 +170,28 @@ def test_soundness_sampled(seed):
     for w in range(5):
         world = sample_interpretation(sig, seed=seed % 99991 + 3 * w)
         assert eval_description(ce, world) <= eval_description(de, world)
+
+
+def test_soundness_run_counts_nonvacuous_worlds():
+    # the seed-3 corpus: 300 pairs, 20 worlds per positive case
+    stats = soundness_run(3, 300, worlds_per_case=20)
+    assert soundness_run(3, 300, worlds_per_case=20) == stats
+    assert stats.violations == 0
+    assert stats.nonvacuous_cases <= stats.positives
+    assert (stats.nonvacuous_cases <= stats.nonvacuous_worlds
+            <= 20 * stats.nonvacuous_cases)
+    assert (stats.positives, stats.nonvacuous_cases,
+            stats.nonvacuous_worlds) == (194, 140, 1827)
+
+
+def test_soundness_run_catches_every_wrong_yes(monkeypatch):
+    # With every pair answered yes, many containments fail.  Checking D
+    # only inside ext(C) must find as many as comparing ext(C) with the
+    # whole of ext(D) found on the same run: 23.
+    monkeypatch.setattr(randgen, "subsumes_graph", lambda d, g: True)
+    stats = soundness_run(3, 60, worlds_per_case=10)
+    assert stats.positives == 60
+    assert stats.violations == 23
 
 
 @given(seeds)

@@ -19,6 +19,7 @@ from classicdl.worlds import (
     EvalError,
     HostElement,
     Interpretation,
+    Signature,
     bounded_model_search,
     eval_description,
     eval_graph,
@@ -63,6 +64,30 @@ def test_congruent_fillers_count_once(parse):
     assert e0 in eval_description(parse("at-most(1, r)"), w)
     assert e0 not in eval_description(parse("at-least(2, r)"), w)
     assert e0 in eval_description(parse("fills(r, P)"), w)
+
+
+def _count_by_owner_scan(world, elems) -> int:
+    """Congruence classes found element by element: an element of an
+    individual stands for that individual, any other for itself."""
+    keys = set()
+    for e in elems:
+        owners = [n for n, ext in world.indiv_ext.items() if e in ext]
+        keys.add(("ind", owners[0]) if owners else e)
+    return len(keys)
+
+
+def test_count_non_congruent_matches_owner_scan():
+    sig = Signature(roles={"r", "s"}, individuals={"P", "Q", "V"},
+                    max_number=3)
+    merged = 0
+    for seed in range(50):
+        world = sample_interpretation(sig, seed)
+        for table in world.role_ext.values():
+            for fillers in table.values():
+                count = world.count_non_congruent(fillers)
+                assert count == _count_by_owner_scan(world, fillers)
+                merged += count < len(fillers)
+    assert merged > 20, merged
 
 
 def test_jaded_person_witness_world(parse, kb):
