@@ -55,7 +55,6 @@ from .subsume import Failure, covers_everything, explain
 from .worlds import (
     ClassicElement,
     HostElement,
-    host_literal_name,
     Interpretation,
     Signature,
     element_in_graph,
@@ -72,10 +71,11 @@ class CounterModelError(Exception):
 
 @dataclass
 class NodePlan:
-    realm: str | None = None              # override for THING-only nodes
+    host: bool = False                    # THING-only node: a fresh host one
     dom_pick: Individual | None = None    # forced dom/filler join
     dom_avoid: frozenset = frozenset()    # joins to rule out
-    attr_set: dict = field(default_factory=dict)  # attr -> value spec
+    # attr -> a fresh value for it, host (True) or classic (False)
+    attr_set: dict[str, bool] = field(default_factory=dict)
 
 
 @dataclass
@@ -83,34 +83,39 @@ class EdgePlan:
     count: int | None = None
     counter: Failure | None = None         # the body's failure to follow
     dom_avoid: frozenset = frozenset()
-    synthetic_realm: str | None = None    # fillers for a role with no edge
+    # a role with no edge: fresh fillers, host (True) or classic (False)
+    synthetic_host: bool | None = None
 
 
 class _Builder:
     def __init__(self, lattice: HostLattice):
         self.world = Interpretation(lattice=lattice)
+        self.joins: dict = {}  # element -> the Individual it realizes
         self._next_classic = 0
         self._next_anon = 0
 
-    def fresh_classic(self) -> ClassicElement:
-        e = ClassicElement(self._next_classic)
-        self._next_classic += 1
-        self.world.classic.add(e)
-        return e
-
-    def fresh_anon(self, vtype: str | None = None) -> HostElement:
-        e = HostElement(vtype, anon_id=self._next_anon)
-        self._next_anon += 1
-        self.world.hosts.add(e)
+    def fresh(self, host: bool, vtype: str | None = None):
+        """A new anonymous host element of ``vtype``, or a new classic
+        element."""
+        if host:
+            e = HostElement(vtype, anon_id=self._next_anon)
+            self._next_anon += 1
+            self.world.hosts.add(e)
+        else:
+            e = ClassicElement(self._next_classic)
+            self._next_classic += 1
+            self.world.classic.add(e)
         return e
 
     def host_value(self, ind: Individual) -> HostElement:
         e = host_element_for(ind)
         self.world.hosts.add(e)
+        self.joins[e] = ind
         return e
 
-    def join_individual(self, name: str, elem) -> None:
-        self.world.indiv_ext.setdefault(name, set()).add(elem)
+    def join_individual(self, ind: Individual, elem) -> None:
+        self.world.indiv_ext.setdefault(ind.name, set()).add(elem)
+        self.joins[elem] = ind
 
     def add_membership(self, atom: str, elem) -> None:
         self.world.concept_ext.setdefault(atom, set()).add(elem)
@@ -136,15 +141,14 @@ def construct_graphical_world(g: DescriptionGraph,
         raise ValueError("cannot build a world for an incoherent graph")
     lattice = kb.lattice if kb is not None else HostLattice()
     b = _Builder(lattice)
-    plans: dict[int, NodePlan] = {}
-    edge_plans: dict[tuple[int, str], EdgePlan] = {}
-    if steering is not None:
+    if steering is None:
+        elems = _build_island(b, g, {}, {})
+    else:
         failure = explain(steering, g)
         if failure is None:
             raise ValueError("the description subsumes the graph; no "
                              "counter-model exists")
-        _plan(failure, plans, edge_plans, lattice)
-    elems = _build_island(b, g, plans, edge_plans)
+        elems = _counter_build(b, failure)
     distinguished = elems[g.root]
     _finalize(b, g, steering, lattice)
     world = b.world
@@ -222,17 +226,9 @@ def _build_island(b: _Builder, g: DescriptionGraph,
     for e in g.a_edges:
         b.set_attr(e.attr, elems[e.src], elems[e.dst])
     for nid, plan in plans.items():
-        for attr, spec in plan.attr_set.items():
-            b.set_attr(attr, elems[nid], _resolve_value(b, spec))
+        for attr, host in plan.attr_set.items():
+            b.set_attr(attr, elems[nid], b.fresh(host))
     return elems
-
-
-def _resolve_value(b: _Builder, spec: str):
-    if spec == "fresh-anon":
-        return b.fresh_anon()
-    if spec == "fresh-classic":
-        return b.fresh_classic()
-    raise CounterModelError("unknown attribute value spec %r" % spec)
 
 
 def _minimal_host_type(node: GraphNode, lattice) -> str | None:
@@ -275,7 +271,7 @@ def _build_node(b: _Builder, nid: int, node: GraphNode,
                 raise CounterModelError("classic join on a host node")
             elem = b.host_value(join)
         else:
-            elem = b.fresh_anon(_minimal_host_type(node, lattice))
+            elem = b.fresh(True, _minimal_host_type(node, lattice))
         for atom in node.atoms:
             if atom.startswith(HOST_TEST_ATOM_PREFIX):
                 b.add_membership(atom, elem)
@@ -284,12 +280,12 @@ def _build_node(b: _Builder, nid: int, node: GraphNode,
     classicish = CLASSIC_THING in node.atoms or any(
         a not in (THING, NOTHING) and not lattice.is_type(a)
         for a in node.atoms)
-    if not classicish and plan is not None and plan.realm == "host":
-        return b.fresh_anon()
+    if not classicish and plan is not None and plan.host:
+        return b.fresh(True)
     join = _pick_join(node, plan, forced_fillers)
     if not classicish and join is not None and join.is_host:
         return b.host_value(join)
-    elem = b.fresh_classic()
+    elem = b.fresh(False)
     for atom in node.atoms:
         if atom in (THING, CLASSIC_THING, NOTHING) or lattice.is_type(atom):
             continue
@@ -297,16 +293,13 @@ def _build_node(b: _Builder, nid: int, node: GraphNode,
     if join is not None:
         if join.is_host:
             raise CounterModelError("host join on a classic node")
-        b.join_individual(join.name, elem)
+        b.join_individual(join, elem)
     for e in node.r_edges:
         _build_redge(b, elem, e, edge_plans.get((nid, e.role)))
     for (pnid, role), eplan in edge_plans.items():
-        if pnid == nid and eplan.synthetic_realm is not None:
-            count = eplan.count if eplan.count is not None else 1
-            for _ in range(count):
-                filler = (b.fresh_anon() if eplan.synthetic_realm == "host"
-                          else b.fresh_classic())
-                b.add_role_pair(role, elem, filler)
+        if pnid == nid and eplan.synthetic_host is not None:
+            for _ in range(eplan.count):
+                b.add_role_pair(role, elem, b.fresh(eplan.synthetic_host))
     return elem
 
 
@@ -318,12 +311,10 @@ def _build_redge(b: _Builder, parent, e, plan: EdgePlan | None) -> None:
     used: set[Individual] = set()
 
     if counter is not None:
-        sub = _counter_build(b, counter)
-        root_elem = sub[e.restriction.root]
+        root_elem = _counter_build(b, counter)[e.restriction.root]
         filler_elems.append(root_elem)
-        j = _join_of(b, root_elem)
-        if j is not None:
-            used.add(j)
+        if root_elem in b.joins:
+            used.add(b.joins[root_elem])
 
     if plan and plan.count is not None:
         k = plan.count
@@ -367,17 +358,8 @@ def _bounded(value, cap):
     return value if cap == INF else int(min(value, cap))
 
 
-def _join_of(b: _Builder, elem) -> Individual | None:
-    if isinstance(elem, ClassicElement):
-        name = b.world.owner_individual(elem)
-        return Individual(name) if name is not None else None
-    if isinstance(elem, HostElement) and not elem.is_anon:
-        return Individual(host_literal_name(elem.vtype, elem.value),
-                          elem.vtype, elem.value)
-    return None
-
-
 def _counter_build(b: _Builder, failure: Failure) -> dict:
+    """Build the island of ``failure.graph``, steered by ``_plan``."""
     plans: dict[int, NodePlan] = {}
     edge_plans: dict[tuple[int, str], EdgePlan] = {}
     _plan(failure, plans, edge_plans, b.world.lattice)
@@ -435,17 +417,15 @@ def _plan(failure: Failure, plans: dict[int, NodePlan],
         return
     if isinstance(d, ClassicThing):
         if HOST_THING not in node.atoms:
-            _node_plan(plans, nid).realm = "host"
+            _node_plan(plans, nid).host = True
         return
     if isinstance(d, HostThing):
-        _node_plan(plans, nid).realm = "classic"
-        return
+        return  # a node without HOST-THING is built classic anyway
     if isinstance(d, AtLeast):
         e = g.role_edge(nid, d.role)
         if e is None:
-            if d.n > 1:
-                edge_plans[(nid, d.role)] = EdgePlan(
-                    count=d.n - 1, synthetic_realm="classic")
+            edge_plans[(nid, d.role)] = EdgePlan(count=d.n - 1,
+                                                 synthetic_host=False)
             return
         edge_plans[(nid, d.role)] = EdgePlan(count=_bounded(d.n - 1, e.max))
         return
@@ -453,30 +433,29 @@ def _plan(failure: Failure, plans: dict[int, NodePlan],
         e = g.role_edge(nid, d.role)
         if e is None:
             edge_plans[(nid, d.role)] = EdgePlan(
-                count=d.n + 1, synthetic_realm="classic")
+                count=d.n + 1, synthetic_host=False)
             return
         edge_plans[(nid, d.role)] = EdgePlan(count=max(e.min, d.n + 1))
         return
     if isinstance(d, AllRole):
         if covers_everything(d.restriction):
             # The body covers everything, so the root must be non-classic.
-            _node_plan(plans, nid).realm = "host"
+            _node_plan(plans, nid).host = True
         elif failure.inner is not None:
             # The body fails in the edge's restriction graph.
             edge_plans[(nid, d.role)] = EdgePlan(counter=failure.inner)
         else:
-            realm = "classic" if _host_confined(d.restriction) else "host"
-            edge_plans[(nid, d.role)] = EdgePlan(count=1,
-                                                 synthetic_realm=realm)
+            edge_plans[(nid, d.role)] = EdgePlan(
+                count=1, synthetic_host=not _host_confined(d.restriction))
         return
     if isinstance(d, AllAttr):
         # A body failing through an edge is reported at the edge's target,
         # so the attribute has no edge here.
         if covers_everything(d.restriction):
-            _node_plan(plans, nid).realm = "host"
+            _node_plan(plans, nid).host = True
         else:
-            _node_plan(plans, nid).attr_set[d.attr] = "fresh-" + (
-                "classic" if _host_confined(d.restriction) else "anon")
+            _node_plan(plans, nid).attr_set[d.attr] = not _host_confined(
+                d.restriction)
         return
     if isinstance(d, SameAs):
         _plan_same_as(d, g, nid, plans)
@@ -543,16 +522,16 @@ def _plan_same_as(d: SameAs, g: DescriptionGraph, nid: int,
         # test, so a classic junction has two distinct tail attributes.
         plan = _node_plan(plans, l_pre)
         if CLASSIC_THING not in g.nodes[l_pre].atoms:
-            plan.realm = "host"
+            plan.host = True
             return
         if not l_full:
-            plan.attr_set[d.left[-1]] = "fresh-anon"
+            plan.attr_set[d.left[-1]] = True
         if not r_full:
-            plan.attr_set[d.right[-1]] = "fresh-anon"
+            plan.attr_set[d.right[-1]] = True
         return
     # Prefixes end at distinct nodes: give any missing tail its own fresh
     # value; existing tails point at distinct nodes already.
     if not l_full:
-        _node_plan(plans, l_pre).attr_set[d.left[-1]] = "fresh-anon"
+        _node_plan(plans, l_pre).attr_set[d.left[-1]] = True
     if not r_full:
-        _node_plan(plans, r_pre).attr_set[d.right[-1]] = "fresh-anon"
+        _node_plan(plans, r_pre).attr_set[d.right[-1]] = True

@@ -28,10 +28,6 @@ REALM_CLASSIC = "classic"
 REALM_HOST = "host"
 
 
-def quote_string(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 @dataclass(frozen=True)
 class Individual:
     """A classic individual name or a typed host value.
@@ -55,16 +51,24 @@ class Individual:
         return self.name
 
 
+def literal_name(host_type: str, value) -> str:
+    """Canonical source spelling of a host literal."""
+    if host_type == "STRING":
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return repr(value) if host_type == "REAL" else str(value)
+
+
 def host_int(n: int) -> Individual:
-    return Individual(str(n), "INTEGER", n)
+    return Individual(literal_name("INTEGER", n), "INTEGER", n)
 
 
 def host_real(x: float) -> Individual:
-    return Individual(repr(float(x)), "REAL", float(x))
+    x = float(x)
+    return Individual(literal_name("REAL", x), "REAL", x)
 
 
 def host_string(s: str) -> Individual:
-    return Individual(quote_string(s), "STRING", s)
+    return Individual(literal_name("STRING", s), "STRING", s)
 
 
 class Description:

@@ -13,6 +13,11 @@ fresh ones, which makes the disjoint unions taken during merging
 trivially collision-free; structural equality is therefore always up to
 renaming (see ``isomorphic``).
 
+A graph is either coherent or *the* incoherent graph: a single node
+labelled NOTHING, no edge, and the ``incoherent`` flag set.
+``mark_incoherent`` is the one builder of that shape; ``incoherent_graph``
+and every conflict rule of ``normalize`` go through it.
+
 ``merge_graphs`` and ``merge_nodes`` are n-ary and move their inputs into
 the result instead of cloning them, so ``translate`` builds each graph in
 one pass.  The result shares nodes, r-edges and filler sets with its
@@ -203,14 +208,21 @@ class DescriptionGraph:
             " incoherent" if self.incoherent else "")
 
 
-def incoherent_node() -> GraphNode:
-    return GraphNode(atoms={NOTHING}, r_edges=[], dom=None)
+def mark_incoherent(g: DescriptionGraph) -> bool:
+    """Turn ``g``, in place, into the incoherent graph: one NOTHING node
+    and no edge.  Returns whether ``g`` was coherent before."""
+    if g.incoherent:
+        return False
+    g.nodes = {}
+    g.a_edges = []
+    g.root = g.add_node(GraphNode(atoms={NOTHING}))
+    g.incoherent = True
+    return True
 
 
 def incoherent_graph() -> DescriptionGraph:
     g = DescriptionGraph()
-    g.root = g.add_node(incoherent_node())
-    g.incoherent = True
+    mark_incoherent(g)
     return g
 
 

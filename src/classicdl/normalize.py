@@ -6,19 +6,23 @@ a graph and all of its nested restriction graphs:
 * atom closure — seed CLASSIC-THING next to atomic concepts, HOST-THING
   next to host concepts, and close host concepts upward through the type
   lattice;
-* realm and bound conflicts — a node in both realms, incomparable host
-  types, an empty dom, a min above a max, or two atoms from one declared
-  disjointness group mark the node incoherent;
-* incoherence propagation — an incoherent node makes its whole graph
-  incoherent (attributes are total, so every node must be satisfiable); an
-  incoherent restriction forces the edge max to zero; a zero max marks the
-  restriction incoherent;
+* realm and bound conflicts — a node in both realms or labelled NOTHING,
+  incomparable host types, an empty dom, a min above a max, or two atoms
+  from one declared disjointness group make the whole graph incoherent
+  (attributes are total, so every node must be satisfiable);
+* incoherence propagation — an incoherent restriction forces the edge max
+  to zero; a zero max makes the restriction incoherent;
 * edge merging — two r-edges with the same role combine bounds and merge
   their restriction graphs; two a-edges with the same source and attribute
   collapse their targets.  Target collapses cascade, so they are driven by
   a union-find pass over the merge-pending node classes;
 * individual bookkeeping — filler sets push into doms and mins, doms cap
-  maxes, and contradictions between fillers and doms mark incoherence.
+  maxes, and contradictions between fillers and doms make the graph
+  incoherent.
+
+Every conflict makes its graph incoherent at once, through
+``graph.mark_incoherent``, and a graph's rules stop there: nothing is
+left to rewrite in the incoherent graph.
 
 The rules of a graph read its restriction graphs but change only their
 own graph, with two exceptions: an r-edge merge builds a new restriction
@@ -48,39 +52,14 @@ from .graph import (
     DescriptionGraph,
     GraphNode,
     REdge,
-    incoherent_node,
     intersect_doms,
+    mark_incoherent,
     merge_graphs,
     merge_nodes,
 )
 from .kb import HostLattice, KnowledgeBase
 
 _DEFAULT_LATTICE = HostLattice()
-
-
-def is_incoherent_node(node: GraphNode) -> bool:
-    return NOTHING in node.atoms
-
-
-def mark_node_incoherent(node: GraphNode) -> bool:
-    """Replace the node's content with the incoherent shape; returns
-    whether anything changed."""
-    if node.atoms == {NOTHING} and not node.r_edges and node.dom is None:
-        return False
-    node.atoms = {NOTHING}
-    node.r_edges = []
-    node.dom = None
-    return True
-
-
-def mark_graph_incoherent(g: DescriptionGraph) -> bool:
-    if g.incoherent:
-        return False
-    g.nodes = {}
-    g.a_edges = []
-    g.root = g.add_node(incoherent_node())
-    g.incoherent = True
-    return True
 
 
 def canonicalize(g: DescriptionGraph,
@@ -107,19 +86,21 @@ def canonicalize(g: DescriptionGraph,
 
 
 def _normalize_graph(g: DescriptionGraph, lattice, groups, schedule) -> None:
-    """Run ``g``'s own rules to a fixpoint.  Its restriction graphs must be
-    canonical already; a rule that changes one re-normalizes it."""
+    """Run ``g``'s own rules to a fixpoint, or until a conflict makes it
+    incoherent.  Its restriction graphs must be canonical already; a rule
+    that changes one re-normalizes it."""
     step = 1 if schedule == "standard" else -1
+    passes = (_node_local_pass, _redge_pass, _aedge_pass,
+              _individual_pass)[::step]
     while not g.incoherent:
         node_order = list(g.nodes)[::step]
         changed = False
-        for p in (_node_local_pass, _redge_pass, _aedge_pass,
-                  _individual_pass)[::step]:
+        for p in passes:
             changed |= p(g, node_order, lattice, groups, schedule)
+            if g.incoherent:
+                return
             node_order = [n for n in node_order if n in g.nodes]
-        if any(is_incoherent_node(n) for n in g.nodes.values()):
-            mark_graph_incoherent(g)
-        elif not changed:
+        if not changed:
             return
 
 
@@ -131,19 +112,17 @@ def _node_local_pass(g, node_order, lattice, groups, schedule) -> bool:
     for nid in node_order:
         node = g.nodes[nid]
         changed |= _close_atoms(node, lattice)
-        changed |= _realm_conflicts(node, lattice)
-        changed |= _disjointness(node, groups)
-        if any(e.min > e.max for e in node.r_edges):
-            changed |= mark_node_incoherent(node)
-        if node.dom is not None and not node.dom:
-            changed |= mark_node_incoherent(node)
+        if (_realm_conflicts(node, lattice) or _disjointness(node, groups)
+                or any(e.min > e.max for e in node.r_edges)
+                or node.dom is not None and not node.dom):
+            return mark_incoherent(g)
         changed |= _dom_typing(node, lattice)
         for e in node.r_edges:
             if e.restriction.incoherent and e.max != 0:
                 e.max = 0
                 changed = True
             if e.max == 0 and not e.restriction.incoherent:
-                changed |= mark_graph_incoherent(e.restriction)
+                changed |= mark_incoherent(e.restriction)
     return changed
 
 
@@ -172,23 +151,20 @@ def _close_atoms(node: GraphNode, lattice) -> bool:
 
 
 def _realm_conflicts(node: GraphNode, lattice) -> bool:
+    """Whether the node is NOTHING, in both realms, or of two incomparable
+    host types."""
     if NOTHING in node.atoms:
-        return mark_node_incoherent(node)
+        return True
     if HOST_THING in node.atoms and CLASSIC_THING in node.atoms:
-        return mark_node_incoherent(node)
+        return True
     hosts = sorted(a for a in node.atoms if lattice.is_type(a))
-    for i, a in enumerate(hosts):
-        for b in hosts[i + 1:]:
-            if not lattice.comparable(a, b):
-                return mark_node_incoherent(node)
-    return False
+    return any(not lattice.comparable(a, b)
+               for i, a in enumerate(hosts) for b in hosts[i + 1:])
 
 
 def _disjointness(node: GraphNode, groups) -> bool:
-    for group in groups:
-        if len(group & node.atoms) >= 2:
-            return mark_node_incoherent(node)
-    return False
+    """Whether the node has two atoms of one disjointness group."""
+    return any(len(group & node.atoms) >= 2 for group in groups)
 
 
 def _atom_admits_host_value(atom: str, ind: Individual, lattice) -> bool:
@@ -337,13 +313,10 @@ def _individual_pass(g, node_order, lattice, groups, schedule) -> bool:
     changed = False
     # a-edges: filler multiplicity, dom pushing, filler/dom agreement.
     for e in g.a_edges:
-        if len(e.fillers) > 1:
-            changed |= mark_graph_incoherent(g)
-            return changed
         end = g.nodes[e.dst]
-        if e.fillers and end.dom is not None and not e.fillers <= end.dom:
-            changed |= mark_graph_incoherent(g)
-            return changed
+        if len(e.fillers) > 1 or (e.fillers and end.dom is not None
+                                  and not e.fillers <= end.dom):
+            return mark_incoherent(g)
         # An attribute has one value, so a filler narrows the target's dom
         # to itself whether or not the dom was already set.
         if e.fillers and end.dom != e.fillers:
@@ -368,8 +341,7 @@ def _individual_pass(g, node_order, lattice, groups, schedule) -> bool:
             head = e.restriction.root_node
             if e.fillers and (head.dom is not None
                               and not e.fillers <= head.dom):
-                changed |= mark_node_incoherent(node)
-                break
+                return mark_incoherent(g)
             if head.dom is not None:
                 if e.max > len(head.dom):
                     e.max = len(head.dom)

@@ -41,6 +41,7 @@ from .descriptions import (
     HostConcept,
     HostThing,
     Individual,
+    literal_name,
     NamedRef,
     NOTHING,
     Nothing,
@@ -90,16 +91,7 @@ class HostElement:
     def __str__(self):
         if self.is_anon:
             return "#%s%d" % (self.vtype or "opaque", self.anon_id)
-        return host_literal_name(self.vtype, self.value)
-
-
-def host_literal_name(vtype, value) -> str:
-    """Canonical source spelling of a host literal."""
-    from .descriptions import quote_string
-
-    if vtype == "STRING":
-        return quote_string(value)
-    return repr(value) if vtype == "REAL" else str(value)
+        return literal_name(self.vtype, self.value)
 
 
 def host_element_for(ind: Individual) -> HostElement:
@@ -151,14 +143,6 @@ class Interpretation:
         if ind.name not in self.indiv_ext:
             raise EvalError("uninterpreted individual: %s" % ind.name)
         return self.indiv_ext[ind.name]
-
-    def owner_individual(self, elem) -> str | None:
-        """The classic individual whose extension holds the element, if
-        any; extensions are pairwise disjoint so there is at most one."""
-        for name in self.indiv_ext:
-            if elem in self.indiv_ext[name]:
-                return name
-        return None
 
     def count_non_congruent(self, elems) -> int:
         """The number of congruence classes among distinct elements: the

@@ -101,6 +101,27 @@ def test_countermodel_construction_failure_exit_code(capsys):
     assert "error" in err
 
 
+def test_countermodel_host_literal_identity_corner(capsys):
+    # A host literal is one element, so f and g are equal in every world
+    # where both are filled with 1; the structural test still answers "no".
+    same, host = "same-as((f),(g))", "and(fills(f, 1), fills(g, 1))"
+    code, out, _ = run(capsys, "subsumes", same, host)
+    assert code == 1 and out.strip() == "no"
+    code, out, err = run(capsys, "countermodel", same, host)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    # A classic individual denotes a set of elements, so f and g can
+    # differ inside it and the world exists.
+    for classic in ("and(fills(f, P), fills(g, P))",
+                    "and(all(f, one-of(P)), all(g, one-of(P)))"):
+        code, out, _ = run(capsys, "countermodel", same, classic)
+        assert code == 0
+        world = json.loads(out)
+        assert world["individuals"]["P"] == sorted(
+            world["attributes"][a][world["distinguished"]] for a in "fg")
+
+
 def test_countermodel_rejects_seed_flag():
     with pytest.raises(SystemExit) as exc:
         main(["countermodel", "--seed", "1", "GAME", "PERSON"])
