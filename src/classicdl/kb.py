@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
+from operator import is_
 
 from .descriptions import (
     AllAttr,
@@ -145,37 +146,43 @@ def expand(d: Description, kb: KnowledgeBase) -> Description:
     body that is not equivalent to the registered one is an error, as is
     expansion growth past ``kb.expansion_limit``.
     """
-    budget = [kb.expansion_limit]
+    return _expand(d, kb, frozenset(), [kb.expansion_limit])
 
-    def go(node: Description, active: frozenset[str]) -> Description:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise KbError("expansion exceeds the configured size limit "
-                          "(%d nodes)" % kb.expansion_limit)
-        if isinstance(node, NamedRef):
-            if node.name in active:
-                raise KbError("recursive named concept: %s" % node.name)
-            if node.name not in kb.named:
-                raise KbError("unknown named concept: %s" % node.name)
-            return go(kb.named[node.name], active | {node.name})
-        if isinstance(node, And):
-            return And(tuple(go(c, active) for c in node.items))
-        if isinstance(node, AllRole):
-            return AllRole(node.role, go(node.restriction, active))
-        if isinstance(node, AllAttr):
-            return AllAttr(node.attr, go(node.restriction, active))
-        if isinstance(node, Primitive):
-            body = go(node.body, active)
-            _register_primitive(kb, node.tag, body)
-            return And((ConceptName(primitive_atom(node.tag)), body))
-        if isinstance(node, Test):
-            atom = ConceptName(test_atom(node.func, node.realm))
-            marker: Description = (
-                HostThing() if node.realm == REALM_HOST else ClassicThing())
-            return And((atom, marker))
-        return node
 
-    return go(d, frozenset())
+def _expand(node: Description, kb: KnowledgeBase, active: frozenset[str],
+            budget: list[int]) -> Description:
+    """``expand`` below the named concepts ``active``, with ``budget[0]``
+    nodes left to visit.  A node none of whose parts changes is returned
+    itself."""
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise KbError("expansion exceeds the configured size limit "
+                      "(%d nodes)" % kb.expansion_limit)
+    if isinstance(node, NamedRef):
+        if node.name in active:
+            raise KbError("recursive named concept: %s" % node.name)
+        if node.name not in kb.named:
+            raise KbError("unknown named concept: %s" % node.name)
+        return _expand(kb.named[node.name], kb, active | {node.name}, budget)
+    if isinstance(node, And):
+        items = tuple([_expand(c, kb, active, budget) for c in node.items])
+        return node if all(map(is_, items, node.items)) else And(items)
+    if isinstance(node, AllRole):
+        body = _expand(node.restriction, kb, active, budget)
+        return node if body is node.restriction else AllRole(node.role, body)
+    if isinstance(node, AllAttr):
+        body = _expand(node.restriction, kb, active, budget)
+        return node if body is node.restriction else AllAttr(node.attr, body)
+    if isinstance(node, Primitive):
+        body = _expand(node.body, kb, active, budget)
+        _register_primitive(kb, node.tag, body)
+        return And((ConceptName(primitive_atom(node.tag)), body))
+    if isinstance(node, Test):
+        atom = ConceptName(test_atom(node.func, node.realm))
+        marker: Description = (
+            HostThing() if node.realm == REALM_HOST else ClassicThing())
+        return And((atom, marker))
+    return node
 
 
 def _register_primitive(kb: KnowledgeBase, tag: str, body: Description) -> None:

@@ -15,16 +15,18 @@ KB files are line-oriented: ``role NAME``, ``attribute NAME``,
 ``individual NAME``, ``host-type NAME [subtype-of NAME]``,
 ``concept NAME := DESC``, ``disjoint ATOM ATOM ...``; ``#`` starts a
 comment.  Concept bodies may reference concepts declared on any line;
-host-type parents must be declared first.  A disjoint group names only
-atoms that no line declares and that are not host types.
+host-type parents must be declared first.  A disjoint group names, once
+each, only atoms that no line declares and that are not host types.
 
-:func:`tokenize` is the one lexical pass; it also collects the names
-inside same-as chains.  Tokens are plain ``(kind, text, pos)`` tuples.
-``parse_description`` lexes its text once and ``parse_kb`` each line once;
-a concept body is parsed from its line's tokens, so its error offsets
-count from the start of the line like every other KB error.  A two-entry
-memo on ``tokenize`` makes ``infer_attr_names(d, c)`` followed by
-``parse_description`` of each lex each distinct text once.
+:func:`tokenize` is the one lexical pass: one ``findall`` yields the
+tokens as plain strings, whose kind is their first character, and the
+names inside same-as chains are collected from them.  Offsets are computed
+only for an error.  ``parse_description`` lexes its text once and
+``parse_kb`` each line once; a concept body is parsed from its line's
+tokens, so its error offsets count from the start of the line like every
+other KB error.  A two-entry memo on ``tokenize`` makes
+``infer_attr_names(d, c)`` followed by ``parse_description`` of each lex
+each distinct text once.
 
 With a knowledge base in hand the parser is strict: every role, attribute,
 and individual must be declared, in KB files and in descriptions parsed
@@ -81,119 +83,131 @@ class ParseError(Exception):
         super().__init__("%s (%s)" % (message, where))
 
 
-# Whitespace and comments are skipped before each token; the most frequent
-# kinds come first.  ``eof`` matches at the end of the text and ``bad`` at
-# any other character, so the matches cover the text without gaps.
-_TOKEN_RE = re.compile(r"""
-    \s*(?:\#[^\n]*\s*)*
-    (?:
-        (?P<ident>[A-Za-z_][A-Za-z0-9_!?-]*)
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<comma>,)
-      | (?P<decimal>\d+\.\d+)
-      | (?P<int>\d+)
-      | (?P<string>"(?:[^"\\]|\\.)*")
-      | (?P<assign>:=)
-      | (?P<eof>\Z)
-      | (?P<bad>.)
-    )
-""", re.VERBOSE | re.DOTALL)
+# One token: an identifier, a parenthesis or comma, a number, a string
+# literal, ``:=`` or a comment.  A token's kind is its first character.
+_TOKEN = (r"""[A-Za-z_][A-Za-z0-9_!?-]*|[(),]|\d+\.\d+|\d+|"""
+          r""""(?:[^"\\]|\\.)*"|:=|#[^\n]*""")
+# ``findall`` yields the tokens of a text without bad characters.
+_TOKEN_RE = re.compile(r"\s*(%s)" % _TOKEN, re.DOTALL)
+# The longest prefix of a text that is a run of tokens and whitespace: it
+# ends at the first character that starts no token.
+_TEXT_RE = re.compile(r"(?:[\s(),]+|%s)*" % _TOKEN, re.DOTALL)
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+                        "abcdefghijklmnopqrstuvwxyz")
 
-KEYWORDS = frozenset({
-    "and", "all", "at-least", "at-most", "same-as", "fills", "one-of",
-    "primitive", "test", "thing", "classic-thing", "host-thing", "nothing",
-})
+# Per name position: the token expected, the noun for an unknown name, and
+# the message for a name declared as another kind.
+_REFS = {
+    ("role", "attribute"): (
+        "a role or attribute name", "role or attribute",
+        "%s is declared as a %s, not a role or attribute"),
+    ("role",): ("a role name", "role", "number restrictions take a role; "
+                "%s is declared as a %s"),
+    ("attribute",): ("an attribute name", "attribute", "same-as chains "
+                     "contain attributes only; %s is declared as a %s"),
+}
+_CONSTANTS = {"thing": Thing, "classic-thing": ClassicThing,
+              "host-thing": HostThing, "nothing": Nothing}
+KEYWORDS = frozenset({"and", "all", "at-least", "at-most", "same-as",
+                      "fills", "one-of", "primitive", "test", *_CONSTANTS})
 
 # Graph node labels are reserved so user atoms never collide with them.
 _RESERVED_ATOMS = frozenset({"THING", "CLASSIC-THING", "HOST-THING",
                              "NOTHING"})
 
 
+def _is_name(token: str) -> bool:
+    return token[:1] in _NAME_START
+
+
 @functools.lru_cache(maxsize=2)
 def tokenize(text: str, line: int | None = None
-             ) -> tuple[tuple[tuple[str, str, int], ...], frozenset[str]]:
-    """The tokens of ``text``, ending with an ``eof`` token, and the names
-    inside its same-as chains: identifiers two or more parentheses deep
-    after a ``same-as``, up to the parenthesis that closes it.  Both are
-    immutable, as the memo shares them; errors carry each call's line."""
-    tokens = []
-    chain_names = set()
-    depth = None  # parenthesis depth inside the open same-as, if any
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "eof":
-            break
-        value = m.group(kind)
-        pos = m.start(kind)
-        if kind == "bad":
-            raise ParseError("unexpected character %r" % value, pos, line)
-        tokens.append((kind, value, pos))
-        if depth is not None:
-            if kind == "lparen":
-                depth += 1
-            elif kind == "rparen":
-                depth -= 1
-                if depth <= 0:
-                    depth = None
-            elif kind == "ident" and depth >= 2:
-                chain_names.add(value)
-        elif kind == "ident" and value == "same-as":
+             ) -> tuple[tuple[str, ...], frozenset[str]]:
+    """The token strings of ``text``, without comments and ending with an
+    empty string, and the names inside its same-as chains: identifiers two
+    or more parentheses deep after a ``same-as``, up to the parenthesis
+    that closes it.  Both are immutable, as the memo shares them; errors
+    carry each call's line.  A token's offset is computed only for an
+    error message (:func:`_offsets`)."""
+    end = _TEXT_RE.match(text).end()
+    if end < len(text):
+        raise ParseError("unexpected character %r" % text[end], end, line)
+    # Trailing whitespace would be searched again from each of its offsets.
+    tokens = _TOKEN_RE.findall(text, 0, len(text.rstrip()))
+    if "#" in text:
+        tokens = [tok for tok in tokens if tok[0] != "#"]
+    tokens = (*tokens, "")
+    return tokens, _chain_names(tokens) if "same-as" in text else frozenset()
+
+
+def _chain_names(tokens: tuple[str, ...]) -> frozenset[str]:
+    names = set()
+    i = 0
+    try:
+        while True:
+            i = tokens.index("same-as", i) + 1
             depth = 0
-    tokens.append(("eof", "", len(text)))
-    return tuple(tokens), frozenset(chain_names)
+            for i in range(i, len(tokens)):
+                tok = tokens[i]
+                if tok == "(":
+                    depth += 1
+                elif tok == ")":
+                    depth -= 1
+                    if depth <= 0:
+                        break
+                elif depth >= 2:
+                    names.add(tok)
+    except ValueError:  # no further same-as
+        return frozenset(filter(_is_name, names))
+
+
+def _offsets(text: str) -> list[int]:
+    """The offset of each token of ``tokenize(text)``, the end included."""
+    matches = _TOKEN_RE.finditer(text, 0, len(text.rstrip()))
+    return [m.start(1) for m in matches if m.group(1)[0] != "#"] + [len(text)]
 
 
 def _unquote(text: str) -> str:
-    out = []
-    i = 1
-    while i < len(text) - 1:
-        c = text[i]
-        if c == "\\":
-            i += 1
-            c = text[i]
-        out.append(c)
-        i += 1
-    return "".join(out)
+    return re.sub(r"\\(.)", r"\1", text[1:-1], flags=re.DOTALL)
 
 
 class _DescriptionParser:
-    def __init__(self, tokens: tuple, kb: KnowledgeBase | None,
-                 inferred_attrs: set[str], line: int | None = None):
+    """Recursive descent over the token strings of ``text`` from token
+    ``start``; ``self.i`` is the index of the next token."""
+
+    def __init__(self, tokens: tuple[str, ...], kb: KnowledgeBase | None,
+                 inferred_attrs: set[str], text: str,
+                 line: int | None = None, start: int = 0):
         self.tokens = tokens
         self.kb = kb
-        self.line = line
-        self.pos = 0
         self.inferred_attrs = inferred_attrs
+        self.text = text
+        self.line = line
+        self.i = start
 
-    # -- token plumbing --
+    def fail(self, message: str, i: int | None = None):
+        """Raise at token ``i``, by default the next one."""
+        i = self.i if i is None else i
+        raise ParseError(message, _offsets(self.text)[i], self.line)
 
-    def peek(self) -> tuple:
-        return self.tokens[self.pos]
+    def expected(self, what: str, i: int | None = None):
+        i = self.i if i is None else i
+        self.fail("expected %s, found %r"
+                  % (what, self.tokens[i] or "end of input"), i)
 
-    def take(self) -> tuple:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> tuple:
-        tok = self.peek()
-        if tok[0] != kind:
-            self.fail("expected %s, found %r" % (what, tok[1] or "end of input"),
-                      tok)
-        return self.take()
-
-    def fail(self, message: str, tok: tuple | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok[2], self.line)
+    def name(self, what: str) -> str:
+        """Take the next token, which must be an identifier."""
+        name = self.tokens[self.i]
+        if not _is_name(name):
+            self.expected(what)
+        self.i += 1
+        return name
 
     def whole(self) -> Description:
         """A description that runs to the end of the tokens."""
         d = self.description()
-        tok = self.peek()
-        if tok[0] != "eof":
-            self.fail("unexpected trailing input %r" % tok[1], tok)
+        if self.tokens[self.i]:
+            self.fail("unexpected trailing input %r" % self.tokens[self.i])
         return d
 
     # -- name classification --
@@ -205,90 +219,60 @@ class _DescriptionParser:
             return "attribute"
         return None
 
-    def pname(self, what: str = "role or attribute") -> tuple[str, str]:
-        tok = self.expect("ident", "a %s name" % what)
-        name = tok[1]
+    def ref(self, kinds: tuple[str, ...]) -> tuple[str, str]:
+        """Take the next token as the name of one of ``kinds`` and return
+        it with its kind; without a knowledge base an unknown name is a
+        ``kinds[0]``."""
+        name = self.tokens[self.i]
+        if not _is_name(name):
+            self.expected(_REFS[kinds][0])
         kind = self.kind_of(name)
-        if kind in ("role", "attribute"):
-            return name, kind
-        if kind is not None:
-            self.fail("%s is declared as a %s, not a role or attribute"
-                      % (name, kind), tok)
-        if self.kb is not None:
-            self.fail("unknown role or attribute: %s" % name, tok)
-        return name, "role"
-
-    def rname(self) -> str:
-        tok = self.expect("ident", "a role name")
-        name = tok[1]
-        kind = self.kind_of(name)
-        if kind == "role":
-            return name
-        if kind is not None:
-            self.fail("number restrictions take a role; %s is declared as "
-                      "a %s" % (name, kind), tok)
-        if self.kb is not None:
-            self.fail("unknown role: %s" % name, tok)
-        return name
-
-    def aname(self) -> str:
-        tok = self.expect("ident", "an attribute name")
-        name = tok[1]
-        kind = self.kind_of(name)
-        if kind == "attribute":
-            return name
-        if kind is not None:
-            self.fail("same-as chains contain attributes only; %s is "
-                      "declared as a %s" % (name, kind), tok)
-        if self.kb is not None:
-            self.fail("unknown attribute: %s" % name, tok)
-        return name
+        if kind not in kinds:
+            _, noun, misuse = _REFS[kinds]
+            if kind is not None:
+                self.fail(misuse % (name, kind))
+            if self.kb is not None:
+                self.fail("unknown %s: %s" % (noun, name))
+            kind = kinds[0]
+        self.i += 1
+        return name, kind
 
     def individual(self) -> Individual:
-        tok = self.take()
-        lexeme, text, _ = tok
-        if lexeme == "int":
-            return host_int(int(text))
-        if lexeme == "decimal":
-            return host_real(float(text))
-        if lexeme == "string":
-            return host_string(_unquote(text))
-        if lexeme == "ident":
-            if self.kb is not None:
-                if text in self.kb.individuals:
-                    return self.kb.individuals[text]
-                kind = self.kb.kind_of(text)
-                if kind is not None:
-                    self.fail("%s is declared as a %s, not an individual"
-                              % (text, kind), tok)
-                self.fail("unknown individual: %s" % text, tok)
-            return Individual(text)
-        self.fail("expected an individual", tok)
+        tok = self.tokens[self.i]
+        first = tok[:1]
+        if first.isdecimal():
+            ind = host_int(int(tok)) if tok.isdecimal() else \
+                host_real(float(tok))
+        elif first == '"':
+            ind = host_string(_unquote(tok))
+        elif not _is_name(tok):
+            self.fail("expected an individual")
+        elif self.kb is None:
+            ind = Individual(tok)
+        elif tok in self.kb.individuals:
+            ind = self.kb.individuals[tok]
+        else:
+            kind = self.kb.kind_of(tok)
+            self.fail("%s is declared as a %s, not an individual" % (tok, kind)
+                      if kind else "unknown individual: %s" % tok)
+        self.i += 1
+        return ind
 
     # -- grammar --
 
     def description(self) -> Description:
-        tok = self.peek()
-        if tok[0] != "ident":
-            self.fail("expected a description", tok)
-        name = tok[1]
-        if name == "thing":
-            self.take()
-            return Thing()
-        if name == "classic-thing":
-            self.take()
-            return ClassicThing()
-        if name == "host-thing":
-            self.take()
-            return HostThing()
-        if name == "nothing":
-            self.take()
-            return Nothing()
+        i = self.i
+        name = self.tokens[i]
+        if name in _CONSTANTS:
+            self.i = i + 1
+            return _CONSTANTS[name]()
         if name in KEYWORDS:
             return self.compound(name)
-        self.take()
+        if not _is_name(name):
+            self.fail("expected a description")
+        self.i = i + 1
         if name in _RESERVED_ATOMS:
-            self.fail("%s is reserved; use the lowercase keyword" % name, tok)
+            self.fail("%s is reserved; use the lowercase keyword" % name, i)
         if self.kb is not None:
             kind = self.kb.kind_of(name)
             if kind == "concept":
@@ -297,93 +281,103 @@ class _DescriptionParser:
                 return HostConcept(name)
             if kind is not None:
                 self.fail("%s is declared as a %s, not a concept"
-                          % (name, kind), tok)
+                          % (name, kind), i)
         elif name in ("STRING", "NUMBER", "COMPLEX", "REAL", "INTEGER"):
             return HostConcept(name)
         return ConceptName(name)
 
     def compound(self, head: str) -> Description:
-        self.take()
-        self.expect("lparen", "'('")
+        """The constructor ``head`` at the next token, through its closing
+        parenthesis: ``(``, ``,`` and ``)`` are checked in place."""
+        tokens = self.tokens
+        self.i += 1
+        if tokens[self.i] != "(":
+            self.expected("'('")
+        self.i += 1
         if head == "and":
             items = [self.description()]
-            while self.peek()[0] == "comma":
-                self.take()
+            while tokens[self.i] == ",":
+                self.i += 1
                 items.append(self.description())
             if len(items) < 2:
                 self.fail("and(...) needs at least two conjuncts")
-            self.expect("rparen", "')'")
-            return And(tuple(items))
-        if head == "all":
-            name, kind = self.pname()
-            self.expect("comma", "','")
-            body = self.description()
-            self.expect("rparen", "')'")
-            if kind == "attribute":
-                return AllAttr(name, body)
-            return AllRole(name, body)
-        if head in ("at-least", "at-most"):
-            tok = self.expect("int", "an integer")
-            n = int(tok[1])
-            self.expect("comma", "','")
-            role = self.rname()
-            self.expect("rparen", "')'")
-            if head == "at-least":
-                if n < 1:
-                    raise ParseError("at-least bound must be positive",
-                                     tok[2], self.line)
-                return AtLeast(n, role)
-            return AtMost(n, role)
-        if head == "same-as":
+            d = And(tuple(items))
+        elif head in ("all", "fills"):
+            name, kind = self.ref(("role", "attribute"))
+            if tokens[self.i] != ",":
+                self.expected("','")
+            self.i += 1
+            attr = kind == "attribute"
+            if head == "all":
+                d = (AllAttr if attr else AllRole)(name, self.description())
+            else:
+                d = (FillsAttr if attr else FillsRole)(name, self.individual())
+        elif head in ("at-least", "at-most"):
+            at = self.i
+            if not tokens[at].isdecimal():
+                self.expected("an integer")
+            if tokens[at + 1] != ",":
+                self.expected("','", at + 1)
+            self.i = at + 2
+            n, role = int(tokens[at]), self.ref(("role",))[0]
+            if head == "at-most":
+                d = AtMost(n, role)
+            elif n > 0:
+                d = AtLeast(n, role)
+            elif tokens[self.i] != ")":
+                self.expected("')'")
+            else:
+                self.fail("at-least bound must be positive", at)
+        elif head == "same-as":
             left = self.attr_chain()
-            self.expect("comma", "','")
-            right = self.attr_chain()
-            self.expect("rparen", "')'")
-            return SameAs(left, right)
-        if head == "fills":
-            name, kind = self.pname()
-            self.expect("comma", "','")
-            who = self.individual()
-            self.expect("rparen", "')'")
-            if kind == "attribute":
-                return FillsAttr(name, who)
-            return FillsRole(name, who)
-        if head == "one-of":
+            if tokens[self.i] != ",":
+                self.expected("','")
+            self.i += 1
+            d = SameAs(left, self.attr_chain())
+        elif head == "one-of":
             members = [self.individual()]
-            while self.peek()[0] == "comma":
-                self.take()
+            while tokens[self.i] == ",":
+                self.i += 1
                 members.append(self.individual())
-            close = self.peek()
-            self.expect("rparen", "')'")
-            hosts = {m.is_host for m in members}
-            if len(hosts) > 1:
-                raise ParseError("one-of members must be all host values or "
-                                 "all classic individuals", close[2],
-                                 self.line)
-            return OneOf(tuple(members))
-        if head == "primitive":
+            if tokens[self.i] != ")":
+                self.expected("')'")
+            if len({m.is_host for m in members}) > 1:
+                self.fail("one-of members must be all host values or all "
+                          "classic individuals")
+            d = OneOf(tuple(members))
+        elif head == "primitive":
             body = self.description()
-            self.expect("comma", "','")
-            tag = self.expect("ident", "a primitive tag")[1]
-            self.expect("rparen", "')'")
-            return Primitive(body, tag)
-        if head == "test":
-            func = self.expect("ident", "a function name")[1]
-            self.expect("comma", "','")
-            realm_tok = self.expect("ident", "'classic' or 'host'")
-            if realm_tok[1] not in (REALM_CLASSIC, REALM_HOST):
-                self.fail("test realm must be 'classic' or 'host'", realm_tok)
-            self.expect("rparen", "')'")
-            return Test(func, realm_tok[1])
-        self.fail("unknown constructor %r" % head)
+            if tokens[self.i] != ",":
+                self.expected("','")
+            self.i += 1
+            d = Primitive(body, self.name("a primitive tag"))
+        else:  # test
+            func = self.name("a function name")
+            if tokens[self.i] != ",":
+                self.expected("','")
+            self.i += 1
+            realm = self.name("'classic' or 'host'")
+            if realm not in (REALM_CLASSIC, REALM_HOST):
+                self.fail("test realm must be 'classic' or 'host'",
+                          self.i - 1)
+            d = Test(func, realm)
+        if tokens[self.i] != ")":
+            self.expected("')'")
+        self.i += 1
+        return d
 
     def attr_chain(self) -> tuple[str, ...]:
-        self.expect("lparen", "'('")
-        names = [self.aname()]
-        while self.peek()[0] == "comma":
-            self.take()
-            names.append(self.aname())
-        self.expect("rparen", "')'")
+        tokens = self.tokens
+        if tokens[self.i] != "(":
+            self.expected("'('")
+        self.i += 1
+        names = [self.ref(("attribute",))[0]]
+        while tokens[self.i] == ",":
+            self.i += 1
+            names.append(self.ref(("attribute",))[0])
+        if tokens[self.i] != ")":
+            self.expected("')'")
+        self.i += 1
         return tuple(names)
 
 
@@ -396,7 +390,7 @@ def parse_description(text: str, kb: KnowledgeBase | None = None,
     tokens, chain_names = tokenize(text)
     if inferred_attrs is None:
         inferred_attrs = chain_names
-    return _DescriptionParser(tokens, kb, inferred_attrs).whole()
+    return _DescriptionParser(tokens, kb, inferred_attrs, text).whole()
 
 
 def infer_attr_names(*texts: str) -> set[str]:
@@ -404,12 +398,17 @@ def infer_attr_names(*texts: str) -> set[str]:
     return set().union(*(tokenize(text)[1] for text in texts))
 
 
+def _line_error(message: str, raw: str, k: int, lineno: int) -> ParseError:
+    """An error at token ``k`` of the KB line ``raw``."""
+    return ParseError(message, _offsets(raw)[k], lineno)
+
+
 def parse_kb(text: str) -> KnowledgeBase:
     """Parse a line-oriented knowledge-base file."""
     kb = KnowledgeBase.empty()
     declared: dict[str, int] = {}
-    concept_bodies: list[tuple[str, tuple, int]] = []
-    disjoint_names: list[tuple[tuple, int]] = []
+    concept_bodies: list[tuple[str, tuple[str, ...], str, int]] = []
+    disjoint_names: list[tuple[str, int, str, int]] = []
 
     def declare(name: str, lineno: int):
         if name in declared:
@@ -421,16 +420,15 @@ def parse_kb(text: str) -> KnowledgeBase:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = tokenize(raw, lineno)[0]
-        kind, word, pos = tokens[0]
-        if kind == "eof":
+        word = tokens[0]
+        if not word:
             continue
-        if kind != "ident":
-            raise ParseError("expected a declaration", pos, lineno)
+        if not _is_name(word):
+            raise _line_error("expected a declaration", raw, 0, lineno)
         if word in ("role", "attribute", "individual"):
-            if tokens[1][0] != "ident" or tokens[2][0] != "eof":
-                raise ParseError("expected: %s NAME" % word,
-                                 tokens[1][2], lineno)
-            name = tokens[1][1]
+            if not _is_name(tokens[1]) or tokens[2]:
+                raise _line_error("expected: %s NAME" % word, raw, 1, lineno)
+            name = tokens[1]
             declare(name, lineno)
             if word == "role":
                 kb.roles.add(name)
@@ -439,64 +437,66 @@ def parse_kb(text: str) -> KnowledgeBase:
             else:
                 kb.individuals[name] = Individual(name)
         elif word == "host-type":
-            if tokens[1][0] != "ident":
-                raise ParseError("expected: host-type NAME [subtype-of NAME]",
-                                 tokens[1][2], lineno)
-            name = tokens[1][1]
+            if not _is_name(tokens[1]):
+                raise _line_error("expected: host-type NAME [subtype-of NAME]",
+                                  raw, 1, lineno)
+            name = tokens[1]
             parent = None
-            if tokens[2][0] == "ident" and tokens[2][1] == "subtype-of":
-                if tokens[3][0] != "ident" or tokens[4][0] != "eof":
-                    raise ParseError("expected a parent type name",
-                                     tokens[3][2], lineno)
-                parent = tokens[3][1]
-            elif tokens[2][0] != "eof":
-                raise ParseError("expected: host-type NAME [subtype-of NAME]",
-                                 tokens[2][2], lineno)
+            if tokens[2] == "subtype-of":
+                if not _is_name(tokens[3]) or tokens[4]:
+                    raise _line_error("expected a parent type name", raw, 3,
+                                      lineno)
+                parent = tokens[3]
+            elif tokens[2]:
+                raise _line_error("expected: host-type NAME [subtype-of NAME]",
+                                  raw, 2, lineno)
             declare(name, lineno)
             try:
                 kb.lattice.add_type(name, parent)
             except KbError as exc:
-                raise ParseError(str(exc), pos, lineno) from exc
+                raise _line_error(str(exc), raw, 0, lineno) from exc
         elif word == "concept":
-            if tokens[1][0] != "ident" or tokens[2][0] != "assign":
-                raise ParseError("expected: concept NAME := DESCRIPTION",
-                                 tokens[1][2], lineno)
-            name = tokens[1][1]
+            if not _is_name(tokens[1]) or tokens[2] != ":=":
+                raise _line_error("expected: concept NAME := DESCRIPTION",
+                                  raw, 1, lineno)
+            name = tokens[1]
             declare(name, lineno)
-            concept_bodies.append((name, tokens[3:], lineno))
+            concept_bodies.append((name, tokens, raw, lineno))
             kb.named[name] = Thing()  # placeholder until the second pass
         elif word == "disjoint":
-            names = []
-            for tok in tokens[1:]:
-                if tok[0] == "eof":
-                    break
-                if tok[0] != "ident":
-                    raise ParseError("expected concept names", tok[2],
-                                     lineno)
-                names.append(tok[1])
-                disjoint_names.append((tok, lineno))
+            names = set()
+            for k in range(1, len(tokens) - 1):
+                name = tokens[k]
+                if not _is_name(name):
+                    raise _line_error("expected concept names", raw, k, lineno)
+                if name in names:
+                    raise _line_error("disjoint names %s twice" % name, raw, k,
+                                      lineno)
+                names.add(name)
+                disjoint_names.append((name, k, raw, lineno))
             if len(names) < 2:
-                raise ParseError("disjoint needs at least two names",
-                                 pos, lineno)
+                raise _line_error("disjoint needs at least two names", raw, 0,
+                                  lineno)
             kb.disjoint_groups.append(frozenset(names))
         else:
-            raise ParseError("unknown declaration %r" % word, pos,
-                             lineno)
+            raise _line_error("unknown declaration %r" % word, raw, 0, lineno)
 
     # Only undeclared atoms can be disjoint.  Expansion replaces a concept
     # name by its definition and roles, attributes and individuals never
     # stand as atoms, so a group naming one never fires; the type lattice
     # alone decides which host types are disjoint.
-    for tok, lineno in disjoint_names:
-        kind = kb.kind_of(tok[1])
+    for name, k, raw, lineno in disjoint_names:
+        kind = kb.kind_of(name)
         if kind is not None:
-            raise ParseError("disjoint names the %s %s; only undeclared "
-                             "atoms can be disjoint" % (kind, tok[1]),
-                             tok[2], lineno)
+            raise _line_error("disjoint names the %s %s; only undeclared "
+                              "atoms can be disjoint" % (kind, name), raw, k,
+                              lineno)
 
-    # Second pass: concept bodies may reference any declared concept.
-    for name, tokens, lineno in concept_bodies:
-        kb.named[name] = _DescriptionParser(tokens, kb, set(), lineno).whole()
+    # Second pass: concept bodies, after ``concept NAME :=``, may reference
+    # any declared concept.
+    for name, tokens, raw, lineno in concept_bodies:
+        kb.named[name] = _DescriptionParser(tokens, kb, set(), raw, lineno,
+                                            3).whole()
 
     _definition_order({name: {d.name for d in walk(body)
                               if isinstance(d, NamedRef)}

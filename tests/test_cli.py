@@ -227,6 +227,15 @@ def test_disjoint_declared_name_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and "line 3" in err
 
 
+def test_disjoint_repeated_name_is_an_input_error(tmp_path, capsys):
+    kb_file = tmp_path / "kb.cdl"
+    kb_file.write_text("role r\ndisjoint TALL TALL\n")
+    code, out, err = run(capsys, "classify", "--kb", str(kb_file))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "TALL twice" in err
+    assert "line 2, offset 14" in err
+
+
 def test_missing_kb_file_is_an_input_error(tmp_path, capsys):
     missing = tmp_path / "absent.cdl"
     code, out, err = run(capsys, "subsumes", "--kb", str(missing),

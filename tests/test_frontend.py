@@ -25,17 +25,17 @@ def reference_chain_names(tokens) -> set[str]:
     parenthesis that closes it."""
     names: set[str] = set()
     for i, tok in enumerate(tokens):
-        if tok[0] == "ident" and tok[1] == "same-as":
+        if tok == "same-as":
             depth = 0
             for t in tokens[i + 1:]:
-                if t[0] == "lparen":
+                if t == "(":
                     depth += 1
-                elif t[0] == "rparen":
+                elif t == ")":
                     depth -= 1
                     if depth <= 0:
                         break
-                elif t[0] == "ident" and depth >= 2:
-                    names.add(t[1])
+                elif (t[:1].isalpha() or t[:1] == "_") and depth >= 2:
+                    names.add(t)
     return names
 
 
@@ -186,15 +186,15 @@ def test_long_definition_cycle_is_rejected_in_either_line_order():
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The texts the scanner's ``finditer`` loop runs over, counted through
+    """The texts the scanner's ``findall`` call runs over, counted through
     a proxy of the token pattern, with the token memo cleared first."""
     texts = []
     pattern = parsing._TOKEN_RE
 
     class CountingPattern:
-        def finditer(self, text):
+        def findall(self, text, *span):
             texts.append(text)
-            return pattern.finditer(text)
+            return pattern.findall(text, *span)
 
     parsing.tokenize.cache_clear()
     monkeypatch.setattr(parsing, "_TOKEN_RE", CountingPattern())
@@ -237,8 +237,8 @@ def test_parse_kb_scans_each_line_once(scans):
 def test_tokens_from_the_memo_are_immutable():
     tokens, names = parsing.tokenize("and(X, same-as((f),(g, h)))")
     assert isinstance(tokens, tuple) and isinstance(names, frozenset)
-    assert all(isinstance(tok, tuple) and len(tok) == 3 for tok in tokens)
-    assert tokens[-1][0] == "eof" and names == {"f", "g", "h"}
+    assert all(isinstance(tok, str) for tok in tokens)
+    assert tokens[-1] == "" and names == {"f", "g", "h"}
     assert parsing.tokenize("and(X, same-as((f),(g, h)))") == (tokens, names)
 
 

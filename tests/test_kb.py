@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -26,7 +27,7 @@ from classicdl.kb import (
 )
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description, parse_kb
-from classicdl.randgen import random_description
+from classicdl.randgen import random_description, random_pair
 from classicdl.subsume import equivalent, subsumes
 
 
@@ -470,3 +471,26 @@ def test_classify_without_told_names_costs_no_more(count_steps):
     _, fast = count_steps(classify, kb)
     _, slow = count_steps(reference_classify, kb)
     assert fast <= slow
+
+
+def test_expand_keeps_a_description_without_names():
+    rng = random.Random(4)
+    for _ in range(300):
+        for d in random_pair(rng):
+            assert expand(d, KnowledgeBase.empty()) is d
+
+
+def test_expand_builds_no_reference_cycle():
+    kb = parse_kb("\n".join(["role r", "concept C0 := Y0"] + [
+        "concept C%d := and(C%d, all(r, Y%d))" % (i, i - 1, i)
+        for i in range(1, 40)]))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        expanded = expand(NamedRef("C39"), kb)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert to_text(expanded).count("all(r, ") == 39

@@ -165,6 +165,19 @@ def test_disjoint_rejects_declared_names(declaration, name, kind):
     assert exc.value.pos == len("disjoint SMALL ")
 
 
+@pytest.mark.parametrize("line, name, pos", [
+    ("disjoint MALE MALE", "MALE", len("disjoint MALE ")),
+    ("disjoint TALL SMALL TALL", "TALL", len("disjoint TALL SMALL ")),
+    ("disjoint A B  C B  # B again", "B", len("disjoint A B  C ")),
+])
+def test_disjoint_rejects_a_repeated_name(line, name, pos):
+    # a repeated name would leave a group of fewer distinct names
+    with pytest.raises(ParseError, match="disjoint names %s twice" % name) \
+            as exc:
+        parse_kb("role r\n" + line)
+    assert (exc.value.line, exc.value.pos) == (2, pos)
+
+
 def test_round_trip_with_kb(kb):
     texts = [
         "and(GAME, at-least(4, participants))",
