@@ -530,8 +530,14 @@ def _plan_same_as(d: SameAs, g: DescriptionGraph, nid: int,
             plan.attr_set[d.right[-1]] = True
         return
     # Prefixes end at distinct nodes: give any missing tail its own fresh
-    # value; existing tails point at distinct nodes already.
-    if not l_full:
-        _node_plan(plans, l_pre).attr_set[d.left[-1]] = True
-    if not r_full:
-        _node_plan(plans, r_pre).attr_set[d.right[-1]] = True
+    # value, or, where its prefix ends at a non-classic node, make that
+    # node host, which kills the chain; existing tails point at distinct
+    # nodes already.
+    for pre, full, attr in ((l_pre, l_full, d.left[-1]),
+                            (r_pre, r_full, d.right[-1])):
+        if not full:
+            plan = _node_plan(plans, pre)
+            if CLASSIC_THING in g.nodes[pre].atoms:
+                plan.attr_set[attr] = True
+            else:
+                plan.host = True

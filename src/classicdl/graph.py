@@ -196,11 +196,15 @@ class DescriptionGraph:
         return nid, taken
 
     def subgraphs(self):
-        """Yield this graph and every nested restriction graph, preorder."""
-        yield self
-        for node in self.nodes.values():
-            for e in node.r_edges:
-                yield from e.restriction.subgraphs()
+        """Yield this graph and every nested restriction graph, preorder.
+        The walk keeps its own stack, so any nesting depth is fine."""
+        stack = [self]
+        while stack:
+            g = stack.pop()
+            yield g
+            for node in reversed(g.nodes.values()):
+                if node.r_edges:
+                    stack += [e.restriction for e in reversed(node.r_edges)]
 
     def __repr__(self):
         return "<DescriptionGraph root=%d nodes=%d aedges=%d%s>" % (

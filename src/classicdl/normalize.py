@@ -32,8 +32,10 @@ parents, and those two rules normalize the one graph they changed on the
 spot.
 
 Each merge removes a node and every numeric step moves a bound
-monotonically, so the fixpoint exists; ``canonicalize`` accepts two rule
-schedules to let tests check that both reach isomorphic results.
+monotonically, so the fixpoint exists.  Most graphs reach it in their first
+round, so each rule pass returns at once when nothing in the graph can fire
+it.  ``canonicalize`` accepts two rule schedules to let tests check that
+both reach isomorphic results.
 """
 
 from __future__ import annotations
@@ -88,18 +90,21 @@ def canonicalize(g: DescriptionGraph,
 def _normalize_graph(g: DescriptionGraph, lattice, groups, schedule) -> None:
     """Run ``g``'s own rules to a fixpoint, or until a conflict makes it
     incoherent.  Its restriction graphs must be canonical already; a rule
-    that changes one re-normalizes it."""
+    that changes one re-normalizes it.  Each pass returns at once when
+    nothing can fire it; only the a-edge pass removes nodes, and a pass
+    that makes ``g`` incoherent reports a change."""
     step = 1 if schedule == "standard" else -1
-    passes = (_node_local_pass, _redge_pass, _aedge_pass,
-              _individual_pass)[::step]
+    passes = _SCHEDULES[schedule]
     while not g.incoherent:
         node_order = list(g.nodes)[::step]
         changed = False
         for p in passes:
-            changed |= p(g, node_order, lattice, groups, schedule)
-            if g.incoherent:
-                return
-            node_order = [n for n in node_order if n in g.nodes]
+            if p(g, node_order, lattice, groups, schedule):
+                if g.incoherent:
+                    return
+                changed = True
+                if p is _aedge_pass:
+                    node_order = [n for n in node_order if n in g.nodes]
         if not changed:
             return
 
@@ -157,7 +162,10 @@ def _realm_conflicts(node: GraphNode, lattice) -> bool:
         return True
     if HOST_THING in node.atoms and CLASSIC_THING in node.atoms:
         return True
-    hosts = sorted(a for a in node.atoms if lattice.is_type(a))
+    hosts = [a for a in node.atoms if lattice.is_type(a)]
+    if len(hosts) < 2:
+        return False
+    hosts.sort()
     return any(not lattice.comparable(a, b)
                for i, a in enumerate(hosts) for b in hosts[i + 1:])
 
@@ -217,6 +225,8 @@ def _redge_pass(g, node_order, lattice, groups, schedule) -> bool:
     changed = False
     for nid in node_order:
         node = g.nodes[nid]
+        if len(node.r_edges) < 2:
+            continue
         by_role: dict[str, list[REdge]] = {}
         for e in node.r_edges:
             by_role.setdefault(e.role, []).append(e)
@@ -257,8 +267,9 @@ class _UnionFind:
 
 def _aedge_pass(g, node_order, lattice, groups, schedule) -> bool:
     """Collapse duplicate (source, attribute) a-edges, cascading target
-    merges through a union-find over the merge-pending node classes."""
-    if not g.a_edges:
+    merges through a union-find over the merge-pending node classes.
+    With distinct (source, attribute) keys nothing can collapse."""
+    if len({(e.src, e.attr) for e in g.a_edges}) == len(g.a_edges):
         return False
     uf = _UnionFind()
     while True:
@@ -357,3 +368,7 @@ def _individual_pass(g, node_order, lattice, groups, schedule) -> bool:
                                      schedule)
                     changed = True
     return changed
+
+
+_PASSES = (_node_local_pass, _redge_pass, _aedge_pass, _individual_pass)
+_SCHEDULES = {"standard": _PASSES, "alternate": _PASSES[::-1]}

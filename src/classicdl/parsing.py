@@ -410,12 +410,14 @@ def parse_kb(text: str) -> KnowledgeBase:
     concept_bodies: list[tuple[str, tuple[str, ...], str, int]] = []
     disjoint_names: list[tuple[str, int, str, int]] = []
 
-    def declare(name: str, lineno: int):
+    def declare(name: str, raw: str, lineno: int):
+        """Declare ``name``, token 1 of the line ``raw``."""
         if name in declared:
-            raise ParseError("%s already declared on line %d"
-                             % (name, declared[name]), 0, lineno)
+            raise _line_error("%s already declared on line %d"
+                              % (name, declared[name]), raw, 1, lineno)
         if kb.lattice.is_type(name):
-            raise ParseError("%s is a built-in host type" % name, 0, lineno)
+            raise _line_error("%s is a built-in host type" % name, raw, 1,
+                              lineno)
         declared[name] = lineno
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -429,7 +431,7 @@ def parse_kb(text: str) -> KnowledgeBase:
             if not _is_name(tokens[1]) or tokens[2]:
                 raise _line_error("expected: %s NAME" % word, raw, 1, lineno)
             name = tokens[1]
-            declare(name, lineno)
+            declare(name, raw, lineno)
             if word == "role":
                 kb.roles.add(name)
             elif word == "attribute":
@@ -450,17 +452,19 @@ def parse_kb(text: str) -> KnowledgeBase:
             elif tokens[2]:
                 raise _line_error("expected: host-type NAME [subtype-of NAME]",
                                   raw, 2, lineno)
-            declare(name, lineno)
+            declare(name, raw, lineno)
             try:
                 kb.lattice.add_type(name, parent)
             except KbError as exc:
-                raise _line_error(str(exc), raw, 0, lineno) from exc
+                # ``declare`` rejected a repeated name, so what failed is
+                # the parent, token 3.
+                raise _line_error(str(exc), raw, 3, lineno) from exc
         elif word == "concept":
             if not _is_name(tokens[1]) or tokens[2] != ":=":
                 raise _line_error("expected: concept NAME := DESCRIPTION",
                                   raw, 1, lineno)
             name = tokens[1]
-            declare(name, lineno)
+            declare(name, raw, lineno)
             concept_bodies.append((name, tokens, raw, lineno))
             kb.named[name] = Thing()  # placeholder until the second pass
         elif word == "disjoint":

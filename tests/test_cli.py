@@ -122,6 +122,17 @@ def test_countermodel_host_literal_identity_corner(capsys):
             world["attributes"][a][world["distinguished"]] for a in "fg")
 
 
+def test_countermodel_same_as_chain_through_a_host_value(capsys, tmp_path):
+    # g is undefined at the host value 1, so the chain (f,g) has no value
+    kb_path = tmp_path / "attributes.kb"
+    kb_path.write_text("attribute f\nattribute g\n")
+    code, out, err = run(capsys, "countermodel", "--kb", str(kb_path),
+                         "same-as((f),(f,g))", "fills(f, 1)")
+    assert (code, err) == (0, "")
+    world = json.loads(out)
+    assert world["attributes"]["f"][world["distinguished"]] == "1"
+
+
 def test_countermodel_rejects_seed_flag():
     with pytest.raises(SystemExit) as exc:
         main(["countermodel", "--seed", "1", "GAME", "PERSON"])

@@ -3,12 +3,16 @@ from collections import Counter
 
 import pytest
 
-from classicdl.countermodel import CounterModelError, construct_graphical_world
+from classicdl.countermodel import (
+    CounterModelError,
+    construct_graphical_world,
+    interpret_rest,
+)
 from classicdl.descriptions import walk
 from classicdl.graph import translate
 from classicdl.kb import KnowledgeBase, expand
 from classicdl.normalize import canonicalize
-from classicdl.parsing import infer_attr_names, parse_description
+from classicdl.parsing import infer_attr_names, parse_description, parse_kb
 from classicdl.randgen import corpus_kb, random_pair
 from classicdl.subsume import subsumes_graph
 from classicdl.worlds import (
@@ -106,6 +110,25 @@ def test_attribute_chain_cases(parse, kb):
     # distinct prefix ends
     build(parse, kb, "and(all(f, GAME), all(g, PERSON))",
           "same-as((f,h),(g,h))")
+
+
+@pytest.mark.parametrize("subsumer, subsumee", [
+    ("same-as((f),(f,g))", "fills(f, 1)"),
+    ("same-as((f,g),(f))", "fills(f, 1)"),
+    ("same-as((f,g),(h))", "fills(f, 1)"),
+    ("same-as((f,g),(h))", 'fills(f, "a")'),
+])
+def test_same_as_chain_through_a_host_value(subsumer, subsumee):
+    # The prefixes end at distinct nodes and the missing tail starts at a
+    # host value, where no attribute is defined: the builder makes that
+    # node host instead of planning an attribute value off it.
+    kb = parse_kb("attribute f\nattribute g\nattribute h")
+    d, c = (expand(parse_description(t, kb), kb) for t in (subsumer, subsumee))
+    g = canonicalize(translate(c), kb)
+    world, elem = construct_graphical_world(g, steering=d, kb=kb)
+    interpret_rest(world, c)
+    assert elem in eval_description(c, world)
+    assert elem not in eval_description(d, world)
 
 
 def test_filler_membership_cases(parse, kb):

@@ -1,5 +1,7 @@
 import json
 import pathlib
+import random
+import sys
 
 import pytest
 
@@ -12,17 +14,20 @@ from classicdl.descriptions import (
     ast_size,
 )
 from classicdl.graph import (
+    DescriptionGraph,
     GraphNode,
     INF,
     graph_size,
     isomorphic,
     merge_graphs,
     merge_nodes,
+    REdge,
     to_jsonable,
     translate,
 )
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description
+from classicdl.randgen import random_pair
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -290,3 +295,37 @@ def test_canonicalize_clones_each_input_node_once(text, clone_calls):
     canonicalize(g)
     assert len(clone_calls) == len(nodes)
     assert {id(n) for n in clone_calls} == {id(n) for n in nodes}
+
+
+def _preorder(g):
+    """The recursive reference walk ``subgraphs`` must agree with."""
+    out = [g]
+    for node in g.nodes.values():
+        for e in node.r_edges:
+            out += _preorder(e.restriction)
+    return out
+
+
+def test_subgraphs_order_matches_recursive_preorder():
+    rng = random.Random(0)
+    for _ in range(500):
+        for d in random_pair(rng):
+            for g in (translate(d), canonicalize(translate(d))):
+                assert [id(s) for s in g.subgraphs()] == \
+                    [id(s) for s in _preorder(g)]
+
+
+def test_subgraphs_has_no_depth_ceiling():
+    # Built by hand: translate and clone still recurse per level.
+    depth = 3 * sys.getrecursionlimit()
+    chain = []
+    inner = None
+    for _ in range(depth):
+        g = DescriptionGraph()
+        g.root = g.add_node(GraphNode(atoms={"A"}))
+        if inner is not None:
+            g.root_node.r_edges.append(REdge("r", 0, INF, inner))
+        chain.append(g)
+        inner = g
+    assert [id(s) for s in inner.subgraphs()] == \
+        [id(s) for s in reversed(chain)]

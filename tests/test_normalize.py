@@ -4,10 +4,12 @@ import pytest
 
 from classicdl import normalize
 from classicdl.descriptions import CLASSIC_THING, Individual, NOTHING
-from classicdl.graph import isomorphic, translate
+from classicdl.graph import isomorphic, to_jsonable, translate
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description, parse_kb
 from classicdl.randgen import corpus_kb, random_pair
+from test_canonical_goldens import golden_kb
+from test_graph import DEEP_SHAPES
 
 
 def canon(parse, text, kb=None):
@@ -325,3 +327,37 @@ def test_every_restriction_graph_is_canonical(schedule):
         g = canonicalize(translate(d), kb, schedule=schedule)
         for sub in g.subgraphs():
             assert isomorphic(sub, canonicalize(sub, kb, schedule=schedule))
+
+
+@pytest.fixture(scope="module")
+def canonical_corpus():
+    """(graph, kb, schedule) for the canonical forms of the golden random
+    corpus and of the deep shapes, under both schedules."""
+    kb = golden_kb()
+    descriptions = [(d, kb) for seed in (0, 1, 2)
+                    for rng in [random.Random(seed)] for _ in range(500)
+                    for d in random_pair(rng)]
+    descriptions += [(parse_description(text), None) for text in DEEP_SHAPES]
+    return [(canonicalize(translate(d), dkb, schedule), dkb, schedule)
+            for d, dkb in descriptions
+            for schedule in ("standard", "alternate")]
+
+
+@pytest.mark.parametrize("rule_pass", [
+    normalize._node_local_pass, normalize._redge_pass,
+    normalize._aedge_pass, normalize._individual_pass,
+], ids=lambda p: p.__name__)
+def test_each_pass_is_a_fixpoint_on_canonical_graphs(rule_pass,
+                                                     canonical_corpus):
+    # Pins the passes' early returns: on a canonical graph every pass finds
+    # nothing to rewrite, whether or not it returns before its scan.
+    for g, kb, schedule in canonical_corpus:
+        lattice = kb.lattice if kb is not None else normalize._DEFAULT_LATTICE
+        groups = kb.disjoint_groups if kb is not None else []
+        step = 1 if schedule == "standard" else -1
+        for sub in g.subgraphs():
+            work = sub.clone()
+            before = to_jsonable(work)
+            node_order = list(work.nodes)[::step]
+            assert not rule_pass(work, node_order, lattice, groups, schedule)
+            assert to_jsonable(work) == before

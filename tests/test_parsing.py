@@ -178,6 +178,20 @@ def test_disjoint_rejects_a_repeated_name(line, name, pos):
     assert (exc.value.line, exc.value.pos) == (2, pos)
 
 
+@pytest.mark.parametrize("text, message, pos", [
+    ("role r\nattribute  r", "r already declared on line 1",
+     len("attribute  ")),
+    ("role r\nhost-type  INTEGER", "INTEGER is a built-in host type",
+     len("host-type  ")),
+    ("role r\nhost-type T subtype-of  NOPE", "unknown parent host type NOPE",
+     len("host-type T subtype-of  ")),
+])
+def test_kb_declaration_errors_point_at_the_name(text, message, pos):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_kb(text)
+    assert (exc.value.line, exc.value.pos) == (2, pos)
+
+
 def test_round_trip_with_kb(kb):
     texts = [
         "and(GAME, at-least(4, participants))",
