@@ -267,15 +267,18 @@ def ast_size(d: Description) -> int:
 
 
 def walk(d: Description):
-    """Yield every node of the description tree, preorder."""
-    yield d
-    if isinstance(d, And):
-        for c in d.items:
-            yield from walk(c)
-    elif isinstance(d, (AllRole, AllAttr)):
-        yield from walk(d.restriction)
-    elif isinstance(d, Primitive):
-        yield from walk(d.body)
+    """Yield every node of the description tree, preorder.  The walk keeps
+    its own stack, so any nesting depth is fine, and each node costs O(1)."""
+    stack = [d]
+    while stack:
+        d = stack.pop()
+        yield d
+        if isinstance(d, And):
+            stack += reversed(d.items)
+        elif isinstance(d, (AllRole, AllAttr)):
+            stack.append(d.restriction)
+        elif isinstance(d, Primitive):
+            stack.append(d.body)
 
 
 def to_jsonable(d: Description) -> object:

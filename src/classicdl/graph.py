@@ -13,6 +13,15 @@ fresh ones, which makes the disjoint unions taken during merging
 trivially collision-free; structural equality is therefore always up to
 renaming (see ``isomorphic``).
 
+A canonical graph is a frozen value: ``normalize.canonicalize`` marks it,
+and each of its nested restriction graphs, with the knowledge base it is
+canonical under (``None``, no knowledge base, counts as one), and nothing
+changes a marked graph again.  So canonical graphs share restriction
+graphs freely: ``clone`` copies only the graphs that are not canonical
+under the knowledge base at hand, and ``translate`` gives every
+``at-least``, ``at-most`` and ``fills(role, ...)`` one shared ``{THING}``
+restriction, canonical under every knowledge base.
+
 A graph is either coherent or *the* incoherent graph: a single node
 labelled NOTHING, no edge, and the ``incoherent`` flag set.
 ``mark_incoherent`` is the one builder of that shape; ``incoherent_graph``
@@ -22,8 +31,8 @@ and every conflict rule of ``normalize`` go through it.
 the result instead of cloning them, so ``translate`` builds each graph in
 one pass.  The result shares nodes, r-edges and filler sets with its
 inputs: once either side is changed in place, the other may not be used.
-``normalize.canonicalize`` clones its input once and changes only that
-private copy.
+``normalize.canonicalize`` changes only its own copy of the parts of its
+input that are not canonical yet, so merging frozen graphs is safe.
 """
 
 from __future__ import annotations
@@ -63,6 +72,11 @@ INF = math.inf
 
 _node_ids = itertools.count()
 
+# The knowledge-base marks of ``DescriptionGraph.canonical_kb``: a graph
+# canonical under none yet, and one canonical under every knowledge base.
+NOT_CANONICAL = object()
+ANY_KB = object()
+
 
 def _fresh_id() -> int:
     return next(_node_ids)
@@ -77,10 +91,6 @@ class REdge:
     max: float  # non-negative integer or INF
     restriction: "DescriptionGraph"
     fillers: set[Individual] = field(default_factory=set)
-
-    def clone(self) -> "REdge":
-        return REdge(self.role, self.min, self.max,
-                     self.restriction.clone(), set(self.fillers))
 
 
 @dataclass
@@ -100,8 +110,11 @@ class GraphNode:
     dom: frozenset[Individual] | None = None
 
     def clone(self) -> "GraphNode":
+        """A copy whose r-edges are copies sharing the restriction graphs
+        (``DescriptionGraph.clone`` copies those it must)."""
         return GraphNode(set(self.atoms),
-                         [e.clone() for e in self.r_edges],
+                         [REdge(e.role, e.min, e.max, e.restriction,
+                                set(e.fillers)) for e in self.r_edges],
                          self.dom)
 
 
@@ -126,11 +139,14 @@ class _EdgeIndex:
 
 
 class DescriptionGraph:
-    """Rooted description graph; treated as an immutable value once built.
+    """Rooted description graph.
 
-    ``attr_edge``, ``role_edge`` and ``follow`` answer from a hashed edge
-    index that is built on the first of them called.  The graph must not
-    change after that: the index would not see the change.
+    ``canonical_kb`` is the knowledge base the graph is canonical under,
+    ``ANY_KB``, or ``NOT_CANONICAL``; a graph canonical under some
+    knowledge base is frozen and never changes again.  ``attr_edge``,
+    ``role_edge`` and ``follow`` answer from a hashed edge index that is
+    built on the first of them called; they are meant for canonical
+    graphs, whose index therefore always matches the graph.
     """
 
     def __init__(self):
@@ -138,6 +154,7 @@ class DescriptionGraph:
         self.a_edges: list[AEdge] = []
         self.root: int = -1
         self.incoherent: bool = False
+        self.canonical_kb: object = NOT_CANONICAL
         self._index: _EdgeIndex | None = None
 
     def add_node(self, node: GraphNode) -> int:
@@ -149,10 +166,39 @@ class DescriptionGraph:
     def root_node(self) -> GraphNode:
         return self.nodes[self.root]
 
-    def clone(self) -> "DescriptionGraph":
-        """A deep copy whose nodes, those of nested restriction graphs
-        included, get fresh ids, so that it can be merged with any other
-        graph."""
+    @property
+    def frozen(self) -> bool:
+        """Whether the graph is canonical under some knowledge base."""
+        return self.canonical_kb is not NOT_CANONICAL
+
+    def canonical_under(self, kb) -> bool:
+        """Whether the graph is canonical under ``kb`` (``None``: none)."""
+        return self.canonical_kb is kb or self.canonical_kb is ANY_KB
+
+    def clone(self, kb=None) -> "DescriptionGraph":
+        """A copy of this graph and of every nested restriction graph that
+        is not canonical under ``kb``; the canonical ones are shared.  The
+        copies are not canonical, and their nodes get fresh ids, so a copy
+        can be merged with any other graph.  Graphs are copied in the
+        preorder of ``subgraphs``, with an explicit stack, so any nesting
+        depth is fine."""
+        def to_copy(g):
+            # Reversed, so that the stack pops them in stored order.
+            return [e for node in reversed(g.nodes.values())
+                    for e in reversed(node.r_edges)
+                    if not e.restriction.canonical_under(kb)]
+
+        top = self._copy()
+        stack = to_copy(top)
+        while stack:
+            e = stack.pop()
+            e.restriction = e.restriction._copy()
+            stack += to_copy(e.restriction)
+        return top
+
+    def _copy(self) -> "DescriptionGraph":
+        """This graph alone copied, with fresh node ids; its nodes' r-edges
+        are copies that still share the restriction graphs."""
         g = DescriptionGraph()
         ids = {nid: _fresh_id() for nid in self.nodes}
         g.nodes = {ids[nid]: n.clone() for nid, n in self.nodes.items()}
@@ -236,6 +282,13 @@ def singleton_graph(*atoms: str) -> DescriptionGraph:
     return g
 
 
+# The restriction of every at-least, at-most and fills(role, ...) clause:
+# one node labelled THING is canonical under every knowledge base, so all
+# of them share this one frozen graph.
+_THING_RESTRICTION = singleton_graph(THING)
+_THING_RESTRICTION.canonical_kb = ANY_KB
+
+
 def intersect_doms(d1: frozenset[Individual] | None,
                    d2: frozenset[Individual] | None
                    ) -> frozenset[Individual] | None:
@@ -314,16 +367,16 @@ def translate(d: Description) -> DescriptionGraph:
     if isinstance(d, And):
         return merge_graphs(*(translate(item) for item in d.items))
     if isinstance(d, AtLeast):
-        return _redge_graph(d.role, d.n, INF, singleton_graph(THING))
+        return _redge_graph(d.role, d.n, INF, _THING_RESTRICTION)
     if isinstance(d, AtMost):
-        return _redge_graph(d.role, 0, d.n, singleton_graph(THING))
+        return _redge_graph(d.role, 0, d.n, _THING_RESTRICTION)
     if isinstance(d, AllRole):
         return _redge_graph(d.role, 0, INF, translate(d.restriction))
     if isinstance(d, FillsRole):
         # The filler set carries the individual; the restriction stays THING
         # because a filler constraint says nothing about the *other*
         # fillers (an r-edge restriction binds them all).
-        return _redge_graph(d.role, 0, INF, singleton_graph(THING),
+        return _redge_graph(d.role, 0, INF, _THING_RESTRICTION,
                             fillers={d.who})
     if isinstance(d, AllAttr):
         # If the inner graph is incoherent its node keeps the NOTHING atom;

@@ -243,9 +243,11 @@ def _told_parts(d: Description, kb: KnowledgeBase, names: list[str],
 def _told_graphs(kb: KnowledgeBase):
     """The names in told order, each name's told parts, and each name's
     canonical graph: its told names' graphs merged with the translations
-    of its other clauses, then canonicalized.  A canonical graph's node
-    ids are its own (``canonicalize`` clones), and ``canonicalize`` changes
-    only its clone of the merge, so the told graphs are merged uncopied."""
+    of its other clauses, then canonicalized.  Canonical graphs are
+    frozen: ``canonicalize`` copies the merge's own nodes once and shares
+    the told graphs' restriction graphs, so the told graphs are merged
+    uncopied and no restriction graph is copied again unless a rule must
+    change it."""
     from .graph import merge_graphs, translate
     from .normalize import canonicalize
 

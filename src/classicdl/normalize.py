@@ -15,7 +15,7 @@ a graph and all of its nested restriction graphs:
 * edge merging — two r-edges with the same role combine bounds and merge
   their restriction graphs; two a-edges with the same source and attribute
   collapse their targets.  Target collapses cascade, so they are driven by
-  a union-find pass over the merge-pending node classes;
+  a congruence closure over the node classes;
 * individual bookkeeping — filler sets push into doms and mins, doms cap
   maxes, and contradictions between fillers and doms make the graph
   incoherent.
@@ -25,11 +25,16 @@ Every conflict makes its graph incoherent at once, through
 left to rewrite in the incoherent graph.
 
 The rules of a graph read its restriction graphs but change only their
-own graph, with two exceptions: an r-edge merge builds a new restriction
-graph, and filler bookkeeping narrows a restriction's root dom.  So
-``canonicalize`` normalizes every restriction graph once, children before
-parents, and those two rules normalize the one graph they changed on the
-spot.
+own graph, with three exceptions: a zero max makes the restriction
+incoherent, an r-edge merge builds a new restriction graph, and filler
+bookkeeping narrows a restriction's root dom.  So ``canonicalize``
+normalizes every restriction graph once, children before parents, and
+those rules normalize the one graph they changed on the spot.
+
+A canonical graph is frozen (see ``graph``), and the restriction graphs a
+rule meets may be frozen ones, shared with other canonical graphs.  Those
+three rules therefore replace or copy a frozen restriction before they
+change it; every other change is to ``canonicalize``'s own copy.
 
 Each merge removes a node and every numeric step moves a bound
 monotonically, so the fixpoint exists.  Most graphs reach it in their first
@@ -54,6 +59,7 @@ from .graph import (
     DescriptionGraph,
     GraphNode,
     REdge,
+    incoherent_graph,
     intersect_doms,
     mark_incoherent,
     merge_graphs,
@@ -67,11 +73,15 @@ _DEFAULT_LATTICE = HostLattice()
 def canonicalize(g: DescriptionGraph,
                  kb: KnowledgeBase | None = None,
                  schedule: str = "standard") -> DescriptionGraph:
-    """Return the canonical form of ``g``; the input is not modified.
+    """Return the canonical form of ``g`` under ``kb``; the input is not
+    modified.
 
-    ``g`` is cloned once, up front; every merge the rules make moves parts
-    of that private copy, so no node is copied again.  Each restriction
-    graph of the copy is normalized once, children before parents.
+    A ``g`` already canonical under ``kb`` is returned itself.  Otherwise
+    ``g`` is cloned once, up front, sharing its restriction graphs that
+    are canonical under ``kb``; every merge the rules make moves parts of
+    that private copy.  Each copied graph is normalized once, children
+    before parents, and the result and every restriction graph in it are
+    then marked canonical under ``kb``: frozen.
 
     ``schedule`` picks the order of each fixpoint round: "standard", or
     "alternate", which tries the rule families and the nodes in reverse;
@@ -79,12 +89,48 @@ def canonicalize(g: DescriptionGraph,
     """
     if schedule not in ("standard", "alternate"):
         raise ValueError("unknown schedule: %r" % schedule)
+    if g.canonical_under(kb):
+        return g
     lattice = kb.lattice if kb is not None else _DEFAULT_LATTICE
     groups = kb.disjoint_groups if kb is not None else []
-    work = g.clone()
-    for sub in reversed(list(work.subgraphs())):
+    work = g.clone(kb)
+    for sub in reversed(_unfrozen(work)):
         _normalize_graph(sub, lattice, groups, schedule)
+    for sub in _unfrozen(work):
+        sub.canonical_kb = kb
     return work
+
+
+def _unfrozen(g: DescriptionGraph) -> list[DescriptionGraph]:
+    """``g`` and its nested restriction graphs that are not frozen, in the
+    preorder of ``subgraphs``.  A frozen graph's nested graphs are frozen
+    too, so the walk does not enter it."""
+    out = []
+    stack = [g]
+    while stack:
+        sub = stack.pop()
+        out.append(sub)
+        for node in reversed(sub.nodes.values()):
+            if node.r_edges:
+                stack += [e.restriction for e in reversed(node.r_edges)
+                          if not e.restriction.frozen]
+    return out
+
+
+def _thawed(g: DescriptionGraph) -> DescriptionGraph:
+    """A private copy of a frozen graph, to change; it shares the nested
+    graphs, which are frozen under the same knowledge base."""
+    return g.clone(g.canonical_kb)
+
+
+def _movable(g: DescriptionGraph) -> DescriptionGraph:
+    """``g``, or a private copy of it if ``merge_graphs`` would move parts
+    of a frozen graph: its non-root nodes or its root's r-edges.  The copy
+    also gives those nodes fresh ids, so the same frozen graph can be
+    merged with itself."""
+    if g.frozen and (len(g.nodes) > 1 or g.root_node.r_edges):
+        return _thawed(g)
+    return g
 
 
 def _normalize_graph(g: DescriptionGraph, lattice, groups, schedule) -> None:
@@ -127,7 +173,8 @@ def _node_local_pass(g, node_order, lattice, groups, schedule) -> bool:
                 e.max = 0
                 changed = True
             if e.max == 0 and not e.restriction.incoherent:
-                changed |= mark_incoherent(e.restriction)
+                e.restriction = incoherent_graph()
+                changed = True
     return changed
 
 
@@ -210,7 +257,7 @@ def _merged_redge(edges: list[REdge], lattice, groups, schedule) -> REdge:
     """One r-edge for a role: tightest bounds, merged restriction graphs
     (moved, since the old edges are dropped, and normalized again) and the
     union of fillers."""
-    restriction = merge_graphs(*(e.restriction for e in edges))
+    restriction = merge_graphs(*(_movable(e.restriction) for e in edges))
     _normalize_graph(restriction, lattice, groups, schedule)
     return REdge(
         role=edges[0].role,
@@ -254,46 +301,57 @@ class _UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, a: int, b: int) -> bool:
+    def union(self, a: int, b: int) -> tuple[int, int] | None:
+        """Join the classes of ``a`` and ``b``; return the representatives
+        kept and absorbed, or None if they were one class already."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return False
+            return None
         # Deterministic representative: keep the smaller id.
         if rb < ra:
             ra, rb = rb, ra
         self.parent[rb] = ra
-        return True
+        return ra, rb
 
 
 def _aedge_pass(g, node_order, lattice, groups, schedule) -> bool:
     """Collapse duplicate (source, attribute) a-edges, cascading target
-    merges through a union-find over the merge-pending node classes.
-    With distinct (source, attribute) keys nothing can collapse."""
+    merges by congruence closure (Downey, Sethi and Tarjan, JACM 1980):
+    each node class keeps an attribute -> target map, and a union folds
+    the smaller map into the larger and queues the targets that meet.
+    With distinct (source, attribute) keys nothing can collapse; with a
+    repeated key, an edge collapses whether or not its targets differ."""
     if len({(e.src, e.attr) for e in g.a_edges}) == len(g.a_edges):
         return False
     uf = _UnionFind()
-    while True:
-        unions = 0
-        groups_by_key: dict[tuple[int, str], set[int]] = {}
-        for e in g.a_edges:
-            groups_by_key.setdefault(
-                (uf.find(e.src), e.attr), set()).add(uf.find(e.dst))
-        for targets in groups_by_key.values():
-            targets = sorted(targets)
-            for other in targets[1:]:
-                if uf.union(targets[0], other):
-                    unions += 1
-        if unions == 0:
-            break
+    out: dict[int, dict[str, int]] = {}
+    pending: list[tuple[int, int]] = []
+    for e in g.a_edges:
+        target = out.setdefault(e.src, {}).setdefault(e.attr, e.dst)
+        if target != e.dst:
+            pending.append((target, e.dst))
+    while pending:
+        joined = uf.union(*pending.pop())
+        if joined is None:
+            continue
+        kept, absorbed = joined
+        moved = out.pop(absorbed, None)
+        if not moved:
+            continue
+        into = out.setdefault(kept, moved)
+        if into is moved:
+            continue
+        if len(moved) > len(into):
+            moved, into = into, moved
+            out[kept] = into
+        for attr, t in moved.items():
+            target = into.setdefault(attr, t)
+            if target != t:
+                pending.append((target, t))
 
     classes: dict[int, list[int]] = {}
     for nid in g.nodes:
         classes.setdefault(uf.find(nid), []).append(nid)
-    duplicate_edges = len(g.a_edges) != len(
-        {(uf.find(e.src), e.attr, uf.find(e.dst)) for e in g.a_edges})
-    if all(len(m) == 1 for m in classes.values()) and not duplicate_edges:
-        return False
-
     # Each class merges in one pass; the old nodes are dropped, so their
     # r-edges move into the merged node.
     new_nodes: dict[int, GraphNode] = {}
@@ -363,7 +421,9 @@ def _individual_pass(g, node_order, lattice, groups, schedule) -> bool:
             if e.max == len(e.fillers):
                 new_dom = intersect_doms(head.dom, frozenset(e.fillers))
                 if new_dom != head.dom:
-                    head.dom = new_dom
+                    if e.restriction.frozen:
+                        e.restriction = _thawed(e.restriction)
+                    e.restriction.root_node.dom = new_dom
                     _normalize_graph(e.restriction, lattice, groups,
                                      schedule)
                     changed = True

@@ -2,6 +2,7 @@ import json
 import pathlib
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -277,10 +278,6 @@ def clone_calls(monkeypatch):
     return calls
 
 
-def _all_nodes(g):
-    return [n for sub in g.subgraphs() for n in sub.nodes.values()]
-
-
 @pytest.mark.parametrize("text", DEEP_SHAPES, ids=DEEP_IDS)
 def test_translate_clones_no_node(text, clone_calls):
     d = parse_description(text)
@@ -288,13 +285,38 @@ def test_translate_clones_no_node(text, clone_calls):
     assert clone_calls == []
 
 
+def _unfrozen_nodes(g):
+    """The nodes of ``g``'s graphs that are not frozen yet."""
+    return [n for sub in g.subgraphs() if not sub.frozen
+            for n in sub.nodes.values()]
+
+
 @pytest.mark.parametrize("text", DEEP_SHAPES, ids=DEEP_IDS)
 def test_canonicalize_clones_each_input_node_once(text, clone_calls):
+    # Each node of a graph that is not canonical yet is cloned exactly
+    # once; no node of a frozen graph, such as the shared {THING}
+    # restriction, is cloned.
     g = translate(parse_description(text))
-    nodes = _all_nodes(g)
+    nodes = _unfrozen_nodes(g)
     canonicalize(g)
-    assert len(clone_calls) == len(nodes)
-    assert {id(n) for n in clone_calls} == {id(n) for n in nodes}
+    assert Counter(map(id, clone_calls)) == Counter(map(id, nodes))
+
+
+def test_canonicalize_shares_frozen_restrictions(clone_calls):
+    # As classify does with told names: a canonical graph merged with a
+    # new clause.  The merge's nodes are copied once; the canonical
+    # graph's restriction graphs are shared, not copied.
+    told = canonicalize(translate(parse_description(
+        "and(A, all(r, and(B, all(s, C))), same-as((f),(g)))")))
+    g = merge_graphs(told, translate(parse_description("D")))
+    nodes = _unfrozen_nodes(g)
+    before = to_jsonable(told)
+    clone_calls.clear()
+    out = canonicalize(g)
+    assert Counter(map(id, clone_calls)) == Counter(map(id, nodes))
+    assert out.role_edge(out.root, "r").restriction is \
+        told.role_edge(told.root, "r").restriction
+    assert to_jsonable(told) == before
 
 
 def _preorder(g):
@@ -315,9 +337,9 @@ def test_subgraphs_order_matches_recursive_preorder():
                     [id(s) for s in _preorder(g)]
 
 
-def test_subgraphs_has_no_depth_ceiling():
-    # Built by hand: translate and clone still recurse per level.
-    depth = 3 * sys.getrecursionlimit()
+def _hand_built_chain(depth):
+    """Graphs nested ``depth`` deep through r-edges, innermost first.
+    Built by hand: translate still recurses per level."""
     chain = []
     inner = None
     for _ in range(depth):
@@ -327,5 +349,19 @@ def test_subgraphs_has_no_depth_ceiling():
             g.root_node.r_edges.append(REdge("r", 0, INF, inner))
         chain.append(g)
         inner = g
-    assert [id(s) for s in inner.subgraphs()] == \
+    return chain
+
+
+def test_subgraphs_has_no_depth_ceiling():
+    chain = _hand_built_chain(3 * sys.getrecursionlimit())
+    assert [id(s) for s in chain[-1].subgraphs()] == \
         [id(s) for s in reversed(chain)]
+
+
+def test_canonicalize_has_no_depth_ceiling():
+    depth = 3 * sys.getrecursionlimit()
+    chain = _hand_built_chain(depth)
+    out = list(canonicalize(chain[-1]).subgraphs())
+    assert len(out) == depth
+    assert all(s.root_node.atoms == {"A", CLASSIC_THING} for s in out)
+    assert all(s.root_node.atoms == {"A"} for s in chain)

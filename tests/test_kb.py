@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from classicdl import graph, subsume
+from classicdl import graph, normalize, subsume
 from classicdl.descriptions import (
     And,
     AtLeast,
@@ -14,7 +14,7 @@ from classicdl.descriptions import (
     to_text,
     walk,
 )
-from classicdl.graph import isomorphic, translate
+from classicdl.graph import isomorphic, to_jsonable, translate
 from classicdl.kb import (
     HostLattice,
     KbError,
@@ -429,6 +429,49 @@ def test_told_names_that_share_a_told_name(text):
     _assert_told_built_graphs_are_canonical(kb)
     got = json.dumps(classify(kb).to_jsonable())
     assert got == json.dumps(reference_classify(kb).to_jsonable())
+
+
+# A child name C runs a rule that changes a restriction graph on the one
+# it shares with its told name P: the zero-max rule on the shared {THING}
+# restriction, filler bookkeeping that narrows the dom of the r-edge
+# merged with P's, and a second all(r, ...) merged into P's restriction.
+RESTRICTION_RULE_KBS = [
+    "role r\n"
+    "concept P := and(A, at-least(1, r))\n"
+    "concept C := and(P, at-most(0, r))\n",
+    "role r\nindividual I0\n"
+    "concept P := and(A, all(r, B))\n"
+    "concept C := and(P, fills(r, I0), at-most(1, r))\n",
+    "role r\nattribute f\nattribute g\nindividual I0\n"
+    "concept P := all(r, all(f, all(g, X)))\n"
+    "concept C := and(P, all(r, all(f, fills(g, I0))))\n",
+]
+
+
+@pytest.mark.parametrize("text", [
+    *(oracle_kb_text(seed, 100) for seed in range(3)),
+    told_heap_kb_text(100),
+    *SHARED_TOLD_KBS,
+    *RESTRICTION_RULE_KBS,
+], ids=["oracle-0", "oracle-1", "oracle-2", "told-heap", "shared-a-edge",
+        "shared-r-edge", "max-zero", "narrow-dom", "merge-restriction"])
+def test_classify_leaves_told_graphs_unchanged(text, monkeypatch):
+    # Told canonical graphs are frozen: building the names that share
+    # them changes none of them.
+    kb = parse_kb(text)
+    built = []
+    real = normalize.canonicalize
+
+    def snapshot(g, kb=None, schedule="standard"):
+        canon = real(g, kb, schedule)
+        built.append((canon, to_jsonable(canon)))
+        return canon
+
+    monkeypatch.setattr(normalize, "canonicalize", snapshot)
+    classify(kb)
+    assert len(built) == len(kb.named)
+    for canon, before in built:
+        assert to_jsonable(canon) == before
 
 
 def test_classify_translates_each_clause_once(monkeypatch):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from classicdl import normalize
+from classicdl import graph, normalize
 from classicdl.descriptions import CLASSIC_THING, Individual, NOTHING
 from classicdl.graph import isomorphic, to_jsonable, translate
 from classicdl.normalize import canonicalize
@@ -361,3 +361,33 @@ def test_each_pass_is_a_fixpoint_on_canonical_graphs(rule_pass,
             node_order = list(work.nodes)[::step]
             assert not rule_pass(work, node_order, lattice, groups, schedule)
             assert to_jsonable(work) == before
+
+
+def test_shared_thing_restriction_stays_thing(canonical_corpus):
+    # Every at-least, at-most and fills(role, ...) shares one frozen
+    # {THING} restriction; canonicalizing the corpus under both schedules
+    # runs each rule that changes a restriction graph on it.
+    assert canonical_corpus
+    assert graph._THING_RESTRICTION.canonical_kb is graph.ANY_KB
+    assert to_jsonable(graph._THING_RESTRICTION) == {
+        "root": 0, "incoherent": False, "aedges": [],
+        "nodes": [{"id": 0, "atoms": ["THING"], "dom": "*", "redges": []}]}
+
+
+def test_canonical_input_is_returned_itself(canonical_corpus):
+    for g, kb, schedule in canonical_corpus:
+        assert canonicalize(g, kb, schedule) is g
+        assert all(sub.canonical_under(kb) for sub in g.subgraphs())
+
+
+def test_same_as_cascade_merges_in_linear_time():
+    # Two same-as chains that share a k-long attribute prefix: the merge
+    # cascades k levels, each merging two nodes.
+    k = 1000
+    f_chain = ",".join(["f"] * k)
+    g = canonicalize(translate(parse_description(
+        "and(same-as((%s),(g)), same-as((%s),(h)))" % (f_chain, f_chain))))
+    end, taken = g.follow(g.root, ("f",) * k)
+    assert taken == k
+    assert g.follow(g.root, ("g",)) == (end, 1) == g.follow(g.root, ("h",))
+    assert len(g.nodes) == k + 1

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 
 from classicdl.descriptions import (
@@ -12,12 +15,15 @@ from classicdl.descriptions import (
     Individual,
     NamedRef,
     OneOf,
+    Primitive,
     SameAs,
     Thing,
     to_text,
+    walk,
 )
 from classicdl.kb import KbError, expand
 from classicdl.parsing import ParseError, parse_description, parse_kb
+from classicdl.randgen import random_pair
 
 
 def test_simple_conjunction(parse):
@@ -225,3 +231,34 @@ def test_individual_identity():
 
 def test_thing_keyword(parse):
     assert parse("thing") == Thing()
+
+
+def _preorder(d):
+    """The recursive reference walk ``walk`` must agree with."""
+    out = [d]
+    if isinstance(d, And):
+        for c in d.items:
+            out += _preorder(c)
+    elif isinstance(d, (AllRole, AllAttr)):
+        out += _preorder(d.restriction)
+    elif isinstance(d, Primitive):
+        out += _preorder(d.body)
+    return out
+
+
+def test_walk_order_matches_recursive_preorder():
+    rng = random.Random(0)
+    for _ in range(500):
+        for d in random_pair(rng):
+            assert [id(n) for n in walk(d)] == [id(n) for n in _preorder(d)]
+
+
+def test_walk_has_no_depth_ceiling():
+    # Built by hand: the parser still recurses per level.
+    depth = 3 * sys.getrecursionlimit()
+    d = ConceptName("A")
+    for _ in range(depth):
+        d = AllRole("r", And((ConceptName("B"), d)))
+    nodes = list(walk(d))
+    assert len(nodes) == 3 * depth + 1
+    assert nodes[-1] == ConceptName("A")
