@@ -20,7 +20,11 @@ changes a marked graph again.  So canonical graphs share restriction
 graphs freely: ``clone`` copies only the graphs that are not canonical
 under the knowledge base at hand, and ``translate`` gives every
 ``at-least``, ``at-most`` and ``fills(role, ...)`` one shared ``{THING}``
-restriction, canonical under every knowledge base.
+restriction, canonical under every knowledge base.  The mark is the
+knowledge base object itself, so a knowledge base must not change once
+some graph is canonical under it: the graph would not be re-normalized
+under the new contents.  A marked graph also keeps its knowledge base
+alive.
 
 A graph is either coherent or *the* incoherent graph: a single node
 labelled NOTHING, no edge, and the ``incoherent`` flag set.
@@ -143,7 +147,8 @@ class DescriptionGraph:
 
     ``canonical_kb`` is the knowledge base the graph is canonical under,
     ``ANY_KB``, or ``NOT_CANONICAL``; a graph canonical under some
-    knowledge base is frozen and never changes again.  ``attr_edge``,
+    knowledge base is frozen and never changes again, and that knowledge
+    base must not change either (see the module docstring).  ``attr_edge``,
     ``role_edge`` and ``follow`` answer from a hashed edge index that is
     built on the first of them called; they are meant for canonical
     graphs, whose index therefore always matches the graph.
@@ -175,9 +180,11 @@ class DescriptionGraph:
         """Whether the graph is canonical under ``kb`` (``None``: none)."""
         return self.canonical_kb is kb or self.canonical_kb is ANY_KB
 
-    def clone(self, kb=None) -> "DescriptionGraph":
+    def clone(self, kb) -> "DescriptionGraph":
         """A copy of this graph and of every nested restriction graph that
-        is not canonical under ``kb``; the canonical ones are shared.  The
+        is not canonical under ``kb`` (``None``: no knowledge base); the
+        canonical ones are shared.  A fresh ``object()`` as ``kb`` copies
+        every graph but those canonical under every knowledge base.  The
         copies are not canonical, and their nodes get fresh ids, so a copy
         can be merged with any other graph.  Graphs are copied in the
         preorder of ``subgraphs``, with an explicit stack, so any nesting

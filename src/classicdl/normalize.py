@@ -81,7 +81,9 @@ def canonicalize(g: DescriptionGraph,
     are canonical under ``kb``; every merge the rules make moves parts of
     that private copy.  Each copied graph is normalized once, children
     before parents, and the result and every restriction graph in it are
-    then marked canonical under ``kb``: frozen.
+    then marked canonical under ``kb``: frozen.  The mark is ``kb``
+    itself, so ``kb`` must not change after this call; a graph marked
+    before a change would be returned unchanged by later calls.
 
     ``schedule`` picks the order of each fixpoint round: "standard", or
     "alternate", which tries the rule families and the nodes in reverse;

@@ -42,6 +42,7 @@ from classicdl.worlds import (
     Interpretation,
     eval_description,
 )
+from test_graph import thawed
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 CORPUS_SEED = 20260810
@@ -186,7 +187,7 @@ def test_criterion_8_idempotence_confluence():
             for desc in (d, c):
                 g = translate(expand(desc, kb))
                 c1 = canonicalize(g, kb)
-                if not isomorphic(c1, canonicalize(c1, kb)):
+                if not isomorphic(c1, canonicalize(thawed(c1), kb)):
                     failures += 1
                 if not isomorphic(c1, canonicalize(g, kb,
                                                    schedule="alternate")):

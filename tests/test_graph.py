@@ -285,6 +285,13 @@ def test_translate_clones_no_node(text, clone_calls):
     assert clone_calls == []
 
 
+def thawed(g):
+    """A copy of ``g`` canonical under no knowledge base: every graph in
+    it is copied but the shared {THING} restriction, canonical under every
+    one, so ``canonicalize`` runs every rule on the copy again."""
+    return g.clone(object())
+
+
 def _unfrozen_nodes(g):
     """The nodes of ``g``'s graphs that are not frozen yet."""
     return [n for sub in g.subgraphs() if not sub.frozen
