@@ -72,8 +72,46 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_END = object()
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=False))
+    """Print ``json.dumps(obj, indent=2)``, written with an explicit stack
+    of open containers instead of the encoder's recursion, so a dump
+    nested any depth prints."""
+    out = []
+    stack = []  # [items, is a dict, no item written yet] per open container
+    value = obj
+    while True:
+        if isinstance(value, dict) and value:
+            out.append("{")
+            stack.append([iter(value.items()), True, True])
+        elif isinstance(value, (list, tuple)) and value:
+            out.append("[")
+            stack.append([iter(value), False, True])
+        else:
+            out.append(json.dumps(value))
+        while stack:
+            frame = stack[-1]
+            item = next(frame[0], _END)
+            if item is _END:
+                stack.pop()
+                out.append("\n" + "  " * len(stack)
+                           + ("}" if frame[1] else "]"))
+                continue
+            out.append(("\n" if frame[2] else ",\n") + "  " * len(stack))
+            frame[2] = False
+            if frame[1]:
+                key, value = item
+                # json.dumps writes a non-string key as its JSON text
+                out.append(json.dumps(key if isinstance(key, str)
+                                      else json.dumps(key)) + ": ")
+            else:
+                value = item
+            break
+        else:
+            print("".join(out))
+            return
 
 
 def main(argv: list[str] | None = None) -> int:

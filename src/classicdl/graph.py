@@ -498,7 +498,19 @@ def _fillers_jsonable(fillers: set[Individual]):
 
 def to_jsonable(g: DescriptionGraph) -> dict:
     """Structured dump with deterministic ordering; ``dom: "*"`` encodes
-    the universal marker and ``max: "inf"`` the unbounded maximum."""
+    the universal marker and ``max: "inf"`` the unbounded maximum.  The
+    graphs are dumped in the reverse preorder of ``subgraphs``, each
+    restriction graph before the graph holding it, so any nesting depth is
+    fine."""
+    dumps: dict[int, dict] = {}
+    for sub in reversed(list(g.subgraphs())):
+        if id(sub) not in dumps:
+            dumps[id(sub)] = _graph_jsonable(sub, dumps)
+    return dumps[id(g)]
+
+
+def _graph_jsonable(g: DescriptionGraph, dumps: dict[int, dict]) -> dict:
+    """The dump of ``g``, taking each restriction graph's from ``dumps``."""
     ranks = traversal_ranks(g)
     nodes = []
     for nid in sorted(g.nodes, key=lambda n: ranks[n]):
@@ -510,7 +522,7 @@ def to_jsonable(g: DescriptionGraph) -> dict:
                 "min": e.min,
                 "max": "inf" if e.max == INF else int(e.max),
                 "fillers": _fillers_jsonable(e.fillers),
-                "restriction": to_jsonable(e.restriction),
+                "restriction": dumps[id(e.restriction)],
             })
         nodes.append({
             "id": ranks[nid],

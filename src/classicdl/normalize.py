@@ -3,9 +3,9 @@
 The canonical form is the fixpoint of a family of rewrite steps applied to
 a graph and all of its nested restriction graphs:
 
-* atom closure — seed CLASSIC-THING next to atomic concepts, HOST-THING
-  next to host concepts, and close host concepts upward through the type
-  lattice;
+* atom closure — seed CLASSIC-THING next to atomic concepts and doms of
+  classic individuals, HOST-THING next to host concepts and doms of host
+  values, and close host concepts upward through the type lattice;
 * realm and bound conflicts — a node in both realms or labelled NOTHING,
   incomparable host types, an empty dom, a min above a max, or two atoms
   from one declared disjointness group make the whole graph incoherent
@@ -31,10 +31,12 @@ bookkeeping narrows a restriction's root dom.  So ``canonicalize``
 normalizes every restriction graph once, children before parents, and
 those rules normalize the one graph they changed on the spot.
 
-A canonical graph is frozen (see ``graph``), and the restriction graphs a
-rule meets may be frozen ones, shared with other canonical graphs.  Those
-three rules therefore replace or copy a frozen restriction before they
-change it; every other change is to ``canonicalize``'s own copy.
+A canonical graph is frozen (see ``graph``), and each graph is marked
+canonical as soon as it is normalized; the rule that builds a new
+restriction graph marks it too.  The restriction graphs a rule meets may
+also be frozen ones shared with other canonical graphs.  Those three
+rules therefore replace or copy a shared restriction before they change
+it; every other change is to ``canonicalize``'s own graphs.
 
 Each merge removes a node and every numeric step moves a bound
 monotonically, so the fixpoint exists.  Most graphs reach it in their first
@@ -80,10 +82,11 @@ def canonicalize(g: DescriptionGraph,
     ``g`` is cloned once, up front, sharing its restriction graphs that
     are canonical under ``kb``; every merge the rules make moves parts of
     that private copy.  Each copied graph is normalized once, children
-    before parents, and the result and every restriction graph in it are
-    then marked canonical under ``kb``: frozen.  The mark is ``kb``
-    itself, so ``kb`` must not change after this call; a graph marked
-    before a change would be returned unchanged by later calls.
+    before parents, and marked canonical under ``kb`` (frozen) as it is
+    finished, so the result and every restriction graph in it end up
+    marked.  The mark is ``kb`` itself, so ``kb`` must not change after
+    this call; a graph marked before a change would be returned unchanged
+    by later calls.
 
     ``schedule`` picks the order of each fixpoint round: "standard", or
     "alternate", which tries the rule families and the nodes in reverse;
@@ -93,14 +96,34 @@ def canonicalize(g: DescriptionGraph,
         raise ValueError("unknown schedule: %r" % schedule)
     if g.canonical_under(kb):
         return g
-    lattice = kb.lattice if kb is not None else _DEFAULT_LATTICE
-    groups = kb.disjoint_groups if kb is not None else []
+    run = _Run(kb, schedule)
     work = g.clone(kb)
     for sub in reversed(_unfrozen(work)):
-        _normalize_graph(sub, lattice, groups, schedule)
-    for sub in _unfrozen(work):
-        sub.canonical_kb = kb
+        _normalize_graph(sub, run)
     return work
+
+
+class _Run:
+    """One ``canonicalize`` call: its settings, and the graphs it has
+    normalized.  Each graph is marked canonical under ``kb`` as soon as it
+    is normalized, but the graphs of this call stay its own to change: a
+    parent's rule may still move or narrow them.  Any other frozen graph
+    a rule meets may be shared, so the rule copies it first."""
+
+    def __init__(self, kb: KnowledgeBase | None, schedule: str):
+        self.kb = kb
+        self.lattice = kb.lattice if kb is not None else _DEFAULT_LATTICE
+        self.groups = kb.disjoint_groups if kb is not None else []
+        self.schedule = schedule
+        self.own: set[DescriptionGraph] = set()
+
+    def mark(self, g: DescriptionGraph) -> DescriptionGraph:
+        g.canonical_kb = self.kb
+        self.own.add(g)
+        return g
+
+    def shared(self, g: DescriptionGraph) -> bool:
+        return g.frozen and g not in self.own
 
 
 def _unfrozen(g: DescriptionGraph) -> list[DescriptionGraph]:
@@ -125,57 +148,59 @@ def _thawed(g: DescriptionGraph) -> DescriptionGraph:
     return g.clone(g.canonical_kb)
 
 
-def _movable(g: DescriptionGraph) -> DescriptionGraph:
+def _movable(g: DescriptionGraph, run: _Run) -> DescriptionGraph:
     """``g``, or a private copy of it if ``merge_graphs`` would move parts
-    of a frozen graph: its non-root nodes or its root's r-edges.  The copy
-    also gives those nodes fresh ids, so the same frozen graph can be
-    merged with itself."""
-    if g.frozen and (len(g.nodes) > 1 or g.root_node.r_edges):
+    of a shared frozen graph: its non-root nodes or its root's r-edges.
+    The copy also gives those nodes fresh ids, so the same frozen graph
+    can be merged with itself."""
+    if run.shared(g) and (len(g.nodes) > 1 or g.root_node.r_edges):
         return _thawed(g)
     return g
 
 
-def _normalize_graph(g: DescriptionGraph, lattice, groups, schedule) -> None:
+def _normalize_graph(g: DescriptionGraph, run: _Run) -> None:
     """Run ``g``'s own rules to a fixpoint, or until a conflict makes it
-    incoherent.  Its restriction graphs must be canonical already; a rule
-    that changes one re-normalizes it.  Each pass returns at once when
-    nothing can fire it; only the a-edge pass removes nodes, and a pass
-    that makes ``g`` incoherent reports a change."""
-    step = 1 if schedule == "standard" else -1
-    passes = _SCHEDULES[schedule]
-    while not g.incoherent:
+    incoherent, and mark it canonical.  Its restriction graphs must be
+    canonical already; a rule that changes one re-normalizes it.  Each
+    pass returns at once when nothing can fire it; only the a-edge pass
+    removes nodes, and a pass that makes ``g`` incoherent reports a
+    change."""
+    step = 1 if run.schedule == "standard" else -1
+    passes = _SCHEDULES[run.schedule]
+    changed = True
+    while changed and not g.incoherent:
         node_order = list(g.nodes)[::step]
         changed = False
         for p in passes:
-            if p(g, node_order, lattice, groups, schedule):
+            if p(g, node_order, run):
                 if g.incoherent:
-                    return
+                    break
                 changed = True
                 if p is _aedge_pass:
                     node_order = [n for n in node_order if n in g.nodes]
-        if not changed:
-            return
+    run.mark(g)
 
 
 # -- node-local steps -------------------------------------------------------
 
 
-def _node_local_pass(g, node_order, lattice, groups, schedule) -> bool:
+def _node_local_pass(g, node_order, run) -> bool:
     changed = False
     for nid in node_order:
         node = g.nodes[nid]
-        changed |= _close_atoms(node, lattice)
-        if (_realm_conflicts(node, lattice) or _disjointness(node, groups)
+        changed |= _close_atoms(node, run.lattice)
+        if (_realm_conflicts(node, run.lattice)
+                or _disjointness(node, run.groups)
                 or any(e.min > e.max for e in node.r_edges)
                 or node.dom is not None and not node.dom):
             return mark_incoherent(g)
-        changed |= _dom_typing(node, lattice)
+        changed |= _dom_typing(node, run.lattice)
         for e in node.r_edges:
             if e.restriction.incoherent and e.max != 0:
                 e.max = 0
                 changed = True
             if e.max == 0 and not e.restriction.incoherent:
-                e.restriction = incoherent_graph()
+                e.restriction = run.mark(incoherent_graph())
                 changed = True
     return changed
 
@@ -185,8 +210,14 @@ def _is_host_test_atom(atom: str) -> bool:
 
 
 def _close_atoms(node: GraphNode, lattice) -> bool:
-    """Seed realm markers and close host concepts upward."""
+    """Seed realm markers and close host concepts upward.  A dom of
+    classic individuals only, or of host values only, gives its realm's
+    marker as well: every element the node admits lies in that realm."""
     add: set[str] = set()
+    if node.dom:
+        hosts = {ind.is_host for ind in node.dom}
+        if len(hosts) == 1:
+            add.add(HOST_THING if True in hosts else CLASSIC_THING)
     for atom in node.atoms:
         if atom in BUILTIN_ATOMS:
             continue
@@ -255,12 +286,12 @@ def _dom_typing(node: GraphNode, lattice) -> bool:
 # -- r-edge merging ---------------------------------------------------------
 
 
-def _merged_redge(edges: list[REdge], lattice, groups, schedule) -> REdge:
+def _merged_redge(edges: list[REdge], run: _Run) -> REdge:
     """One r-edge for a role: tightest bounds, merged restriction graphs
     (moved, since the old edges are dropped, and normalized again) and the
     union of fillers."""
-    restriction = merge_graphs(*(_movable(e.restriction) for e in edges))
-    _normalize_graph(restriction, lattice, groups, schedule)
+    restriction = merge_graphs(*(_movable(e.restriction, run) for e in edges))
+    _normalize_graph(restriction, run)
     return REdge(
         role=edges[0].role,
         min=max(e.min for e in edges),
@@ -270,7 +301,7 @@ def _merged_redge(edges: list[REdge], lattice, groups, schedule) -> REdge:
     )
 
 
-def _redge_pass(g, node_order, lattice, groups, schedule) -> bool:
+def _redge_pass(g, node_order, run) -> bool:
     changed = False
     for nid in node_order:
         node = g.nodes[nid]
@@ -282,7 +313,7 @@ def _redge_pass(g, node_order, lattice, groups, schedule) -> bool:
         if len(by_role) < len(node.r_edges):
             node.r_edges = [
                 es[0] if len(es) == 1
-                else _merged_redge(es, lattice, groups, schedule)
+                else _merged_redge(es, run)
                 for es in by_role.values()]
             changed = True
     return changed
@@ -316,7 +347,7 @@ class _UnionFind:
         return ra, rb
 
 
-def _aedge_pass(g, node_order, lattice, groups, schedule) -> bool:
+def _aedge_pass(g, node_order, run) -> bool:
     """Collapse duplicate (source, attribute) a-edges, cascading target
     merges by congruence closure (Downey, Sethi and Tarjan, JACM 1980):
     each node class keeps an attribute -> target map, and a union folds
@@ -380,7 +411,7 @@ def _aedge_pass(g, node_order, lattice, groups, schedule) -> bool:
 # -- individual bookkeeping -------------------------------------------------
 
 
-def _individual_pass(g, node_order, lattice, groups, schedule) -> bool:
+def _individual_pass(g, node_order, run) -> bool:
     changed = False
     # a-edges: filler multiplicity, dom pushing, filler/dom agreement.
     for e in g.a_edges:
@@ -423,11 +454,10 @@ def _individual_pass(g, node_order, lattice, groups, schedule) -> bool:
             if e.max == len(e.fillers):
                 new_dom = intersect_doms(head.dom, frozenset(e.fillers))
                 if new_dom != head.dom:
-                    if e.restriction.frozen:
+                    if run.shared(e.restriction):
                         e.restriction = _thawed(e.restriction)
                     e.restriction.root_node.dom = new_dom
-                    _normalize_graph(e.restriction, lattice, groups,
-                                     schedule)
+                    _normalize_graph(e.restriction, run)
                     changed = True
     return changed
 

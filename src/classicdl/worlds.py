@@ -15,6 +15,15 @@ Host elements are concrete typed values; anonymous host elements stand in
 for the infinitely many host values a real host language would provide.
 Attributes are total: lookups fall back to a dedicated host "sink" element
 that the constructors never use for anything meaningful.
+
+Elements are interned: a classic element by its number, a host element by
+its type, value and anonymous number.  Equal elements are one object, so
+equality is identity and every set and dict of elements hashes in C,
+whichever world, builder or sampler made them.
+
+``sample_interpretation`` draws every integer from ``getrandbits`` with the
+rejection loop that ``random.Random`` uses in ``choice``, ``randint`` and
+``shuffle``, so a seed gives the same world as those methods would.
 """
 
 from __future__ import annotations
@@ -63,26 +72,60 @@ class EvalError(Exception):
     """An atomic name or individual has no interpretation in the world."""
 
 
-@dataclass(frozen=True)
-class ClassicElement:
-    eid: int
+def _immutable(self, *args):
+    raise AttributeError("world elements are immutable")
 
-    def __hash__(self):
-        # The generated hash would build and hash a one-field tuple.
-        return hash(self.eid)
+
+class ClassicElement:
+    """A classic-realm element, interned by ``eid``: ``ClassicElement(i)``
+    is always the same object, so equality is identity and sets and dicts
+    of elements hash in C."""
+
+    __slots__ = ("eid",)
+    _interned: dict = {}
+
+    def __new__(cls, eid: int):
+        elem = cls._interned.get(eid)
+        if elem is None:
+            elem = object.__new__(cls)
+            object.__setattr__(elem, "eid", eid)
+            cls._interned[eid] = elem
+        return elem
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self):
+        return "ClassicElement(eid=%r)" % (self.eid,)
 
     def __str__(self):
         return "c%d" % self.eid
 
 
-@dataclass(frozen=True)
 class HostElement:
     """A host-realm element: a named literal value, or an anonymous extra
-    instance of a host type (``vtype`` ``None`` means no modelled type)."""
+    instance of a host type (``vtype`` ``None`` means no modelled type).
+    Interned by ``(vtype, value, anon_id)`` as ``ClassicElement`` is by
+    ``eid``."""
 
-    vtype: str | None
-    value: object = None
-    anon_id: int | None = None
+    __slots__ = ("vtype", "value", "anon_id")
+    _interned: dict = {}
+
+    def __new__(cls, vtype: str | None, value: object = None,
+                anon_id: int | None = None):
+        key = (vtype, value, anon_id)
+        elem = cls._interned.get(key)
+        if elem is None:
+            elem = object.__new__(cls)
+            for name, v in zip(cls.__slots__, key):
+                object.__setattr__(elem, name, v)
+            cls._interned[key] = elem
+        return elem
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self):
+        return "HostElement(vtype=%r, value=%r, anon_id=%r)" % (
+            self.vtype, self.value, self.anon_id)
 
     @property
     def is_anon(self) -> bool:
@@ -102,6 +145,9 @@ def host_element_for(ind: Individual) -> HostElement:
 
 Element = object  # ClassicElement | HostElement
 
+# The host element that attribute lookups fall back to.
+_SINK = HostElement(None, anon_id=-1)
+
 
 @dataclass
 class Interpretation:
@@ -114,9 +160,9 @@ class Interpretation:
         default_factory=dict)
     attr_ext: dict[str, dict] = field(default_factory=dict)
     indiv_ext: dict[str, set] = field(default_factory=dict)
-    sink: HostElement = field(
-        default_factory=lambda: HostElement(None, anon_id=-1))
     lattice: HostLattice = field(default_factory=lambda: _DEFAULT_LATTICE)
+
+    sink = _SINK  # one for every world: elements are interned
 
     def __post_init__(self):
         self.hosts.add(self.sink)
@@ -540,9 +586,10 @@ def sample_interpretation(sig: Signature, seed: int,
     chosen for it.
     """
     rng = random.Random(seed)
-    rand, choice, randint = rng.random, rng.choice, rng.randint
+    rand, getrandbits = rng.random, rng.getrandbits
     need = max(2, len(sig.individuals))
-    n = randint(need, max(need, max_domain))
+    width = max(need, max_domain) - need + 1
+    n = need + _below(getrandbits, width, width.bit_length())
 
     # Carrier margin: enough spare host elements per type that no query in
     # the signature can tell the finite carrier from an infinite realm.
@@ -556,41 +603,66 @@ def sample_interpretation(sig: Signature, seed: int,
 
     # Classic elements are numbered from 0 and fresh ones continue the
     # numbering, so the realm is always the first n interned elements.
+    # The pool is shuffled as ``Random.shuffle`` would shuffle it.
     pool = _interned_classic(n)
-    rng.shuffle(pool)
+    for i in range(len(pool) - 1, 0, -1):
+        j = _below(getrandbits, i + 1, (i + 1).bit_length())
+        pool[i], pool[j] = pool[j], pool[i]
     for name in sorted(sig.individuals):
-        size = randint(1, 3)
+        size = 1 + _below(getrandbits, 3, 2)  # randint(1, 3)
         if len(pool) < size:
             pool.extend(_interned_classic(n + size)[n:])
             n += size
         world.indiv_ext[name] = {pool.pop() for _ in range(size)}
-    classic = _interned_classic(n)
+    classic = tuple(_interned_classic(n))
     world.classic = set(classic)
 
     everything = (*classic, *hosts)
+    n_all = len(everything)
+    bits, bits_all = n.bit_length(), n_all.bit_length()
     for atom in sorted(sig.atoms):
         carrier = hosts if atom.startswith(HOST_TEST_ATOM_PREFIX) else classic
         world.concept_ext[atom] = {e for e in carrier if rand() < 0.5}
-    top = min(sig.max_number + 1, 4)
+    counts = min(sig.max_number + 1, 4) + 1
+    bits_counts = counts.bit_length()
     for role in sorted(sig.roles):
         table = world.role_ext[role] = {}
         for e in classic:
-            k = randint(0, top)
+            k = _below(getrandbits, counts, bits_counts)
             # Draw until k fillers are distinct; ``everything`` holds at
             # least 16 host elements, so this ends.
             fillers = table[e] = set()
             while len(fillers) < k:
-                fillers.add(choice(classic if rand() < 0.5 else everything))
+                if rand() < 0.5:
+                    fillers.add(classic[_below(getrandbits, n, bits)])
+                else:
+                    fillers.add(
+                        everything[_below(getrandbits, n_all, bits_all)])
     for attr in sorted(sig.attrs):
         table = world.attr_ext[attr] = {}
         for e in classic:
             if rand() < 0.8:
-                table[e] = choice(classic if rand() < 0.5 else everything)
+                if rand() < 0.5:
+                    table[e] = classic[_below(getrandbits, n, bits)]
+                else:
+                    table[e] = everything[_below(getrandbits, n_all,
+                                                 bits_all)]
     for left, right in sorted(sig.equations):
         for e in classic:
             if rand() < 0.5:
-                _close_equation(world, left, right, e, rng, classic)
+                _close_equation(world, left, right, e, getrandbits, classic)
     return world
+
+
+def _below(getrandbits, n: int, bits: int) -> int:
+    """A uniform int in [0, n) drawn from ``getrandbits`` exactly as
+    ``random.Random``'s ``choice``, ``randint`` and ``shuffle`` draw it
+    (the rejection loop of ``Random._randbelow_with_getrandbits``), with
+    ``bits``, which is ``n.bit_length()``, computed by the caller."""
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
 
 
 _CLASSIC_POOL: list[ClassicElement] = []
@@ -612,11 +684,11 @@ def _host_carrier(margin: int) -> tuple[tuple[HostElement, ...], frozenset]:
     types = ("INTEGER", "REAL", "STRING", None)
     elems = [HostElement(vtype, anon_id=i) for i, vtype in
              enumerate(t for t in types for _ in range(margin))]
-    elems.append(HostElement(None, anon_id=-1))
+    elems.append(_SINK)
     return tuple(sorted(elems, key=str)), frozenset(elems)
 
 
-def _close_equation(world, left, right, elem, rng, classic) -> None:
+def _close_equation(world, left, right, elem, getrandbits, classic) -> None:
     """Make ``left`` and ``right`` reach one value from ``elem``: every
     step but the last of each chain lands on a classic element, and the
     right chain's last step is pointed at the left chain's value."""
@@ -625,7 +697,8 @@ def _close_equation(world, left, right, elem, rng, classic) -> None:
         for attr in chain[:-1]:
             nxt = world.attr_value(attr, cur)
             if not isinstance(nxt, ClassicElement):
-                nxt = world.attr_ext[attr][cur] = rng.choice(classic)
+                nxt = world.attr_ext[attr][cur] = classic[_below(
+                    getrandbits, len(classic), len(classic).bit_length())]
             cur = nxt
     target = _chain_value(world, left, elem)
     world.attr_ext[right[-1]][_chain_value(world, right[:-1], elem)] = target
@@ -690,8 +763,7 @@ def _enumerate_worlds(base, classic, domain, atoms, roles, attrs, inds, k):
             for role_ext in _role_extensions(roles, classic, domain, k):
                 for attr_ext in _attr_extensions(attrs, classic,
                                                  list(domain)):
-                    world = Interpretation(lattice=base.lattice,
-                                           sink=base.sink)
+                    world = Interpretation(lattice=base.lattice)
                     world.classic = set(classic)
                     world.hosts = set(base.hosts)
                     world.concept_ext = {

@@ -131,6 +131,19 @@ def test_same_as_chain_through_a_host_value(subsumer, subsumee):
     assert elem not in eval_description(d, world)
 
 
+def test_narrowed_host_dom_gets_a_counter_model():
+    # at-most(1, r) narrows the restriction's dom to the host value 1; its
+    # realm marker makes the filler a host element, outside classic-thing
+    kb = parse_kb("role r\nindividual P")
+    d, c = (expand(parse_description(t, kb), kb)
+            for t in ("all(r, classic-thing)",
+                      "and(at-most(1, r), fills(r, 1))"))
+    g = canonicalize(translate(c), kb)
+    world, elem = construct_graphical_world(g, steering=d, kb=kb)
+    assert elem in eval_description(c, world)
+    assert elem not in eval_description(d, world)
+
+
 def test_filler_membership_cases(parse, kb):
     build(parse, kb, "and(all(r, one-of(P, Q)), at-least(1, r))",
           "fills(r, V)")

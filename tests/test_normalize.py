@@ -353,14 +353,13 @@ def test_each_pass_is_a_fixpoint_on_canonical_graphs(rule_pass,
     # Pins the passes' early returns: on a canonical graph every pass finds
     # nothing to rewrite, whether or not it returns before its scan.
     for g, kb, schedule in canonical_corpus:
-        lattice = kb.lattice if kb is not None else normalize._DEFAULT_LATTICE
-        groups = kb.disjoint_groups if kb is not None else []
+        run = normalize._Run(kb, schedule)
         step = 1 if schedule == "standard" else -1
         for sub in g.subgraphs():
             work = thawed(sub)
             before = to_jsonable(work)
             node_order = list(work.nodes)[::step]
-            assert not rule_pass(work, node_order, lattice, groups, schedule)
+            assert not rule_pass(work, node_order, run)
             assert to_jsonable(work) == before
 
 

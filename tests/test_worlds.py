@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from classicdl.countermodel import construct_graphical_world
 from classicdl.descriptions import (
     AllRole,
     AtLeast,
@@ -179,6 +180,70 @@ def test_merge_with_empty_world(parse, kb):
     w = sample_interpretation(sig, seed=9)
     m = merge_worlds(w, Interpretation())
     assert len(eval_description(d, m)) == len(eval_description(d, w))
+
+
+def test_elements_are_interned():
+    assert ClassicElement(3) is ClassicElement(3)
+    assert HostElement("INTEGER", 4) is HostElement("INTEGER", 4)
+    assert HostElement("INTEGER", anon_id=2) is \
+        HostElement("INTEGER", None, 2)
+    assert HostElement("INTEGER", 4) is not HostElement("REAL", 4)
+    assert HostElement(None, anon_id=-1) is Interpretation().sink
+    assert repr(ClassicElement(3)) == "ClassicElement(eid=3)"
+
+
+def test_elements_are_immutable():
+    e, h = ClassicElement(5), HostElement("STRING", "x")
+    for elem, name in ((e, "eid"), (h, "value"), (h, "anon_id")):
+        with pytest.raises(AttributeError):
+            setattr(elem, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(elem, name)
+    assert (e.eid, h.value, h.anon_id) == (5, "x", None)
+
+
+def test_countermodel_and_sampled_elements_meet(parse, kb):
+    # the builder and the sampler make their elements independently; equal
+    # elements are one object, so sets of either kind meet
+    d = expand(parse("and(GAME, fills(r, P), fills(f, 3))"), kb)
+    g = canonicalize(translate(d), kb)
+    built, _ = construct_graphical_world(g, kb=kb)
+    sampled = sample_interpretation(signature_of_description(d), seed=2)
+    shared = (built.classic | built.hosts) & (sampled.classic | sampled.hosts)
+    assert ClassicElement(0) in shared
+    assert HostElement("INTEGER", 3) in shared
+    for elem in shared:
+        assert any(elem is x for x in built.classic | built.hosts)
+        assert any(elem is x for x in sampled.classic | sampled.hosts)
+
+
+def test_merge_worlds_relabels_classic_elements(parse, kb):
+    # the first world's elements keep their numbers and the second's come
+    # after them, in order; hosts are shared
+    d = expand(parse("and(GAME, at-least(1, r), fills(f, 3))"), kb)
+    sig = signature_of_description(d)
+    w1 = sample_interpretation(sig, seed=5)
+    w2 = sample_interpretation(sig, seed=6)
+    m = merge_worlds(w1, w2)
+    n1, n2 = len(w1.classic), len(w2.classic)
+    assert m.classic == {ClassicElement(i) for i in range(n1 + n2)}
+    assert m.hosts == w1.hosts | w2.hosts
+
+    def shift(x):
+        return ClassicElement(x.eid + n1) \
+            if isinstance(x, ClassicElement) else x
+
+    for role, table in w2.role_ext.items():
+        for x, ys in table.items():
+            assert m.role_ext[role][shift(x)] >= {shift(y) for y in ys}
+    for attr, table in w2.attr_ext.items():
+        for x, y in table.items():
+            assert m.attr_ext[attr][shift(x)] is shift(y)
+    for attr, table in w1.attr_ext.items():
+        for x, y in table.items():
+            assert m.attr_ext[attr][x] is y
+    assert m.concept_ext["GAME"] == w1.concept_ext["GAME"] | {
+        shift(x) for x in w2.concept_ext["GAME"]}
 
 
 def test_sampler_reproducible(parse):
