@@ -41,7 +41,6 @@ from .graph import (
     GraphNode,
     REdge,
     AEdge,
-    isomorphic,
     merge_graphs,
     merge_nodes,
     translate,
@@ -61,7 +60,6 @@ from .reduction import (
 from .subsume import equivalent, subsumes, subsumes_graph
 from .worlds import (
     Interpretation,
-    bounded_model_search,
     eval_description,
     eval_graph,
     find_witness,

@@ -50,7 +50,7 @@ from .descriptions import (
     walk,
 )
 from .graph import DescriptionGraph, GraphNode, INF
-from .kb import HostLattice, KnowledgeBase
+from .kb import DEFAULT_LATTICE, HostLattice, KnowledgeBase
 from .subsume import Failure, covers_everything, explain
 from .worlds import (
     ClassicElement,
@@ -139,7 +139,7 @@ def construct_graphical_world(g: DescriptionGraph,
     description's extension."""
     if g.incoherent:
         raise ValueError("cannot build a world for an incoherent graph")
-    lattice = kb.lattice if kb is not None else HostLattice()
+    lattice = kb.lattice if kb is not None else DEFAULT_LATTICE
     b = _Builder(lattice)
     if steering is None:
         elems = _build_island(b, g, {}, {})

@@ -247,25 +247,6 @@ def to_text(d: Description) -> str:
     raise TypeError("not a description: %r" % (d,))
 
 
-def ast_size(d: Description) -> int:
-    """Number of constructors and leaves, counting integers as size one."""
-    if isinstance(d, And):
-        return 1 + sum(ast_size(c) for c in d.items)
-    if isinstance(d, (AllRole, AllAttr)):
-        return 2 + ast_size(d.restriction)
-    if isinstance(d, (AtLeast, AtMost)):
-        return 3
-    if isinstance(d, SameAs):
-        return 1 + len(d.left) + len(d.right)
-    if isinstance(d, (FillsRole, FillsAttr)):
-        return 3
-    if isinstance(d, OneOf):
-        return 1 + len(d.members)
-    if isinstance(d, Primitive):
-        return 2 + ast_size(d.body)
-    return 1
-
-
 def walk(d: Description):
     """Yield every node of the description tree, preorder.  The walk keeps
     its own stack, so any nesting depth is fine, and each node costs O(1)."""

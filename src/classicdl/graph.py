@@ -11,7 +11,8 @@ cut-edges.
 Node identifiers come from a process-wide counter, and a clone draws
 fresh ones, which makes the disjoint unions taken during merging
 trivially collision-free; structural equality is therefore always up to
-renaming (see ``isomorphic``).
+renaming: ``to_jsonable`` numbers nodes by a deterministic traversal, so
+two canonical graphs are equal exactly when their dumps are.
 
 A canonical graph is a frozen value: ``normalize.canonicalize`` marks it,
 and each of its nested restriction graphs, with the knowledge base it is
@@ -189,19 +190,25 @@ class DescriptionGraph:
         can be merged with any other graph.  Graphs are copied in the
         preorder of ``subgraphs``, with an explicit stack, so any nesting
         depth is fine."""
+        return self._clones(kb)[0]
+
+    def _clones(self, kb) -> list["DescriptionGraph"]:
+        """The copies ``clone(kb)`` makes, the copy of this graph first and
+        the rest in the preorder of ``subgraphs``."""
         def to_copy(g):
             # Reversed, so that the stack pops them in stored order.
             return [e for node in reversed(g.nodes.values())
                     for e in reversed(node.r_edges)
                     if not e.restriction.canonical_under(kb)]
 
-        top = self._copy()
-        stack = to_copy(top)
+        copies = [self._copy()]
+        stack = to_copy(copies[0])
         while stack:
             e = stack.pop()
             e.restriction = e.restriction._copy()
+            copies.append(e.restriction)
             stack += to_copy(e.restriction)
-        return top
+        return copies
 
     def _copy(self) -> "DescriptionGraph":
         """This graph alone copied, with fresh node ids; its nodes' r-edges
@@ -441,20 +448,8 @@ def _same_as_graph(left: tuple[str, ...], right: tuple[str, ...]) -> Description
     return g
 
 
-def graph_size(g: DescriptionGraph) -> int:
-    """Total size: nodes, atoms, dom entries, edges, bounds, and nested
-    restriction graphs."""
-    total = 0
-    for node in g.nodes.values():
-        total += 1 + len(node.atoms) + (0 if node.dom is None else len(node.dom))
-        for e in node.r_edges:
-            total += 3 + len(e.fillers) + graph_size(e.restriction)
-    total += sum(1 + len(e.fillers) for e in g.a_edges)
-    return total
-
-
 # ---------------------------------------------------------------------------
-# Deterministic ordering, dumps, and isomorphism
+# Deterministic ordering and dumps
 
 
 def traversal_ranks(g: DescriptionGraph) -> dict[int, int]:
@@ -543,7 +538,3 @@ def _graph_jsonable(g: DescriptionGraph, dumps: dict[int, dict]) -> dict:
         "aedges": aedges,
     }
 
-
-def isomorphic(g1: DescriptionGraph, g2: DescriptionGraph) -> bool:
-    """Structural equality up to node renaming (canonical graphs)."""
-    return to_jsonable(g1) == to_jsonable(g2)

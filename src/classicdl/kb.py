@@ -26,6 +26,7 @@ from .descriptions import (
     REALM_HOST,
     Test,
     TEST_ATOM_PREFIX,
+    THING,
 )
 
 
@@ -84,6 +85,11 @@ class HostLattice:
         if not ind.is_host:
             return False
         return self.leq(ind.host_type, concept)
+
+
+# The lattice of descriptions read without a knowledge base: the default
+# types only.  It is shared, so no type is ever added to it.
+DEFAULT_LATTICE = HostLattice()
 
 
 @dataclass
@@ -195,8 +201,7 @@ def _register_primitive(kb: KnowledgeBase, tag: str, body: Description) -> None:
     # The equivalence check may itself run subsumption, so import lazily.
     from . import subsume
 
-    if not (subsume.subsumes(existing, body, kb)
-            and subsume.subsumes(body, existing, kb)):
+    if not subsume.equivalent(existing, body, kb):
         raise KbError("primitive tag %r reused with a non-equivalent body"
                       % tag)
 
@@ -304,7 +309,7 @@ def classify(kb: KnowledgeBase) -> Taxonomy:
     for n in names:
         classes.setdefault(key[n], []).append(n)
 
-    nodes = [TaxonomyNode(members=["THING"], parents=[])]
+    nodes = [TaxonomyNode(members=[THING], parents=[])]
     index: dict[frozenset[str], int] = {}
     for k, members in classes.items():
         index[k] = 0 if top[members[0]] else len(nodes)

@@ -67,9 +67,7 @@ from .graph import (
     merge_graphs,
     merge_nodes,
 )
-from .kb import HostLattice, KnowledgeBase
-
-_DEFAULT_LATTICE = HostLattice()
+from .kb import DEFAULT_LATTICE, KnowledgeBase
 
 
 def canonicalize(g: DescriptionGraph,
@@ -97,10 +95,10 @@ def canonicalize(g: DescriptionGraph,
     if g.canonical_under(kb):
         return g
     run = _Run(kb, schedule)
-    work = g.clone(kb)
-    for sub in reversed(_unfrozen(work)):
+    copies = g._clones(kb)
+    for sub in reversed(copies):
         _normalize_graph(sub, run)
-    return work
+    return copies[0]
 
 
 class _Run:
@@ -112,7 +110,7 @@ class _Run:
 
     def __init__(self, kb: KnowledgeBase | None, schedule: str):
         self.kb = kb
-        self.lattice = kb.lattice if kb is not None else _DEFAULT_LATTICE
+        self.lattice = kb.lattice if kb is not None else DEFAULT_LATTICE
         self.groups = kb.disjoint_groups if kb is not None else []
         self.schedule = schedule
         self.own: set[DescriptionGraph] = set()
@@ -124,22 +122,6 @@ class _Run:
 
     def shared(self, g: DescriptionGraph) -> bool:
         return g.frozen and g not in self.own
-
-
-def _unfrozen(g: DescriptionGraph) -> list[DescriptionGraph]:
-    """``g`` and its nested restriction graphs that are not frozen, in the
-    preorder of ``subgraphs``.  A frozen graph's nested graphs are frozen
-    too, so the walk does not enter it."""
-    out = []
-    stack = [g]
-    while stack:
-        sub = stack.pop()
-        out.append(sub)
-        for node in reversed(sub.nodes.values()):
-            if node.r_edges:
-                stack += [e.restriction for e in reversed(node.r_edges)
-                          if not e.restriction.frozen]
-    return out
 
 
 def _thawed(g: DescriptionGraph) -> DescriptionGraph:

@@ -46,6 +46,7 @@ from .descriptions import (
     And,
     AtLeast,
     AtMost,
+    BUILTIN_ATOMS,
     ClassicThing,
     ConceptName,
     Description,
@@ -68,7 +69,7 @@ from .descriptions import (
     host_string,
     walk,
 )
-from .kb import KbError, KnowledgeBase, _definition_order
+from .kb import DEFAULT_LATTICE, KbError, KnowledgeBase, _definition_order
 
 
 class ParseError(Exception):
@@ -110,10 +111,6 @@ _CONSTANTS = {"thing": Thing, "classic-thing": ClassicThing,
               "host-thing": HostThing, "nothing": Nothing}
 KEYWORDS = frozenset({"and", "all", "at-least", "at-most", "same-as",
                       "fills", "one-of", "primitive", "test", *_CONSTANTS})
-
-# Graph node labels are reserved so user atoms never collide with them.
-_RESERVED_ATOMS = frozenset({"THING", "CLASSIC-THING", "HOST-THING",
-                             "NOTHING"})
 
 
 def _is_name(token: str) -> bool:
@@ -271,7 +268,9 @@ class _DescriptionParser:
         if not _is_name(name):
             self.fail("expected a description")
         self.i = i + 1
-        if name in _RESERVED_ATOMS:
+        # Graph node labels are reserved so user atoms never collide with
+        # them.
+        if name in BUILTIN_ATOMS:
             self.fail("%s is reserved; use the lowercase keyword" % name, i)
         if self.kb is not None:
             kind = self.kb.kind_of(name)
@@ -282,7 +281,7 @@ class _DescriptionParser:
             if kind is not None:
                 self.fail("%s is declared as a %s, not a concept"
                           % (name, kind), i)
-        elif name in ("STRING", "NUMBER", "COMPLEX", "REAL", "INTEGER"):
+        elif DEFAULT_LATTICE.is_type(name):
             return HostConcept(name)
         return ConceptName(name)
 

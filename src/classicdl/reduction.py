@@ -17,7 +17,6 @@ distinct literals so the encoding stays satisfiable by design.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .kb import KnowledgeBase
@@ -99,15 +98,6 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise DimacsError(str(exc)) from None
 
 
-def random_cnf(rng: random.Random, nvars: int, nclauses: int) -> CnfFormula:
-    variables = tuple("x%d" % i for i in range(1, nvars + 1))
-    clauses = []
-    for _ in range(nclauses):
-        picks = [rng.choice(variables) for _ in range(3)]
-        clauses.append(tuple(Literal(v, rng.random() < 0.5) for v in picks))
-    return CnfFormula(variables, tuple(clauses))
-
-
 # ---------------------------------------------------------------------------
 # Propositional ground truth
 
@@ -129,18 +119,6 @@ def check_validity_bruteforce(dnf, variables, limit: int = 20) -> bool:
         env = dict(zip(variables, bits))
         if not any(all(env[l.var] == l.positive for l in disjunct)
                    for disjunct in dnf):
-            return False
-    return True
-
-
-def truth_table_unsat(f: CnfFormula, limit: int = 20) -> bool:
-    """Independent check that no assignment satisfies all clauses."""
-    if len(f.variables) > limit:
-        raise ValueError("too many variables for brute force")
-    for bits in itertools.product((False, True), repeat=len(f.variables)):
-        env = dict(zip(f.variables, bits))
-        if all(any(env[l.var] == l.positive for l in clause)
-               for clause in f.clauses):
             return False
     return True
 

@@ -29,7 +29,6 @@ rejection loop that ``random.Random`` uses in ``choice``, ``randint`` and
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -39,6 +38,7 @@ from .descriptions import (
     And,
     AtLeast,
     AtMost,
+    BUILTIN_ATOMS,
     CLASSIC_THING,
     ClassicThing,
     ConceptName,
@@ -63,9 +63,7 @@ from .descriptions import (
     walk,
 )
 from .graph import DescriptionGraph, GraphNode
-from .kb import HostLattice
-
-_DEFAULT_LATTICE = HostLattice()
+from .kb import DEFAULT_LATTICE, HostLattice
 
 
 class EvalError(Exception):
@@ -160,16 +158,12 @@ class Interpretation:
         default_factory=dict)
     attr_ext: dict[str, dict] = field(default_factory=dict)
     indiv_ext: dict[str, set] = field(default_factory=dict)
-    lattice: HostLattice = field(default_factory=lambda: _DEFAULT_LATTICE)
+    lattice: HostLattice = DEFAULT_LATTICE
 
     sink = _SINK  # one for every world: elements are interned
 
     def __post_init__(self):
         self.hosts.add(self.sink)
-
-    def domain(self):
-        return itertools.chain(sorted(self.classic, key=lambda e: e.eid),
-                               sorted(self.hosts, key=str))
 
     def attr_value(self, attr: str, elem) -> Element | None:
         """The attribute's value at an element; None off the classic realm
@@ -537,9 +531,9 @@ def signature_of_description(d: Description) -> Signature:
 def signature_of_graph(g: DescriptionGraph,
                        lattice: HostLattice | None = None) -> Signature:
     """The vocabulary of a graph.  ``equations`` stays empty: a graph keeps
-    same-as only as shared a-edge targets, and its callers (bounded model
-    search and the counter-model builder) build worlds without sampling."""
-    lattice = lattice or _DEFAULT_LATTICE
+    same-as only as shared a-edge targets, and its caller, the
+    counter-model builder, builds worlds without sampling."""
+    lattice = lattice or DEFAULT_LATTICE
     sig = Signature()
     for sub in g.subgraphs():
         for e in sub.a_edges:
@@ -548,8 +542,7 @@ def signature_of_graph(g: DescriptionGraph,
                 _sig_add_individual(sig, f)
         for node in sub.nodes.values():
             for atom in node.atoms:
-                if atom not in (THING, CLASSIC_THING, HOST_THING, NOTHING) \
-                        and not lattice.is_type(atom):
+                if atom not in BUILTIN_ATOMS and not lattice.is_type(atom):
                     sig.atoms.add(atom)
             if node.dom is not None:
                 for f in node.dom:
@@ -599,7 +592,7 @@ def sample_interpretation(sig: Signature, seed: int,
         host_set = host_set | {host_element_for(i) for i in sig.host_values}
         hosts = tuple(sorted(host_set, key=str))
     world = Interpretation(hosts=set(host_set),
-                           lattice=lattice or _DEFAULT_LATTICE)
+                           lattice=lattice or DEFAULT_LATTICE)
 
     # Classic elements are numbered from 0 and fresh ones continue the
     # numbering, so the realm is always the first n interned elements.
@@ -702,104 +695,6 @@ def _close_equation(world, left, right, elem, getrandbits, classic) -> None:
             cur = nxt
     target = _chain_value(world, left, elem)
     world.attr_ext[right[-1]][_chain_value(world, right[:-1], elem)] = target
-
-
-# ---------------------------------------------------------------------------
-# Bounded brute-force model search
-
-
-def bounded_model_search(g: DescriptionGraph, k: int = 2,
-                         lattice: HostLattice | None = None):
-    """Exhaustively search for a world (over the graph's own signature)
-    with at most ``k`` classic elements and filler sets of size at most
-    ``k`` in which the graph's extension is non-empty.
-
-    Returns ``(world, element)`` or ``None``.  Only practical for the tiny
-    signatures used in tests; this is the independent check that canonical
-    non-incoherent graphs are satisfiable and incoherent ones are not.
-    """
-    lattice = lattice or _DEFAULT_LATTICE
-    sig = signature_of_graph(g, lattice)
-    atoms = sorted(sig.atoms)
-    roles = sorted(sig.roles)
-    attrs = sorted(sig.attrs)
-    inds = sorted(sig.individuals)
-
-    hosts = {host_element_for(i) for i in sig.host_values}
-    hosts |= {HostElement("INTEGER", anon_id=0), HostElement(None, anon_id=1)}
-
-    for n_classic in range(0, k + 1):
-        classic = [ClassicElement(i) for i in range(n_classic)]
-        base = Interpretation(lattice=lattice)
-        base.classic = set(classic)
-        base.hosts |= hosts
-        domain = classic + sorted(hosts | {base.sink}, key=str)
-        for world in _enumerate_worlds(base, classic, domain, atoms, roles,
-                                       attrs, inds, k):
-            for e in world.domain():
-                if element_in_graph(g, e, world):
-                    return world, e
-    return None
-
-
-def _subsets(items, max_size):
-    for r in range(0, min(len(items), max_size) + 1):
-        yield from itertools.combinations(items, r)
-
-
-def _enumerate_worlds(base, classic, domain, atoms, roles, attrs, inds, k):
-    atom_choices = [list(_subsets(classic, len(classic))) for _ in atoms]
-    # Each classic element belongs to at most one individual's extension.
-    ind_assignments = itertools.product(range(len(inds) + 1),
-                                        repeat=len(classic))
-    for ind_pick in ind_assignments:
-        ind_ext: dict[str, set] = {name: set() for name in inds}
-        for e, which in zip(classic, ind_pick):
-            if which > 0:
-                ind_ext[inds[which - 1]].add(e)
-        if inds and not all(ind_ext[n] for n in inds):
-            continue  # individual extensions must be non-empty
-        for atom_pick in itertools.product(*atom_choices):
-            for role_ext in _role_extensions(roles, classic, domain, k):
-                for attr_ext in _attr_extensions(attrs, classic,
-                                                 list(domain)):
-                    world = Interpretation(lattice=base.lattice)
-                    world.classic = set(classic)
-                    world.hosts = set(base.hosts)
-                    world.concept_ext = {
-                        a: set(pick) for a, pick in zip(atoms, atom_pick)}
-                    world.role_ext = role_ext
-                    world.attr_ext = attr_ext
-                    world.indiv_ext = {n: set(s) for n, s in ind_ext.items()}
-                    yield world
-
-
-def _role_extensions(roles, classic, domain, k):
-    if not roles:
-        yield {}
-        return
-    per_elem = list(_subsets(domain, k))
-    combos = itertools.product(per_elem, repeat=len(classic) * len(roles))
-    for combo in combos:
-        picks = iter(combo)
-        yield {role: {e: set(next(picks)) for e in classic}
-               for role in roles}
-
-
-def _attr_extensions(attrs, classic, choices):
-    if not attrs or not classic:
-        yield {a: {} for a in attrs}
-        return
-    combos = itertools.product(choices, repeat=len(classic) * len(attrs))
-    for combo in combos:
-        table: dict[str, dict] = {}
-        idx = 0
-        for a in attrs:
-            table[a] = {}
-            for e in classic:
-                table[a][e] = combo[idx]
-                idx += 1
-        yield table
 
 
 def to_jsonable(world: Interpretation, distinguished=None) -> dict:

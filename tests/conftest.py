@@ -4,6 +4,7 @@ from classicdl import subsume
 from classicdl.kb import KnowledgeBase
 from classicdl.parsing import parse_description, parse_kb
 from classicdl.worlds import eval_description
+from oracles import world_domain
 
 BASIC_KB_TEXT = """\
 # shared test vocabulary
@@ -70,7 +71,7 @@ def within_agrees():
     returns the number of single elements checked."""
     def check(d, world, rng) -> int:
         ext = eval_description(d, world)
-        domain = list(world.domain())
+        domain = list(world_domain(world))
         for e in domain:
             assert eval_description(d, world, {e}) == ext & {e}, (d, e)
         for _ in range(3):

@@ -1,0 +1,201 @@
+"""Test oracles: brute-force and size checks that the engine never runs.
+
+They give tests an independent view of what the engine computes:
+exhaustive model search for graph satisfiability, truth tables for 3CNF
+formulas, isomorphism of canonical graphs by their dumps, and size
+measures of descriptions and graphs.
+"""
+
+import itertools
+import random
+
+from classicdl.descriptions import (
+    AllAttr,
+    AllRole,
+    And,
+    AtLeast,
+    AtMost,
+    Description,
+    FillsAttr,
+    FillsRole,
+    OneOf,
+    Primitive,
+    SameAs,
+)
+from classicdl.graph import DescriptionGraph, to_jsonable
+from classicdl.kb import DEFAULT_LATTICE, HostLattice
+from classicdl.reduction import CnfFormula, Literal
+from classicdl.worlds import (
+    ClassicElement,
+    HostElement,
+    Interpretation,
+    element_in_graph,
+    host_element_for,
+    signature_of_graph,
+)
+
+
+def ast_size(d: Description) -> int:
+    """Number of constructors and leaves, counting integers as size one."""
+    if isinstance(d, And):
+        return 1 + sum(ast_size(c) for c in d.items)
+    if isinstance(d, (AllRole, AllAttr)):
+        return 2 + ast_size(d.restriction)
+    if isinstance(d, (AtLeast, AtMost)):
+        return 3
+    if isinstance(d, SameAs):
+        return 1 + len(d.left) + len(d.right)
+    if isinstance(d, (FillsRole, FillsAttr)):
+        return 3
+    if isinstance(d, OneOf):
+        return 1 + len(d.members)
+    if isinstance(d, Primitive):
+        return 2 + ast_size(d.body)
+    return 1
+
+
+def graph_size(g: DescriptionGraph) -> int:
+    """Total size: nodes, atoms, dom entries, edges, bounds, and nested
+    restriction graphs."""
+    total = 0
+    for node in g.nodes.values():
+        total += 1 + len(node.atoms) + (0 if node.dom is None else len(node.dom))
+        for e in node.r_edges:
+            total += 3 + len(e.fillers) + graph_size(e.restriction)
+    total += sum(1 + len(e.fillers) for e in g.a_edges)
+    return total
+
+
+def isomorphic(g1: DescriptionGraph, g2: DescriptionGraph) -> bool:
+    """Structural equality up to node renaming (canonical graphs)."""
+    return to_jsonable(g1) == to_jsonable(g2)
+
+
+# ---------------------------------------------------------------------------
+# Propositional ground truth
+
+
+def random_cnf(rng: random.Random, nvars: int, nclauses: int) -> CnfFormula:
+    variables = tuple("x%d" % i for i in range(1, nvars + 1))
+    clauses = []
+    for _ in range(nclauses):
+        picks = [rng.choice(variables) for _ in range(3)]
+        clauses.append(tuple(Literal(v, rng.random() < 0.5) for v in picks))
+    return CnfFormula(variables, tuple(clauses))
+
+
+def truth_table_unsat(f: CnfFormula, limit: int = 20) -> bool:
+    """Independent check that no assignment satisfies all clauses."""
+    if len(f.variables) > limit:
+        raise ValueError("too many variables for brute force")
+    for bits in itertools.product((False, True), repeat=len(f.variables)):
+        env = dict(zip(f.variables, bits))
+        if all(any(env[l.var] == l.positive for l in clause)
+               for clause in f.clauses):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Bounded brute-force model search
+
+
+def world_domain(world: Interpretation):
+    """The world's classic elements by number, then its host elements by
+    name."""
+    return itertools.chain(sorted(world.classic, key=lambda e: e.eid),
+                           sorted(world.hosts, key=str))
+
+
+def bounded_model_search(g: DescriptionGraph, k: int = 2,
+                         lattice: HostLattice | None = None):
+    """Exhaustively search for a world (over the graph's own signature)
+    with at most ``k`` classic elements and filler sets of size at most
+    ``k`` in which the graph's extension is non-empty.
+
+    Returns ``(world, element)`` or ``None``.  Only practical for the tiny
+    signatures used in tests; this is the independent check that canonical
+    non-incoherent graphs are satisfiable and incoherent ones are not.
+    """
+    lattice = lattice or DEFAULT_LATTICE
+    sig = signature_of_graph(g, lattice)
+    atoms = sorted(sig.atoms)
+    roles = sorted(sig.roles)
+    attrs = sorted(sig.attrs)
+    inds = sorted(sig.individuals)
+
+    hosts = {host_element_for(i) for i in sig.host_values}
+    hosts |= {HostElement("INTEGER", anon_id=0), HostElement(None, anon_id=1)}
+
+    for n_classic in range(0, k + 1):
+        classic = [ClassicElement(i) for i in range(n_classic)]
+        base = Interpretation(lattice=lattice)
+        base.classic = set(classic)
+        base.hosts |= hosts
+        domain = classic + sorted(hosts | {base.sink}, key=str)
+        for world in _enumerate_worlds(base, classic, domain, atoms, roles,
+                                       attrs, inds, k):
+            for e in world_domain(world):
+                if element_in_graph(g, e, world):
+                    return world, e
+    return None
+
+
+def _subsets(items, max_size):
+    for r in range(0, min(len(items), max_size) + 1):
+        yield from itertools.combinations(items, r)
+
+
+def _enumerate_worlds(base, classic, domain, atoms, roles, attrs, inds, k):
+    atom_choices = [list(_subsets(classic, len(classic))) for _ in atoms]
+    # Each classic element belongs to at most one individual's extension.
+    ind_assignments = itertools.product(range(len(inds) + 1),
+                                        repeat=len(classic))
+    for ind_pick in ind_assignments:
+        ind_ext: dict[str, set] = {name: set() for name in inds}
+        for e, which in zip(classic, ind_pick):
+            if which > 0:
+                ind_ext[inds[which - 1]].add(e)
+        if inds and not all(ind_ext[n] for n in inds):
+            continue  # individual extensions must be non-empty
+        for atom_pick in itertools.product(*atom_choices):
+            for role_ext in _role_extensions(roles, classic, domain, k):
+                for attr_ext in _attr_extensions(attrs, classic,
+                                                 list(domain)):
+                    world = Interpretation(lattice=base.lattice)
+                    world.classic = set(classic)
+                    world.hosts = set(base.hosts)
+                    world.concept_ext = {
+                        a: set(pick) for a, pick in zip(atoms, atom_pick)}
+                    world.role_ext = role_ext
+                    world.attr_ext = attr_ext
+                    world.indiv_ext = {n: set(s) for n, s in ind_ext.items()}
+                    yield world
+
+
+def _role_extensions(roles, classic, domain, k):
+    if not roles:
+        yield {}
+        return
+    per_elem = list(_subsets(domain, k))
+    combos = itertools.product(per_elem, repeat=len(classic) * len(roles))
+    for combo in combos:
+        picks = iter(combo)
+        yield {role: {e: set(next(picks)) for e in classic}
+               for role in roles}
+
+
+def _attr_extensions(attrs, classic, choices):
+    if not attrs or not classic:
+        yield {a: {} for a in attrs}
+        return
+    combos = itertools.product(choices, repeat=len(classic) * len(attrs))
+    for combo in combos:
+        table: dict[str, dict] = {}
+        idx = 0
+        for a in attrs:
+            table[a] = {}
+            for e in classic:
+                table[a][e] = combo[idx]
+                idx += 1
+        yield table

@@ -11,11 +11,8 @@ from classicdl.descriptions import (
     AtLeast,
     ConceptName,
     SameAs,
-    ast_size,
 )
 from classicdl.graph import (
-    graph_size,
-    isomorphic,
     to_jsonable,
     translate,
 )
@@ -32,8 +29,6 @@ from classicdl.reduction import (
     CnfFormula,
     Literal,
     demonstrate_incompleteness,
-    random_cnf,
-    truth_table_unsat,
 )
 from classicdl.subsume import equivalent, subsumes
 from classicdl.worlds import (
@@ -41,6 +36,13 @@ from classicdl.worlds import (
     HostElement,
     Interpretation,
     eval_description,
+)
+from oracles import (
+    ast_size,
+    graph_size,
+    isomorphic,
+    random_cnf,
+    truth_table_unsat,
 )
 from test_graph import thawed
 

@@ -12,14 +12,11 @@ from classicdl.descriptions import (
     Individual,
     NamedRef,
     THING,
-    ast_size,
 )
 from classicdl.graph import (
     DescriptionGraph,
     GraphNode,
     INF,
-    graph_size,
-    isomorphic,
     merge_graphs,
     merge_nodes,
     REdge,
@@ -29,6 +26,7 @@ from classicdl.graph import (
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description
 from classicdl.randgen import random_pair
+from oracles import ast_size, graph_size, isomorphic
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 

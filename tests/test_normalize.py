@@ -4,10 +4,11 @@ import pytest
 
 from classicdl import graph, normalize
 from classicdl.descriptions import CLASSIC_THING, Individual, NOTHING
-from classicdl.graph import isomorphic, to_jsonable, translate
+from classicdl.graph import to_jsonable, translate
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description, parse_kb
 from classicdl.randgen import corpus_kb, random_pair
+from oracles import isomorphic
 from test_canonical_goldens import golden_kb
 from test_graph import DEEP_SHAPES, thawed
 

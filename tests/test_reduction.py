@@ -11,9 +11,8 @@ from classicdl.reduction import (
     encode,
     negate_to_dnf,
     parse_dimacs,
-    random_cnf,
-    truth_table_unsat,
 )
+from oracles import random_cnf, truth_table_unsat
 
 
 def lit(v, s=True):

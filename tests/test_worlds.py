@@ -21,13 +21,13 @@ from classicdl.worlds import (
     HostElement,
     Interpretation,
     Signature,
-    bounded_model_search,
     eval_description,
     eval_graph,
     merge_worlds,
     sample_interpretation,
     signature_of_description,
 )
+from oracles import bounded_model_search, world_domain
 
 
 def _world() -> Interpretation:
@@ -515,7 +515,7 @@ def test_witness_mapping_clauses(parse, kb):
     assert seen > 0
     # and absence of a witness matches non-membership
     w = sample_interpretation(sig, seed=0)
-    outside = [x for x in w.domain() if x not in eval_graph(g, w)]
+    outside = [x for x in world_domain(w) if x not in eval_graph(g, w)]
     assert all(find_witness(g, x, w) is None for x in outside)
 
 
