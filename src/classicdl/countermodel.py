@@ -31,6 +31,7 @@ from .descriptions import (
     AllRole,
     AtLeast,
     AtMost,
+    BUILTIN_ATOMS,
     CLASSIC_THING,
     ClassicThing,
     ConceptName,
@@ -42,11 +43,9 @@ from .descriptions import (
     HostConcept,
     HostThing,
     Individual,
-    NOTHING,
     Nothing,
     OneOf,
     SameAs,
-    THING,
     walk,
 )
 from .graph import DescriptionGraph, GraphNode, INF
@@ -207,22 +206,12 @@ def _interpret_names(world: Interpretation, sig: Signature) -> None:
 # Building
 
 
-def _island_incoming_fillers(g: DescriptionGraph) -> dict[int, set]:
-    incoming: dict[int, set] = {}
-    for e in g.a_edges:
-        if e.fillers:
-            incoming.setdefault(e.dst, set()).update(e.fillers)
-    return incoming
-
-
 def _build_island(b: _Builder, g: DescriptionGraph,
                   plans: dict[int, NodePlan],
                   edge_plans: dict[tuple[int, str], EdgePlan]) -> dict:
-    incoming = _island_incoming_fillers(g)
     elems: dict[int, object] = {}
     for nid, node in g.nodes.items():
-        elems[nid] = _build_node(b, nid, node, plans.get(nid),
-                                 edge_plans, incoming.get(nid))
+        elems[nid] = _build_node(b, nid, node, plans.get(nid), edge_plans)
     for e in g.a_edges:
         b.set_attr(e.attr, elems[e.src], elems[e.dst])
     for nid, plan in plans.items():
@@ -242,14 +231,8 @@ def _minimal_host_type(node: GraphNode, lattice) -> str | None:
     return best
 
 
-def _pick_join(node: GraphNode, plan: NodePlan | None,
-               forced: set | None) -> Individual | None:
+def _pick_join(node: GraphNode, plan: NodePlan | None) -> Individual | None:
     """Which individual the node's element should realize."""
-    if forced:
-        pick = sorted(forced, key=Individual.sort_key)[0]
-        if plan and pick in plan.dom_avoid:
-            raise CounterModelError("a-edge filler forces an avoided join")
-        return pick
     if plan and plan.dom_pick is not None:
         return plan.dom_pick
     if node.dom is None:
@@ -262,10 +245,10 @@ def _pick_join(node: GraphNode, plan: NodePlan | None,
 
 
 def _build_node(b: _Builder, nid: int, node: GraphNode,
-                plan: NodePlan | None, edge_plans, forced_fillers):
+                plan: NodePlan | None, edge_plans):
     lattice = b.world.lattice
     if HOST_THING in node.atoms:
-        join = _pick_join(node, plan, forced_fillers)
+        join = _pick_join(node, plan)
         if join is not None:
             if not join.is_host:
                 raise CounterModelError("classic join on a host node")
@@ -277,17 +260,15 @@ def _build_node(b: _Builder, nid: int, node: GraphNode,
                 b.add_membership(atom, elem)
         return elem
 
-    classicish = CLASSIC_THING in node.atoms or any(
-        a not in (THING, NOTHING) and not lattice.is_type(a)
-        for a in node.atoms)
-    if not classicish and plan is not None and plan.host:
+    classic = CLASSIC_THING in node.atoms
+    if not classic and plan is not None and plan.host:
         return b.fresh(True)
-    join = _pick_join(node, plan, forced_fillers)
-    if not classicish and join is not None and join.is_host:
+    join = _pick_join(node, plan)
+    if not classic and join is not None and join.is_host:
         return b.host_value(join)
     elem = b.fresh(False)
     for atom in node.atoms:
-        if atom in (THING, CLASSIC_THING, NOTHING) or lattice.is_type(atom):
+        if atom in BUILTIN_ATOMS or lattice.is_type(atom):
             continue
         b.add_membership(atom, elem)
     if join is not None:

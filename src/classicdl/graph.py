@@ -4,9 +4,10 @@ A graph holds a set of nodes, a bag of attribute-labelled edges (a-edges),
 and a distinguished root.  Nodes carry concept atoms, a bag of
 role-labelled components (r-edges, each nesting its own restriction
 graph), and a ``dom`` — either the universal marker (``None``) or a finite
-set of admissible individuals.  Edges carry filler sets.  Restriction
-graphs share no nodes with their parent, so role edges are always
-cut-edges.
+set of admissible individuals.  R-edges carry filler sets; an attribute
+has exactly one value, so an a-edge's filler is stated as the one
+individual of its target's dom.  Restriction graphs share no nodes with
+their parent, so role edges are always cut-edges.
 
 Node identifiers come from a process-wide counter, and a clone draws
 fresh ones, which makes the disjoint unions taken during merging
@@ -34,8 +35,8 @@ and every conflict rule of ``normalize`` go through it.
 
 ``merge_graphs`` and ``merge_nodes`` are n-ary and move their inputs into
 the result instead of cloning them, so ``translate`` builds each graph in
-one pass.  The result shares nodes, r-edges and filler sets with its
-inputs: once either side is changed in place, the other may not be used.
+one pass.  The result shares nodes and r-edges with its inputs: once
+either side is changed in place, the other may not be used.
 ``normalize.canonicalize`` changes only its own copy of the parts of its
 input that are not canonical yet, so merging frozen graphs is safe.
 """
@@ -103,7 +104,6 @@ class AEdge:
     src: int
     dst: int
     attr: str
-    fillers: set[Individual] = field(default_factory=set)
 
 
 @dataclass
@@ -216,7 +216,7 @@ class DescriptionGraph:
         g = DescriptionGraph()
         ids = {nid: _fresh_id() for nid in self.nodes}
         g.nodes = {ids[nid]: n.clone() for nid, n in self.nodes.items()}
-        g.a_edges = [AEdge(ids[e.src], ids[e.dst], e.attr, set(e.fillers))
+        g.a_edges = [AEdge(ids[e.src], ids[e.dst], e.attr)
                      for e in self.a_edges]
         g.root = ids[self.root]
         g.incoherent = self.incoherent
@@ -335,7 +335,7 @@ def merge_graphs(*graphs: DescriptionGraph) -> DescriptionGraph:
     nodes plus a fresh root merging the old roots; edges on the old roots
     are re-targeted to the new root.
 
-    Nodes, r-edges and a-edge filler sets are moved into the result, not
+    Nodes, r-edges and r-edge filler sets are moved into the result, not
     cloned: it shares them with the inputs.  A merge with an
     incoherent graph is incoherent (the intersection of an empty extension
     with anything is empty).
@@ -354,7 +354,7 @@ def merge_graphs(*graphs: DescriptionGraph) -> DescriptionGraph:
             if e.src == root or e.dst == root:
                 e = AEdge(new_root if e.src == root else e.src,
                           new_root if e.dst == root else e.dst,
-                          e.attr, e.fillers)
+                          e.attr)
             out.a_edges.append(e)
     return out
 
@@ -406,8 +406,8 @@ def translate(d: Description) -> DescriptionGraph:
         g = DescriptionGraph()
         g.root = g.add_node(GraphNode(atoms={CLASSIC_THING}))
         end_atoms = HOST_THING if d.who.is_host else CLASSIC_THING
-        end = g.add_node(GraphNode(atoms={end_atoms}))
-        g.a_edges.append(AEdge(g.root, end, d.attr, fillers={d.who}))
+        end = g.add_node(GraphNode(atoms={end_atoms}, dom=frozenset({d.who})))
+        g.a_edges.append(AEdge(g.root, end, d.attr))
         return g
     if isinstance(d, OneOf):
         g = DescriptionGraph()
@@ -491,6 +491,13 @@ def _fillers_jsonable(fillers: set[Individual]):
     return [i.name for i in sorted(fillers, key=Individual.sort_key)]
 
 
+def _attr_filler_jsonable(dom: frozenset[Individual] | None):
+    """An a-edge's filler list: its target's dom if that dom holds one
+    individual, else empty."""
+    return _fillers_jsonable(dom) if dom is not None and len(dom) == 1 \
+        else []
+
+
 def to_jsonable(g: DescriptionGraph) -> dict:
     """Structured dump with deterministic ordering; ``dom: "*"`` encodes
     the universal marker and ``max: "inf"`` the unbounded maximum.  The
@@ -527,7 +534,7 @@ def _graph_jsonable(g: DescriptionGraph, dumps: dict[int, dict]) -> dict:
         })
     aedges = [
         {"src": ranks[e.src], "dst": ranks[e.dst], "attr": e.attr,
-         "fillers": _fillers_jsonable(e.fillers)}
+         "fillers": _attr_filler_jsonable(g.nodes[e.dst].dom)}
         for e in sorted(g.a_edges,
                         key=lambda e: (ranks[e.src], e.attr, ranks[e.dst]))
     ]

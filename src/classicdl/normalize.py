@@ -16,9 +16,11 @@ a graph and all of its nested restriction graphs:
   their restriction graphs; two a-edges with the same source and attribute
   collapse their targets.  Target collapses cascade, so they are driven by
   a congruence closure over the node classes;
-* individual bookkeeping — filler sets push into doms and mins, doms cap
-  maxes, and contradictions between fillers and doms make the graph
-  incoherent.
+* individual bookkeeping — an r-edge's fillers push into its min and its
+  restriction's root dom, that dom caps its max, and a filler outside the
+  dom makes the graph incoherent.  An attribute has one value, stated as
+  the one individual of its target's dom, so two fillers of one attribute
+  meet as an empty merged dom.
 
 Every conflict makes its graph incoherent at once, through
 ``graph.mark_incoherent``, and a graph's rules stop there: nothing is
@@ -375,17 +377,12 @@ def _aedge_pass(g, node_order, run) -> bool:
         new_nodes[rep] = g.nodes[rep] if len(members) == 1 else \
             merge_nodes(*(g.nodes[m] for m in sorted(members)))
     merged_edges: dict[tuple[int, str], AEdge] = {}
-    order: list[AEdge] = []
     for e in g.a_edges:
         key = (uf.find(e.src), e.attr)
-        if key in merged_edges:
-            merged_edges[key].fillers |= e.fillers
-        else:
-            ne = AEdge(key[0], uf.find(e.dst), e.attr, e.fillers)
-            merged_edges[key] = ne
-            order.append(ne)
+        if key not in merged_edges:
+            merged_edges[key] = AEdge(key[0], uf.find(e.dst), e.attr)
     g.nodes = new_nodes
-    g.a_edges = order
+    g.a_edges = list(merged_edges.values())
     g.root = uf.find(g.root)
     return True
 
@@ -394,24 +391,9 @@ def _aedge_pass(g, node_order, run) -> bool:
 
 
 def _individual_pass(g, node_order, run) -> bool:
+    """The r-edges' filler/dom subset rule and bound/cardinality
+    arithmetic."""
     changed = False
-    # a-edges: filler multiplicity, dom pushing, filler/dom agreement.
-    for e in g.a_edges:
-        end = g.nodes[e.dst]
-        if len(e.fillers) > 1 or (e.fillers and end.dom is not None
-                                  and not e.fillers <= end.dom):
-            return mark_incoherent(g)
-        # An attribute has one value, so a filler narrows the target's dom
-        # to itself whether or not the dom was already set.
-        if e.fillers and end.dom != e.fillers:
-            end.dom = frozenset(e.fillers)
-            changed = True
-        if end.dom is not None and len(end.dom) == 1:
-            (only,) = end.dom
-            if only not in e.fillers:
-                e.fillers = {only}
-                changed = True
-    # r-edges: filler/dom subset rule and bound/cardinality arithmetic.
     for nid in node_order:
         node = g.nodes[nid]
         for e in node.r_edges:

@@ -170,7 +170,7 @@ def _holds(d: Description, g: DescriptionGraph, nid: int) -> bool:
         return e is not None and d.who in e.fillers
     if isinstance(d, FillsAttr):
         e = g.attr_edge(nid, d.attr)
-        return e is not None and d.who in e.fillers
+        return e is not None and g.nodes[e.dst].dom == {d.who}
     if isinstance(d, OneOf):
         return node.dom is not None and node.dom <= set(d.members)
     raise TypeError("not a description: %r" % (d,))

@@ -62,7 +62,7 @@ from .descriptions import (
     Thing,
     walk,
 )
-from .graph import DescriptionGraph, GraphNode
+from .graph import DescriptionGraph, GraphNode, INF
 from .kb import DEFAULT_LATTICE, HostLattice
 
 
@@ -393,12 +393,8 @@ def find_witness(g: DescriptionGraph, elem,
 
 
 def _check_assignment(g, assign, world) -> bool:
-    """The a-edge fillers and every node's own conditions; the walk in
-    ``find_witness`` has already checked the a-edges' attribute values."""
-    for e in g.a_edges:
-        for f in e.fillers:
-            if assign[e.dst] not in world.individual_ext(f):
-                return False
+    """Every node's own conditions; the walk in ``find_witness`` has
+    already checked the a-edges' attribute values."""
     for nid, value in assign.items():
         if not _element_in_node(g.nodes[nid], value, world):
             return False
@@ -538,8 +534,6 @@ def signature_of_graph(g: DescriptionGraph,
     for sub in g.subgraphs():
         for e in sub.a_edges:
             sig.attrs.add(e.attr)
-            for f in e.fillers:
-                _sig_add_individual(sig, f)
         for node in sub.nodes.values():
             for atom in node.atoms:
                 if atom not in BUILTIN_ATOMS and not lattice.is_type(atom):
@@ -549,7 +543,7 @@ def signature_of_graph(g: DescriptionGraph,
                     _sig_add_individual(sig, f)
             for e in node.r_edges:
                 sig.roles.add(e.role)
-                if e.max != float("inf"):
+                if e.max != INF:
                     sig.max_number = max(sig.max_number, int(e.max))
                 sig.max_number = max(sig.max_number, e.min)
                 for f in e.fillers:
@@ -558,9 +552,7 @@ def signature_of_graph(g: DescriptionGraph,
 
 
 def sample_interpretation(sig: Signature, seed: int,
-                          max_domain: int = 5,
-                          lattice: HostLattice | None = None
-                          ) -> Interpretation:
+                          max_domain: int = 5) -> Interpretation:
     """A seeded random world interpreting the signature.
 
     Classic individuals get disjoint extensions of one to three elements;
@@ -591,8 +583,7 @@ def sample_interpretation(sig: Signature, seed: int,
     if sig.host_values:
         host_set = host_set | {host_element_for(i) for i in sig.host_values}
         hosts = tuple(sorted(host_set, key=str))
-    world = Interpretation(hosts=set(host_set),
-                           lattice=lattice or DEFAULT_LATTICE)
+    world = Interpretation(hosts=set(host_set))
 
     # Classic elements are numbered from 0 and fresh ones continue the
     # numbering, so the realm is always the first n interned elements.

@@ -62,7 +62,7 @@ def graph_size(g: DescriptionGraph) -> int:
         total += 1 + len(node.atoms) + (0 if node.dom is None else len(node.dom))
         for e in node.r_edges:
             total += 3 + len(e.fillers) + graph_size(e.restriction)
-    total += sum(1 + len(e.fillers) for e in g.a_edges)
+    total += len(g.a_edges)
     return total
 
 

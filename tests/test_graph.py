@@ -140,7 +140,8 @@ def test_attribute_fill_translation(parse):
     assert len(g.nodes) == 2
     (edge,) = g.a_edges
     assert edge.attr == "coach"
-    assert edge.fillers == {Individual("Pat")}
+    assert g.nodes[edge.dst].dom == {Individual("Pat")}
+    assert to_jsonable(g)["aedges"][0]["fillers"] == ["Pat"]
     assert g.nodes[edge.dst].atoms == {CLASSIC_THING}
 
 
