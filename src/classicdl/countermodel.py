@@ -358,16 +358,24 @@ def _host_confined(d: Description) -> bool:
     host realm."""
     host = False
     for node in walk(d):
-        if isinstance(node, (HostThing, HostConcept)) or (
-                isinstance(node, OneOf) and node.is_host) or (
-                isinstance(node, ConceptName)
-                and node.name.startswith(HOST_TEST_ATOM_PREFIX)):
+        names_host = _NAMES_HOST.get(type(node))
+        if names_host is not None:
+            if not names_host(node):
+                return False
             host = True
-        elif isinstance(node, (OneOf, ConceptName, ClassicThing, AllRole,
-                               AllAttr, AtLeast, AtMost, SameAs, FillsRole,
-                               FillsAttr, Nothing)):
-            return False
     return host
+
+
+# Whether a constructor names the host realm (True) or the classic one
+# (False), looked up by class; the others name neither.
+_NAMES_HOST = {
+    HostThing: lambda d: True,
+    HostConcept: lambda d: True,
+    OneOf: lambda d: d.is_host,
+    ConceptName: lambda d: d.name.startswith(HOST_TEST_ATOM_PREFIX),
+    **dict.fromkeys((ClassicThing, AllRole, AllAttr, AtLeast, AtMost, SameAs,
+                     FillsRole, FillsAttr, Nothing), lambda d: False),
+}
 
 
 def _node_plan(plans: dict[int, NodePlan], nid: int) -> NodePlan:
@@ -382,97 +390,40 @@ def _plan(failure: Failure, plans: dict[int, NodePlan],
     """Steer the island of ``failure.graph`` so the element of
     ``failure.node`` escapes ``failure.clause``, which the structural test
     found not to hold there."""
-    d, g, nid = failure.clause, failure.graph, failure.node
-    node = g.nodes[nid]
-
-    if isinstance(d, Nothing):
-        return  # nothing is escaped by every element of a coherent graph
-    if HOST_THING in node.atoms and isinstance(
-            d, (AllRole, AllAttr, AtLeast, AtMost, SameAs, FillsRole,
-                FillsAttr)):
+    d = failure.clause
+    t = type(d)
+    if (t in _CLASSIC_ONLY
+            and HOST_THING in failure.graph.nodes[failure.node].atoms):
         # These constructors confine their extension to the classic realm;
         # a host element escapes them with no steering at all.
         return
-    if isinstance(d, (ConceptName, HostConcept)):
-        _plan_atom(d, node, nid, plans, lattice)
-        return
-    if isinstance(d, ClassicThing):
-        if HOST_THING not in node.atoms:
-            _node_plan(plans, nid).host = True
-        return
-    if isinstance(d, HostThing):
-        return  # a node without HOST-THING is built classic anyway
-    if isinstance(d, AtLeast):
-        e = g.role_edge(nid, d.role)
-        if e is None:
-            edge_plans[(nid, d.role)] = EdgePlan(count=d.n - 1,
-                                                 synthetic_host=False)
-            return
-        edge_plans[(nid, d.role)] = EdgePlan(count=_bounded(d.n - 1, e.max))
-        return
-    if isinstance(d, AtMost):
-        e = g.role_edge(nid, d.role)
-        if e is None:
-            edge_plans[(nid, d.role)] = EdgePlan(
-                count=d.n + 1, synthetic_host=False)
-            return
-        edge_plans[(nid, d.role)] = EdgePlan(count=max(e.min, d.n + 1))
-        return
-    if isinstance(d, AllRole):
-        if covers_everything(d.restriction):
-            # The body covers everything, so the root must be non-classic.
-            _node_plan(plans, nid).host = True
-        elif failure.inner is not None:
-            # The body fails in the edge's restriction graph.
-            edge_plans[(nid, d.role)] = EdgePlan(counter=failure.inner)
-        else:
-            edge_plans[(nid, d.role)] = EdgePlan(
-                count=1, synthetic_host=not _host_confined(d.restriction))
-        return
-    if isinstance(d, AllAttr):
-        # A body failing through an edge is reported at the edge's target,
-        # so the attribute has no edge here.
-        if covers_everything(d.restriction):
-            _node_plan(plans, nid).host = True
-        else:
-            _node_plan(plans, nid).attr_set[d.attr] = not _host_confined(
-                d.restriction)
-        return
-    if isinstance(d, SameAs):
-        _plan_same_as(d, g, nid, plans)
-        return
-    if isinstance(d, FillsRole):
-        e = g.role_edge(nid, d.role)
-        if e is not None:
-            head = e.restriction.root_node
-            count = e.min if head.dom is not None else max(
-                e.min, len(e.fillers))
-            edge_plans[(nid, d.role)] = EdgePlan(
-                count=count, dom_avoid=frozenset({d.who}))
-        return
-    if isinstance(d, FillsAttr):
-        e = g.attr_edge(nid, d.attr)
-        if e is not None:
-            _node_plan(plans, e.dst).dom_avoid |= {d.who}
-        return
-    if isinstance(d, OneOf):
-        members = frozenset(d.members)
-        if node.dom is not None:
-            _node_plan(plans, nid).dom_avoid |= members
-        return
-    raise CounterModelError("cannot steer against %r" % (d,))
+    steer = _STEER.get(t)
+    if steer is None:
+        raise CounterModelError("cannot steer against %r" % (d,))
+    steer(failure, plans, edge_plans, lattice)
 
 
-def _plan_atom(d, node, nid, plans, lattice) -> None:
-    name = d.name
-    if isinstance(d, HostConcept) and HOST_THING in node.atoms:
+_CLASSIC_ONLY = frozenset({AllRole, AllAttr, AtLeast, AtMost, SameAs,
+                           FillsRole, FillsAttr})
+
+
+def _steer_nowhere(failure, plans, edge_plans, lattice) -> None:
+    """``nothing`` is escaped by every element of a coherent graph, and
+    ``host-thing`` by the classic element a node without HOST-THING is
+    built as."""
+
+
+def _steer_atom(failure, plans, edge_plans, lattice) -> None:
+    d, nid = failure.clause, failure.node
+    node = failure.graph.nodes[nid]
+    if type(d) is HostConcept and HOST_THING in node.atoms:
         if node.dom is not None:
             outside = [v for v in sorted(node.dom, key=Individual.sort_key)
-                       if not lattice.literal_in(v, name)]
+                       if not lattice.literal_in(v, d.name)]
             if not outside:
                 raise CounterModelError(
                     "every admissible host value lies in %s; the structural "
-                    "test under-approximates here" % name)
+                    "test under-approximates here" % d.name)
             plan = _node_plan(plans, nid)
             plan.dom_pick = outside[0]
         return
@@ -480,8 +431,80 @@ def _plan_atom(d, node, nid, plans, lattice) -> None:
     # already escapes a missing atom.
 
 
-def _plan_same_as(d: SameAs, g: DescriptionGraph, nid: int,
-                  plans: dict[int, NodePlan]) -> None:
+def _steer_classic_thing(failure, plans, edge_plans, lattice) -> None:
+    if HOST_THING not in failure.graph.nodes[failure.node].atoms:
+        _node_plan(plans, failure.node).host = True
+
+
+def _steer_at_least(failure, plans, edge_plans, lattice) -> None:
+    d, nid = failure.clause, failure.node
+    e = failure.graph.role_edge(nid, d.role)
+    if e is None:
+        edge_plans[(nid, d.role)] = EdgePlan(count=d.n - 1,
+                                             synthetic_host=False)
+    else:
+        edge_plans[(nid, d.role)] = EdgePlan(count=_bounded(d.n - 1, e.max))
+
+
+def _steer_at_most(failure, plans, edge_plans, lattice) -> None:
+    d, nid = failure.clause, failure.node
+    e = failure.graph.role_edge(nid, d.role)
+    if e is None:
+        edge_plans[(nid, d.role)] = EdgePlan(count=d.n + 1,
+                                             synthetic_host=False)
+    else:
+        edge_plans[(nid, d.role)] = EdgePlan(count=max(e.min, d.n + 1))
+
+
+def _steer_all_role(failure, plans, edge_plans, lattice) -> None:
+    d, nid = failure.clause, failure.node
+    if covers_everything(d.restriction):
+        # The body covers everything, so the root must be non-classic.
+        _node_plan(plans, nid).host = True
+    elif failure.inner is not None:
+        # The body fails in the edge's restriction graph.
+        edge_plans[(nid, d.role)] = EdgePlan(counter=failure.inner)
+    else:
+        edge_plans[(nid, d.role)] = EdgePlan(
+            count=1, synthetic_host=not _host_confined(d.restriction))
+
+
+def _steer_all_attr(failure, plans, edge_plans, lattice) -> None:
+    # A body failing through an edge is reported at the edge's target, so
+    # the attribute has no edge here.
+    d, nid = failure.clause, failure.node
+    if covers_everything(d.restriction):
+        _node_plan(plans, nid).host = True
+    else:
+        _node_plan(plans, nid).attr_set[d.attr] = not _host_confined(
+            d.restriction)
+
+
+def _steer_fills_role(failure, plans, edge_plans, lattice) -> None:
+    d, nid = failure.clause, failure.node
+    e = failure.graph.role_edge(nid, d.role)
+    if e is not None:
+        head = e.restriction.root_node
+        count = e.min if head.dom is not None else max(e.min, len(e.fillers))
+        edge_plans[(nid, d.role)] = EdgePlan(
+            count=count, dom_avoid=frozenset({d.who}))
+
+
+def _steer_fills_attr(failure, plans, edge_plans, lattice) -> None:
+    d = failure.clause
+    e = failure.graph.attr_edge(failure.node, d.attr)
+    if e is not None:
+        _node_plan(plans, e.dst).dom_avoid |= {d.who}
+
+
+def _steer_one_of(failure, plans, edge_plans, lattice) -> None:
+    if failure.graph.nodes[failure.node].dom is not None:
+        _node_plan(plans, failure.node).dom_avoid |= frozenset(
+            failure.clause.members)
+
+
+def _steer_same_as(failure, plans, edge_plans, lattice) -> None:
+    d, g, nid = failure.clause, failure.graph, failure.node
     l_pre, l_taken = g.follow(nid, d.left[:-1])
     r_pre, r_taken = g.follow(nid, d.right[:-1])
     l_full = l_taken == len(d.left) - 1 and \
@@ -522,3 +545,22 @@ def _plan_same_as(d: SameAs, g: DescriptionGraph, nid: int,
                 plan.attr_set[attr] = True
             else:
                 plan.host = True
+
+
+# How to steer against each clause the structural test rejects, looked up
+# by class.
+_STEER = {
+    Nothing: _steer_nowhere,
+    HostThing: _steer_nowhere,
+    ConceptName: _steer_atom,
+    HostConcept: _steer_atom,
+    ClassicThing: _steer_classic_thing,
+    AtLeast: _steer_at_least,
+    AtMost: _steer_at_most,
+    AllRole: _steer_all_role,
+    AllAttr: _steer_all_attr,
+    SameAs: _steer_same_as,
+    FillsRole: _steer_fills_role,
+    FillsAttr: _steer_fills_attr,
+    OneOf: _steer_one_of,
+}

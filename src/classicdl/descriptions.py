@@ -5,6 +5,10 @@ conjunction, role/attribute value restrictions, number restrictions,
 attribute-chain equalities, filler and enumeration constraints over
 individuals, plus primitive and test concepts.  ``to_text`` renders the
 ASCII surface syntax accepted by :mod:`classicdl.parsing`.
+
+Every layer over descriptions finds a constructor's case by looking up
+the description's class, ``type(d)``, so no constructor class may be
+subclassed: a lookup would not find the subclass.
 """
 
 from __future__ import annotations
@@ -210,41 +214,63 @@ class NamedRef(Description):
     name: str
 
 
+# The leaf constructors' surface text and AST dump, looked up by class.
+# The constructors that nest a description (``and``, ``all``,
+# ``primitive``) are handled in the functions below.
+_TEXT = {
+    Thing: lambda d: "thing",
+    ClassicThing: lambda d: "classic-thing",
+    HostThing: lambda d: "host-thing",
+    Nothing: lambda d: "nothing",
+    ConceptName: lambda d: d.name,
+    HostConcept: lambda d: d.name,
+    NamedRef: lambda d: d.name,
+    AtLeast: lambda d: "at-least(%d, %s)" % (d.n, d.role),
+    AtMost: lambda d: "at-most(%d, %s)" % (d.n, d.role),
+    SameAs: lambda d: "same-as((%s),(%s))" % (",".join(d.left),
+                                              ",".join(d.right)),
+    FillsRole: lambda d: "fills(%s, %s)" % (d.role, d.who.name),
+    FillsAttr: lambda d: "fills(%s, %s)" % (d.attr, d.who.name),
+    OneOf: lambda d: "one-of(%s)" % ", ".join(m.name for m in d.members),
+    Test: lambda d: "test(%s, %s)" % (d.func, d.realm),
+}
+
+_JSONABLE = {
+    Thing: lambda d: {"op": "thing"},
+    ClassicThing: lambda d: {"op": "classic-thing"},
+    HostThing: lambda d: {"op": "host-thing"},
+    Nothing: lambda d: {"op": "nothing"},
+    ConceptName: lambda d: {"op": "concept", "name": d.name},
+    HostConcept: lambda d: {"op": "host-concept", "name": d.name},
+    NamedRef: lambda d: {"op": "named", "name": d.name},
+    AtLeast: lambda d: {"op": "at-least", "n": d.n, "role": d.role},
+    AtMost: lambda d: {"op": "at-most", "n": d.n, "role": d.role},
+    SameAs: lambda d: {"op": "same-as", "left": list(d.left),
+                       "right": list(d.right)},
+    FillsRole: lambda d: {"op": "fills-role", "role": d.role,
+                          "who": d.who.name},
+    FillsAttr: lambda d: {"op": "fills-attr", "attr": d.attr,
+                          "who": d.who.name},
+    OneOf: lambda d: {"op": "one-of", "members": [m.name for m in d.members]},
+    Test: lambda d: {"op": "test", "func": d.func, "realm": d.realm},
+}
+
+
 def to_text(d: Description) -> str:
     """Render a description in the surface grammar."""
-    if isinstance(d, Thing):
-        return "thing"
-    if isinstance(d, ClassicThing):
-        return "classic-thing"
-    if isinstance(d, HostThing):
-        return "host-thing"
-    if isinstance(d, Nothing):
-        return "nothing"
-    if isinstance(d, (ConceptName, HostConcept, NamedRef)):
-        return d.name
-    if isinstance(d, And):
+    t = type(d)
+    if t is And:
         return "and(%s)" % ", ".join(to_text(c) for c in d.items)
-    if isinstance(d, AllRole):
+    if t is AllRole:
         return "all(%s, %s)" % (d.role, to_text(d.restriction))
-    if isinstance(d, AllAttr):
+    if t is AllAttr:
         return "all(%s, %s)" % (d.attr, to_text(d.restriction))
-    if isinstance(d, AtLeast):
-        return "at-least(%d, %s)" % (d.n, d.role)
-    if isinstance(d, AtMost):
-        return "at-most(%d, %s)" % (d.n, d.role)
-    if isinstance(d, SameAs):
-        return "same-as((%s),(%s))" % (",".join(d.left), ",".join(d.right))
-    if isinstance(d, FillsRole):
-        return "fills(%s, %s)" % (d.role, d.who.name)
-    if isinstance(d, FillsAttr):
-        return "fills(%s, %s)" % (d.attr, d.who.name)
-    if isinstance(d, OneOf):
-        return "one-of(%s)" % ", ".join(m.name for m in d.members)
-    if isinstance(d, Primitive):
+    if t is Primitive:
         return "primitive(%s, %s)" % (to_text(d.body), d.tag)
-    if isinstance(d, Test):
-        return "test(%s, %s)" % (d.func, d.realm)
-    raise TypeError("not a description: %r" % (d,))
+    case = _TEXT.get(t)
+    if case is None:
+        raise TypeError("not a description: %r" % (d,))
+    return case(d)
 
 
 def walk(d: Description):
@@ -254,52 +280,29 @@ def walk(d: Description):
     while stack:
         d = stack.pop()
         yield d
-        if isinstance(d, And):
+        t = type(d)
+        if t is And:
             stack += reversed(d.items)
-        elif isinstance(d, (AllRole, AllAttr)):
+        elif t is AllRole or t is AllAttr:
             stack.append(d.restriction)
-        elif isinstance(d, Primitive):
+        elif t is Primitive:
             stack.append(d.body)
 
 
 def to_jsonable(d: Description) -> object:
     """AST dump used by the CLI ``parse`` subcommand."""
-    if isinstance(d, Thing):
-        return {"op": "thing"}
-    if isinstance(d, ClassicThing):
-        return {"op": "classic-thing"}
-    if isinstance(d, HostThing):
-        return {"op": "host-thing"}
-    if isinstance(d, Nothing):
-        return {"op": "nothing"}
-    if isinstance(d, ConceptName):
-        return {"op": "concept", "name": d.name}
-    if isinstance(d, HostConcept):
-        return {"op": "host-concept", "name": d.name}
-    if isinstance(d, NamedRef):
-        return {"op": "named", "name": d.name}
-    if isinstance(d, And):
+    t = type(d)
+    if t is And:
         return {"op": "and", "items": [to_jsonable(c) for c in d.items]}
-    if isinstance(d, AllRole):
+    if t is AllRole:
         return {"op": "all-role", "role": d.role,
                 "restriction": to_jsonable(d.restriction)}
-    if isinstance(d, AllAttr):
+    if t is AllAttr:
         return {"op": "all-attr", "attr": d.attr,
                 "restriction": to_jsonable(d.restriction)}
-    if isinstance(d, AtLeast):
-        return {"op": "at-least", "n": d.n, "role": d.role}
-    if isinstance(d, AtMost):
-        return {"op": "at-most", "n": d.n, "role": d.role}
-    if isinstance(d, SameAs):
-        return {"op": "same-as", "left": list(d.left), "right": list(d.right)}
-    if isinstance(d, FillsRole):
-        return {"op": "fills-role", "role": d.role, "who": d.who.name}
-    if isinstance(d, FillsAttr):
-        return {"op": "fills-attr", "attr": d.attr, "who": d.who.name}
-    if isinstance(d, OneOf):
-        return {"op": "one-of", "members": [m.name for m in d.members]}
-    if isinstance(d, Primitive):
+    if t is Primitive:
         return {"op": "primitive", "tag": d.tag, "body": to_jsonable(d.body)}
-    if isinstance(d, Test):
-        return {"op": "test", "func": d.func, "realm": d.realm}
-    raise TypeError("not a description: %r" % (d,))
+    case = _JSONABLE.get(t)
+    if case is None:
+        raise TypeError("not a description: %r" % (d,))
+    return case(d)

@@ -33,6 +33,11 @@ labelled NOTHING, no edge, and the ``incoherent`` flag set.
 ``mark_incoherent`` is the one builder of that shape; ``incoherent_graph``
 and every conflict rule of ``normalize`` go through it.
 
+``translate`` finds a constructor's case by one lookup of the
+description's class in a table of leaf cases; ``and`` and the two ``all``
+constructors, which nest a description, stay inline in it, so a nesting
+level costs no extra Python frame.
+
 ``merge_graphs`` and ``merge_nodes`` are n-ary and move their inputs into
 the result instead of cloning them, so ``translate`` builds each graph in
 one pass.  The result shares nodes and r-edges with its inputs: once
@@ -366,33 +371,12 @@ def translate(d: Description) -> DescriptionGraph:
     extension equals the description's in every possible world.  Doms
     default to the universal marker and filler sets to empty.
     """
-    if isinstance(d, (NamedRef, Primitive, Test)):
-        raise ValueError("description must be expanded before translation")
-    if isinstance(d, Thing):
-        return singleton_graph(THING)
-    if isinstance(d, ClassicThing):
-        return singleton_graph(CLASSIC_THING)
-    if isinstance(d, HostThing):
-        return singleton_graph(HOST_THING)
-    if isinstance(d, Nothing):
-        return incoherent_graph()
-    if isinstance(d, (ConceptName, HostConcept)):
-        return singleton_graph(d.name)
-    if isinstance(d, And):
+    t = type(d)
+    if t is And:
         return merge_graphs(*(translate(item) for item in d.items))
-    if isinstance(d, AtLeast):
-        return _redge_graph(d.role, d.n, INF, _THING_RESTRICTION)
-    if isinstance(d, AtMost):
-        return _redge_graph(d.role, 0, d.n, _THING_RESTRICTION)
-    if isinstance(d, AllRole):
+    if t is AllRole:
         return _redge_graph(d.role, 0, INF, translate(d.restriction))
-    if isinstance(d, FillsRole):
-        # The filler set carries the individual; the restriction stays THING
-        # because a filler constraint says nothing about the *other*
-        # fillers (an r-edge restriction binds them all).
-        return _redge_graph(d.role, 0, INF, _THING_RESTRICTION,
-                            fillers={d.who})
-    if isinstance(d, AllAttr):
+    if t is AllAttr:
         # If the inner graph is incoherent its node keeps the NOTHING atom;
         # normalization propagates the incoherence back up.
         inner = translate(d.restriction)
@@ -402,22 +386,30 @@ def translate(d: Description) -> DescriptionGraph:
         g.root = g.add_node(GraphNode(atoms={CLASSIC_THING}))
         g.a_edges.append(AEdge(g.root, inner.root, d.attr))
         return g
-    if isinstance(d, FillsAttr):
-        g = DescriptionGraph()
-        g.root = g.add_node(GraphNode(atoms={CLASSIC_THING}))
-        end_atoms = HOST_THING if d.who.is_host else CLASSIC_THING
-        end = g.add_node(GraphNode(atoms={end_atoms}, dom=frozenset({d.who})))
-        g.a_edges.append(AEdge(g.root, end, d.attr))
-        return g
-    if isinstance(d, OneOf):
-        g = DescriptionGraph()
-        atoms = HOST_THING if d.is_host else CLASSIC_THING
-        g.root = g.add_node(GraphNode(atoms={atoms},
-                                      dom=frozenset(d.members)))
-        return g
-    if isinstance(d, SameAs):
-        return _same_as_graph(d.left, d.right)
-    raise TypeError("not a description: %r" % (d,))
+    case = _TRANSLATE.get(t)
+    if case is None:
+        raise TypeError("not a description: %r" % (d,))
+    return case(d)
+
+
+def _unexpanded(d: Description) -> DescriptionGraph:
+    raise ValueError("description must be expanded before translation")
+
+
+def _fills_attr_graph(d: FillsAttr) -> DescriptionGraph:
+    g = DescriptionGraph()
+    g.root = g.add_node(GraphNode(atoms={CLASSIC_THING}))
+    end_atoms = HOST_THING if d.who.is_host else CLASSIC_THING
+    end = g.add_node(GraphNode(atoms={end_atoms}, dom=frozenset({d.who})))
+    g.a_edges.append(AEdge(g.root, end, d.attr))
+    return g
+
+
+def _one_of_graph(d: OneOf) -> DescriptionGraph:
+    g = DescriptionGraph()
+    atoms = HOST_THING if d.is_host else CLASSIC_THING
+    g.root = g.add_node(GraphNode(atoms={atoms}, dom=frozenset(d.members)))
+    return g
 
 
 def _redge_graph(role: str, lo: int, hi: float,
@@ -446,6 +438,31 @@ def _same_as_graph(left: tuple[str, ...], right: tuple[str, ...]) -> Description
     lay_path(left)
     lay_path(right)
     return g
+
+
+# The leaf constructors' graphs, looked up by class; ``translate`` keeps
+# the constructors that nest a description.
+_TRANSLATE = {
+    Thing: lambda d: singleton_graph(THING),
+    ClassicThing: lambda d: singleton_graph(CLASSIC_THING),
+    HostThing: lambda d: singleton_graph(HOST_THING),
+    Nothing: lambda d: incoherent_graph(),
+    ConceptName: lambda d: singleton_graph(d.name),
+    HostConcept: lambda d: singleton_graph(d.name),
+    AtLeast: lambda d: _redge_graph(d.role, d.n, INF, _THING_RESTRICTION),
+    AtMost: lambda d: _redge_graph(d.role, 0, d.n, _THING_RESTRICTION),
+    # The filler set carries the individual; the restriction stays THING
+    # because a filler constraint says nothing about the *other* fillers
+    # (an r-edge restriction binds them all).
+    FillsRole: lambda d: _redge_graph(d.role, 0, INF, _THING_RESTRICTION,
+                                      fillers={d.who}),
+    FillsAttr: _fills_attr_graph,
+    OneOf: _one_of_graph,
+    SameAs: lambda d: _same_as_graph(d.left, d.right),
+    NamedRef: _unexpanded,
+    Primitive: _unexpanded,
+    Test: _unexpanded,
+}
 
 
 # ---------------------------------------------------------------------------

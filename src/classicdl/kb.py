@@ -164,31 +164,41 @@ def _expand(node: Description, kb: KnowledgeBase, active: frozenset[str],
     if budget[0] < 0:
         raise KbError("expansion exceeds the configured size limit "
                       "(%d nodes)" % kb.expansion_limit)
-    if isinstance(node, NamedRef):
+    t = type(node)
+    if t is NamedRef:
         if node.name in active:
             raise KbError("recursive named concept: %s" % node.name)
         if node.name not in kb.named:
             raise KbError("unknown named concept: %s" % node.name)
         return _expand(kb.named[node.name], kb, active | {node.name}, budget)
-    if isinstance(node, And):
+    if t is And:
         items = tuple([_expand(c, kb, active, budget) for c in node.items])
         return node if all(map(is_, items, node.items)) else And(items)
-    if isinstance(node, AllRole):
+    if t is AllRole:
         body = _expand(node.restriction, kb, active, budget)
         return node if body is node.restriction else AllRole(node.role, body)
-    if isinstance(node, AllAttr):
+    if t is AllAttr:
         body = _expand(node.restriction, kb, active, budget)
         return node if body is node.restriction else AllAttr(node.attr, body)
-    if isinstance(node, Primitive):
+    if t is Primitive:
         body = _expand(node.body, kb, active, budget)
         _register_primitive(kb, node.tag, body)
         return And((ConceptName(primitive_atom(node.tag)), body))
-    if isinstance(node, Test):
-        atom = ConceptName(test_atom(node.func, node.realm))
-        marker: Description = (
-            HostThing() if node.realm == REALM_HOST else ClassicThing())
-        return And((atom, marker))
-    return node
+    case = _EXPAND.get(t)
+    return node if case is None else case(node)
+
+
+def _expand_test(node: Test) -> Description:
+    """A test concept: an opaque minted atom and its realm's marker."""
+    atom = ConceptName(test_atom(node.func, node.realm))
+    marker: Description = (
+        HostThing() if node.realm == REALM_HOST else ClassicThing())
+    return And((atom, marker))
+
+
+# The leaf constructors that expansion rewrites, looked up by class; every
+# other leaf is its own expansion.
+_EXPAND = {Test: _expand_test}
 
 
 def _register_primitive(kb: KnowledgeBase, tag: str, body: Description) -> None:
@@ -235,10 +245,11 @@ def _told_parts(d: Description, kb: KnowledgeBase, names: list[str],
     """Split a definition into its told names and its other conjuncts,
     and expand only the latter.  An unknown name is left to ``expand``,
     which reports it."""
-    if isinstance(d, NamedRef) and d.name in kb.named:
+    t = type(d)
+    if t is NamedRef and d.name in kb.named:
         if d.name not in names:
             names.append(d.name)
-    elif isinstance(d, And):
+    elif t is And:
         for c in d.items:
             _told_parts(c, kb, names, clauses)
     else:
@@ -288,7 +299,9 @@ def classify(kb: KnowledgeBase) -> Taxonomy:
     bottom = {n for n in names if canon[n].incoherent}
     coherent = set(names) - bottom
     below: dict[str, set[str]] = {}
-    above = {n: set(names) if n in bottom else set() for n in names}
+    # The subsumers of each coherent name; every incoherent name has all
+    # names as its subsumers, so they share one key.
+    above: dict[str, set[str]] = {n: set() for n in coherent}
     top: dict[str, bool] = {}
     for a in order:
         told, clauses = parts[a]
@@ -304,7 +317,9 @@ def classify(kb: KnowledgeBase) -> Taxonomy:
             above[b].add(a)
         top[a] = all(top[p] for p in told) and \
             all(map(covers_everything, clauses))
-    key = {n: frozenset(above[n]) for n in names}
+    everything = frozenset(names)
+    key = {n: everything if n in bottom else frozenset(above[n])
+           for n in names}
     classes: dict[frozenset[str], list[str]] = {}
     for n in names:
         classes.setdefault(key[n], []).append(n)

@@ -10,8 +10,12 @@ which ``countermodel`` builds its world.  ``subsumes_graph`` is
 own filler and dom fields are consulted.  Each clause is tested once, in
 one pass over the subsumer, by one recursive core, ``_failure``;
 ``covers_everything`` is the syntactic THING-equivalence the ``all``
-cases need.  ``subsumes`` wires up the full pipeline: expand both
-descriptions, translate and canonicalize the subsumee, then test.
+cases need.  Both find a clause's case by one lookup of its class in a
+table of leaf cases (``_HOLDS`` for ``_failure``); ``and`` and the two
+``all`` constructors, which nest a description, stay inline in the
+recursive core, so a nesting level costs no extra Python frame.
+``subsumes`` wires up the full pipeline: expand both descriptions,
+translate and canonicalize the subsumee, then test.
 """
 
 from __future__ import annotations
@@ -54,13 +58,19 @@ def covers_everything(d: Description) -> bool:
     the atom ``THING``, or a conjunction of such.  Every other constructor
     fails against the one-node THING graph, which has no edge, no dom, no
     ``CLASSIC-THING`` atom, and follows no non-empty attribute chain."""
-    if isinstance(d, Thing):
-        return True
-    if isinstance(d, (ConceptName, HostConcept)):
-        return d.name == THING
-    if isinstance(d, And):
+    t = type(d)
+    if t is And:
         return all(covers_everything(c) for c in d.items)
-    return False
+    case = _COVERS_EVERYTHING.get(t)
+    return case is not None and case(d)
+
+
+# The leaf constructors that can cover everything, looked up by class.
+_COVERS_EVERYTHING = {
+    Thing: lambda d: True,
+    ConceptName: lambda d: d.name == THING,
+    HostConcept: lambda d: d.name == THING,
+}
 
 
 @dataclass(frozen=True)
@@ -83,10 +93,13 @@ class Failure:
                 "inner": self.inner and self.inner.to_jsonable()}
 
 
+_UNEXPANDED = frozenset({NamedRef, Primitive, Test})
+
+
 def explain(d: Description, g: DescriptionGraph) -> Failure | None:
     """None iff the description subsumes the canonical graph; otherwise
     the ``Failure`` that shows it does not."""
-    if isinstance(d, (NamedRef, Primitive, Test)):
+    if type(d) in _UNEXPANDED:
         raise ValueError("description must be expanded before subsumption")
     # An incoherent subsumee is below everything.
     if g.incoherent:
@@ -101,29 +114,28 @@ def subsumes_graph(d: Description, g: DescriptionGraph) -> bool:
 
 def _failure(d: Description, g: DescriptionGraph, nid: int) -> Failure | None:
     """The structural test of ``d`` at node ``nid``: None if it holds."""
-    # A subsumer equivalent to THING is above everything.  That needs no
-    # check of its own: ``thing`` is answered here, the atom THING in the
-    # atom case, and a conjunction of them decomposes.
-    if isinstance(d, Thing):
-        return None
+    t = type(d)
     # Conjunctions decompose.
-    if isinstance(d, And):
+    if t is And:
         for c in d.items:
             failure = _failure(c, g, nid)
             if failure is not None:
                 return failure
         return None
-    if isinstance(d, AllRole):
+    if t is AllRole:
         e = g.role_edge(nid, d.role)
         if e is not None:
             inner = explain(d.restriction, e.restriction)
             return None if inner is None else Failure(d, g, nid, inner)
-    elif isinstance(d, AllAttr):
+    elif t is AllAttr:
         e = g.attr_edge(nid, d.attr)
         if e is not None:
             return _failure(d.restriction, g, e.dst)
     else:
-        return None if _holds(d, g, nid) else Failure(d, g, nid)
+        holds = _HOLDS.get(t)
+        if holds is None:
+            raise TypeError("not a description: %r" % (d,))
+        return None if holds(d, g, nid) else Failure(d, g, nid)
     # A universal restriction whose body covers everything only needs the
     # subsumee to be classic, so the role or attribute is applicable.  Such
     # a body also holds through any edge, so only the edgeless case asks.
@@ -133,47 +145,72 @@ def _failure(d: Description, g: DescriptionGraph, nid: int) -> Failure | None:
     return Failure(d, g, nid)
 
 
-def _holds(d: Description, g: DescriptionGraph, nid: int) -> bool:
-    """The clauses that do not recurse."""
-    node = g.nodes[nid]
-    if isinstance(d, (ConceptName, HostConcept)):
-        return d.name in node.atoms or d.name == THING
-    if isinstance(d, ClassicThing):
-        return CLASSIC_THING in node.atoms
-    if isinstance(d, HostThing):
-        return HOST_THING in node.atoms
-    if isinstance(d, Nothing):
-        return NOTHING in node.atoms
-    if isinstance(d, AtLeast):
-        e = g.role_edge(nid, d.role)
-        return e is not None and e.min >= d.n
-    if isinstance(d, AtMost):
-        e = g.role_edge(nid, d.role)
-        return e is not None and e.max <= d.n
-    if isinstance(d, SameAs):
-        end, taken = g.follow(nid, d.left)
-        if (taken == len(d.left)
-                and g.follow(nid, d.right) == (end, len(d.right))):
+def _holds_atom(d: ConceptName | HostConcept, g: DescriptionGraph,
+                nid: int) -> bool:
+    return d.name in g.nodes[nid].atoms or d.name == THING
+
+
+def _holds_at_least(d: AtLeast, g: DescriptionGraph, nid: int) -> bool:
+    e = g.role_edge(nid, d.role)
+    return e is not None and e.min >= d.n
+
+
+def _holds_at_most(d: AtMost, g: DescriptionGraph, nid: int) -> bool:
+    e = g.role_edge(nid, d.role)
+    return e is not None and e.max <= d.n
+
+
+def _holds_same_as(d: SameAs, g: DescriptionGraph, nid: int) -> bool:
+    end, taken = g.follow(nid, d.left)
+    if (taken == len(d.left)
+            and g.follow(nid, d.right) == (end, len(d.right))):
+        return True
+    # Equal chains extended by one shared attribute stay equal as long as
+    # the shared prefix ends at a classic node.
+    if d.left[-1] == d.right[-1]:
+        left, right = d.left[:-1], d.right[:-1]
+        pre, taken = g.follow(nid, left)
+        if (taken == len(left)
+                and g.follow(nid, right) == (pre, len(right))
+                and CLASSIC_THING in g.nodes[pre].atoms):
             return True
-        # Equal chains extended by one shared attribute stay equal as long
-        # as the shared prefix ends at a classic node.
-        if d.left[-1] == d.right[-1]:
-            left, right = d.left[:-1], d.right[:-1]
-            pre, taken = g.follow(nid, left)
-            if (taken == len(left)
-                    and g.follow(nid, right) == (pre, len(right))
-                    and CLASSIC_THING in g.nodes[pre].atoms):
-                return True
-        return False
-    if isinstance(d, FillsRole):
-        e = g.role_edge(nid, d.role)
-        return e is not None and d.who in e.fillers
-    if isinstance(d, FillsAttr):
-        e = g.attr_edge(nid, d.attr)
-        return e is not None and g.nodes[e.dst].dom == {d.who}
-    if isinstance(d, OneOf):
-        return node.dom is not None and node.dom <= set(d.members)
-    raise TypeError("not a description: %r" % (d,))
+    return False
+
+
+def _holds_fills_role(d: FillsRole, g: DescriptionGraph, nid: int) -> bool:
+    e = g.role_edge(nid, d.role)
+    return e is not None and d.who in e.fillers
+
+
+def _holds_fills_attr(d: FillsAttr, g: DescriptionGraph, nid: int) -> bool:
+    e = g.attr_edge(nid, d.attr)
+    return e is not None and g.nodes[e.dst].dom == {d.who}
+
+
+def _holds_one_of(d: OneOf, g: DescriptionGraph, nid: int) -> bool:
+    dom = g.nodes[nid].dom
+    return dom is not None and dom <= set(d.members)
+
+
+# The clauses that do not recurse, looked up by class: whether each holds
+# at a node.  ``_failure`` keeps ``and`` and ``all``.
+_HOLDS = {
+    # A subsumer equivalent to THING is above everything.  That needs no
+    # check of its own: ``thing`` is answered here, the atom THING in the
+    # atom case, and a conjunction of them decomposes.
+    Thing: lambda d, g, nid: True,
+    ConceptName: _holds_atom,
+    HostConcept: _holds_atom,
+    ClassicThing: lambda d, g, nid: CLASSIC_THING in g.nodes[nid].atoms,
+    HostThing: lambda d, g, nid: HOST_THING in g.nodes[nid].atoms,
+    Nothing: lambda d, g, nid: NOTHING in g.nodes[nid].atoms,
+    AtLeast: _holds_at_least,
+    AtMost: _holds_at_most,
+    SameAs: _holds_same_as,
+    FillsRole: _holds_fills_role,
+    FillsAttr: _holds_fills_attr,
+    OneOf: _holds_one_of,
+}
 
 
 def subsumes(d: Description, c: Description,

@@ -7,6 +7,12 @@ non-empty set of domain elements, the sets of distinct individuals never
 overlap, and number restrictions count role fillers modulo the congruence
 "same element, or elements of one individual".
 
+``eval_description`` finds a constructor's case by one lookup of the
+description's class in a table of leaf cases; the constructors that nest
+a description (``and``, ``all``) stay inline in its recursive core, so a
+nesting level costs one Python frame.  ``signature_of_description`` walks
+the tree and looks each node's class up the same way.
+
 Roles and attributes are stored per classic element: a role maps each
 element to its set of fillers, an attribute maps it to its value, so a
 clause reads an element's fillers or value by lookup.
@@ -263,72 +269,118 @@ def eval_description(d: Description, world: Interpretation,
 
 def _eval(d: Description, world: Interpretation,
           within: frozenset | None) -> frozenset:
-    if isinstance(d, (NamedRef, Primitive, Test)):
-        raise EvalError("description must be expanded before evaluation")
-    if within is None:
-        classic, hosts = world.classic, world.hosts
-    else:
-        classic, hosts = world.classic & within, world.hosts & within
-    if isinstance(d, Thing):
-        return frozenset(classic | hosts)
-    if isinstance(d, ClassicThing):
-        return frozenset(classic)
-    if isinstance(d, HostThing):
-        return frozenset(hosts)
-    if isinstance(d, Nothing):
-        return frozenset()
-    if isinstance(d, ConceptName):
-        ext = world.atom_ext(d.name)
-        return frozenset(ext) if within is None else within & ext
-    if isinstance(d, HostConcept):
-        return frozenset(e for e in hosts if world.in_atom(d.name, e))
-    if isinstance(d, And):
+    t = type(d)
+    if t is And:
         out = within
         for item in d.items:
             out = _eval(item, world, out)
         return out
-    if isinstance(d, AllAttr):
-        value = {e: world.attr_value(d.attr, e) for e in classic}
-        inner = _eval(d.restriction, world, frozenset(value.values()))
-        return frozenset(e for e, v in value.items() if v in inner)
-    if isinstance(d, SameAs):
-        out = set()
-        for e in classic:
-            lv = _chain_value(world, d.left, e)
-            rv = _chain_value(world, d.right, e)
-            if lv is not None and lv == rv:
-                out.add(e)
-        return frozenset(out)
-    if isinstance(d, FillsAttr):
-        ext = world.individual_ext(d.who)
-        return frozenset(e for e in classic
-                         if world.attr_value(d.attr, e) in ext)
-    if isinstance(d, OneOf):
-        out: set = set()
-        for m in d.members:
-            out |= world.individual_ext(m)
-        return frozenset(out) if within is None else within & out
-    if not isinstance(d, (AllRole, AtLeast, AtMost, FillsRole)):
-        raise TypeError("not a description: %r" % (d,))
-    fillers = world.role_ext.get(d.role, {})
-    if isinstance(d, AllRole):
+    if t is AllRole:
+        fillers = world.role_ext.get(d.role, {})
+        classic = _part(world.classic, within)
         targets = frozenset(x for e in classic for x in fillers.get(e, ()))
         inner = _eval(d.restriction, world, targets)
         return frozenset(
             e for e in classic
             if all(x in inner for x in fillers.get(e, ())))
-    if isinstance(d, AtLeast):
-        return frozenset(
-            e for e in classic
-            if world.count_non_congruent(fillers.get(e, ())) >= d.n)
-    if isinstance(d, AtMost):
-        return frozenset(
-            e for e in classic
-            if world.count_non_congruent(fillers.get(e, ())) <= d.n)
+    if t is AllAttr:
+        table = world.attr_ext.get(d.attr, {})
+        value = {e: table.get(e, world.sink)
+                 for e in _part(world.classic, within)}
+        inner = _eval(d.restriction, world, frozenset(value.values()))
+        return frozenset(e for e, v in value.items() if v in inner)
+    case = _EVAL.get(t)
+    if case is None:
+        raise TypeError("not a description: %r" % (d,))
+    return case(d, world, within)
+
+
+def _part(realm: set, within: frozenset | None) -> set:
+    """The elements of a realm of the world that lie in ``within``."""
+    return realm if within is None else realm & within
+
+
+def _unexpanded(d, world, within):
+    raise EvalError("description must be expanded before evaluation")
+
+
+def _eval_concept(d: ConceptName, world, within):
+    ext = world.atom_ext(d.name)
+    return frozenset(ext) if within is None else within & ext
+
+
+def _eval_host_concept(d: HostConcept, world, within):
+    return frozenset(e for e in _part(world.hosts, within)
+                     if world.in_atom(d.name, e))
+
+
+def _eval_same_as(d: SameAs, world, within):
+    out = set()
+    for e in _part(world.classic, within):
+        lv = _chain_value(world, d.left, e)
+        rv = _chain_value(world, d.right, e)
+        if lv is not None and lv == rv:
+            out.add(e)
+    return frozenset(out)
+
+
+def _eval_fills_attr(d: FillsAttr, world, within):
     ext = world.individual_ext(d.who)
+    table = world.attr_ext.get(d.attr, {})
+    return frozenset(e for e in _part(world.classic, within)
+                     if table.get(e, world.sink) in ext)
+
+
+def _eval_one_of(d: OneOf, world, within):
+    out: set = set()
+    for m in d.members:
+        out |= world.individual_ext(m)
+    return frozenset(out) if within is None else within & out
+
+
+def _eval_at_least(d: AtLeast, world, within):
+    fillers = world.role_ext.get(d.role, {})
     return frozenset(
-        e for e in classic
+        e for e in _part(world.classic, within)
+        if world.count_non_congruent(fillers.get(e, ())) >= d.n)
+
+
+def _eval_at_most(d: AtMost, world, within):
+    fillers = world.role_ext.get(d.role, {})
+    return frozenset(
+        e for e in _part(world.classic, within)
+        if world.count_non_congruent(fillers.get(e, ())) <= d.n)
+
+
+def _eval_fills_role(d: FillsRole, world, within):
+    ext = world.individual_ext(d.who)
+    fillers = world.role_ext.get(d.role, {})
+    return frozenset(
+        e for e in _part(world.classic, within)
         if any(x in ext for x in fillers.get(e, ())))
+
+
+# The leaf constructors' extensions, looked up by class; ``_eval`` keeps
+# the constructors that nest a description.
+_EVAL = {
+    Thing: lambda d, world, within: frozenset(
+        _part(world.classic, within) | _part(world.hosts, within)),
+    ClassicThing: lambda d, world, within: frozenset(
+        _part(world.classic, within)),
+    HostThing: lambda d, world, within: frozenset(_part(world.hosts, within)),
+    Nothing: lambda d, world, within: frozenset(),
+    ConceptName: _eval_concept,
+    HostConcept: _eval_host_concept,
+    SameAs: _eval_same_as,
+    FillsAttr: _eval_fills_attr,
+    OneOf: _eval_one_of,
+    AtLeast: _eval_at_least,
+    AtMost: _eval_at_most,
+    FillsRole: _eval_fills_role,
+    NamedRef: _unexpanded,
+    Primitive: _unexpanded,
+    Test: _unexpanded,
+}
 
 
 def _chain_value(world: Interpretation, chain, elem):
@@ -496,31 +548,53 @@ def _sig_add_individual(sig: Signature, ind: Individual) -> None:
         sig.individuals.add(ind.name)
 
 
+def _sig_number(sig: Signature, d: AtLeast | AtMost) -> None:
+    sig.roles.add(d.role)
+    sig.max_number = max(sig.max_number, d.n)
+
+
+def _sig_same_as(sig: Signature, d: SameAs) -> None:
+    sig.attrs.update(d.left)
+    sig.attrs.update(d.right)
+    sig.equations.add((d.left, d.right))
+
+
+def _sig_fills_role(sig: Signature, d: FillsRole) -> None:
+    sig.roles.add(d.role)
+    _sig_add_individual(sig, d.who)
+
+
+def _sig_fills_attr(sig: Signature, d: FillsAttr) -> None:
+    sig.attrs.add(d.attr)
+    _sig_add_individual(sig, d.who)
+
+
+def _sig_one_of(sig: Signature, d: OneOf) -> None:
+    for m in d.members:
+        _sig_add_individual(sig, m)
+
+
+# What each constructor adds to a signature, looked up by class; the
+# others add nothing.
+_SIGNATURE = {
+    ConceptName: lambda sig, d: sig.atoms.add(d.name),
+    AllRole: lambda sig, d: sig.roles.add(d.role),
+    AllAttr: lambda sig, d: sig.attrs.add(d.attr),
+    AtLeast: _sig_number,
+    AtMost: _sig_number,
+    SameAs: _sig_same_as,
+    FillsRole: _sig_fills_role,
+    FillsAttr: _sig_fills_attr,
+    OneOf: _sig_one_of,
+}
+
+
 def signature_of_description(d: Description) -> Signature:
     sig = Signature()
     for node in walk(d):
-        if isinstance(node, ConceptName):
-            sig.atoms.add(node.name)
-        elif isinstance(node, AllRole):
-            sig.roles.add(node.role)
-        elif isinstance(node, AllAttr):
-            sig.attrs.add(node.attr)
-        elif isinstance(node, (AtLeast, AtMost)):
-            sig.roles.add(node.role)
-            sig.max_number = max(sig.max_number, node.n)
-        elif isinstance(node, SameAs):
-            sig.attrs.update(node.left)
-            sig.attrs.update(node.right)
-            sig.equations.add((node.left, node.right))
-        elif isinstance(node, FillsRole):
-            sig.roles.add(node.role)
-            _sig_add_individual(sig, node.who)
-        elif isinstance(node, FillsAttr):
-            sig.attrs.add(node.attr)
-            _sig_add_individual(sig, node.who)
-        elif isinstance(node, OneOf):
-            for m in node.members:
-                _sig_add_individual(sig, m)
+        case = _SIGNATURE.get(type(node))
+        if case is not None:
+            case(sig, node)
     return sig
 
 

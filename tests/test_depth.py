@@ -1,0 +1,89 @@
+"""Deep descriptions pass every description layer at the default
+recursion limit.
+
+Each layer that still recurses spends a fixed number of Python frames per
+nesting level, and the depths below leave room for those frames only:
+run as a script at the default limit, the three shapes reach about 496,
+994 and 330 levels.  A layer that spent one more frame per level, say by
+calling a case function for a recursive constructor that then calls the
+walker again, would fail here.  The ASTs are built by hand, because the
+parser has its own, lower ceiling.
+"""
+
+import pytest
+
+from classicdl.descriptions import (
+    AllAttr,
+    AllRole,
+    And,
+    AtLeast,
+    ConceptName,
+    NamedRef,
+    walk,
+)
+from classicdl.graph import translate
+from classicdl.kb import KnowledgeBase, expand
+from classicdl.normalize import canonicalize
+from classicdl.subsume import explain
+from classicdl.worlds import (
+    eval_description,
+    sample_interpretation,
+    signature_of_description,
+)
+
+
+def _all_role(depth, inner):
+    d = inner
+    for _ in range(depth):
+        d = AllRole("r", d)
+    return d
+
+
+def _all_attr(depth, inner):
+    d = inner
+    for _ in range(depth):
+        d = AllAttr("f", d)
+    return d
+
+
+def _all_and(depth, inner):
+    d = inner
+    for k in range(1, depth + 1):
+        d = AllRole("r", And((ConceptName("X%d" % k), AtLeast(1, "r"), d)))
+    return d
+
+
+@pytest.mark.parametrize("shape, depth", [
+    (_all_role, 400),
+    (_all_attr, 800),
+    (_all_and, 250),
+], ids=["all-role", "all-attr", "all-and"])
+def test_deep_description_runs_the_whole_pipeline(shape, depth):
+    # The innermost name is defined, so ``expand`` rebuilds every level.
+    kb = KnowledgeBase(named={"Inner": ConceptName("A")})
+    d = expand(shape(depth, NamedRef("Inner")), kb)
+    # Dataclass equality recurses once per level, so compare node by node.
+    assert [type(n) for n in walk(d)] == \
+        [type(n) for n in walk(shape(depth, ConceptName("A")))]
+    g = canonicalize(translate(d), kb)
+    assert not g.incoherent
+    assert explain(d, g) is None
+    assert explain(shape(depth, ConceptName("B")), g) is not None
+    sig = signature_of_description(d)
+    assert "A" in sig.atoms
+    world = sample_interpretation(sig, seed=0)
+    ext = eval_description(d, world)
+    assert ext <= world.classic | world.hosts
+    every = frozenset(world.classic | world.hosts)
+    assert eval_description(d, world, every) == ext
+
+
+def test_world_evaluation_spends_one_frame_per_description_level():
+    # Evaluation recurses once per ``and`` and once per ``all``, fewer
+    # frames per level than the layers above, so it gets a deeper input of
+    # its own: 400 levels of the third shape are 800 nested ``and`` and
+    # ``all`` descriptions.
+    d = _all_and(400, ConceptName("A"))
+    world = sample_interpretation(signature_of_description(d), seed=0)
+    ext = eval_description(d, world)
+    assert ext <= world.classic | world.hosts
