@@ -287,17 +287,22 @@ def classify(kb: KnowledgeBase) -> Taxonomy:
     all names are its subsumers, and it takes part in no structural test.
     ``below[a]``, the coherent names that a coherent ``a`` subsumes, is
     filled in told order: ``a``'s candidates are the names below all of
-    its told names, and each other clause runs the structural test on the
-    candidates' canonical graphs.  Names with equal sets of subsumers form
+    its told names.  Its other clauses are split into conjuncts, and each
+    conjunct that reads only a subsumee's root (an atom, a realm marker,
+    a number restriction or a role filler) narrows the candidates by a
+    lookup in a ``RootIndex`` over the coherent names' graphs, built once
+    per call.  Only the other conjuncts run the structural test, on the
+    candidates that are left.  Names with equal sets of subsumers form
     one node; a node's parents are its nearest strict ancestors.  Names
     equivalent to THING (``covers_everything``) join the root node.
     """
-    from .subsume import covers_everything, subsumes_graph
+    from .subsume import RootIndex, covers_everything, subsumes_graph
 
     order, parts, canon = _told_graphs(kb)
     names = sorted(kb.named)
     bottom = {n for n in names if canon[n].incoherent}
     coherent = set(names) - bottom
+    roots = RootIndex({n: canon[n] for n in coherent})
     below: dict[str, set[str]] = {}
     # The subsumers of each coherent name; every incoherent name has all
     # names as its subsumers, so they share one key.
@@ -311,8 +316,9 @@ def classify(kb: KnowledgeBase) -> Taxonomy:
             candidates = set.intersection(*(below[p] for p in told))
         else:
             candidates = coherent
+        candidates, rest = roots.narrow(clauses, candidates)
         below[a] = {b for b in candidates
-                    if all(subsumes_graph(c, canon[b]) for c in clauses)}
+                    if all(subsumes_graph(c, canon[b]) for c in rest)}
         for b in below[a]:
             above[b].add(a)
         top[a] = all(top[p] for p in told) and \

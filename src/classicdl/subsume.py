@@ -14,12 +14,17 @@ cases need.  Both find a clause's case by one lookup of its class in a
 table of leaf cases (``_HOLDS`` for ``_failure``); ``and`` and the two
 ``all`` constructors, which nest a description, stay inline in the
 recursive core, so a nesting level costs no extra Python frame.
+``RootIndex`` answers the leaf clauses that read only a subsumee's root
+(atoms, number restrictions, role fillers) for many named graphs at
+once, by lookup; classification uses it to run the structural test only
+for the other clauses.
 ``subsumes`` wires up the full pipeline: expand both descriptions,
 translate and canonicalize the subsumee, then test.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .descriptions import (
@@ -37,6 +42,7 @@ from .descriptions import (
     HOST_THING,
     HostConcept,
     HostThing,
+    Individual,
     NamedRef,
     Nothing,
     NOTHING,
@@ -48,7 +54,7 @@ from .descriptions import (
     Thing,
     to_text,
 )
-from .graph import DescriptionGraph, translate, traversal_ranks
+from .graph import DescriptionGraph, REdge, translate, traversal_ranks
 from .kb import KnowledgeBase, expand
 from .normalize import canonicalize
 
@@ -210,6 +216,95 @@ _HOLDS = {
     FillsRole: _holds_fills_role,
     FillsAttr: _holds_fills_attr,
     OneOf: _holds_one_of,
+}
+
+
+class RootIndex:
+    """The roots of named coherent canonical graphs, indexed by atom, by
+    role (the root's r-edge) and by role filler, so that a clause that
+    reads only a subsumee's root finds the names it holds for by lookup
+    instead of one structural test per name.
+
+    ``holds_for(d, names)`` is the subset of ``names`` for whose graphs
+    ``_HOLDS`` answers yes at the root, or None when ``d``'s kind is not
+    indexed: ``same-as``, ``one-of`` and ``fills`` over an attribute read
+    the nodes behind a-edges, and ``all`` recurses.  ``narrow`` applies
+    a clause's indexed conjuncts and returns the others, which are left
+    to ``subsumes_graph``."""
+
+    __slots__ = ("atoms", "edges", "fillers")
+
+    def __init__(self, graphs: dict[str, DescriptionGraph]):
+        self.atoms: dict[str, set[str]] = {}
+        self.edges: dict[str, dict[str, REdge]] = {}
+        self.fillers: dict[tuple[str, Individual], set[str]] = {}
+        for name, g in graphs.items():
+            root = g.root_node
+            for atom in root.atoms:
+                self.atoms.setdefault(atom, set()).add(name)
+            # A canonical node has at most one r-edge per role.
+            for e in root.r_edges:
+                self.edges.setdefault(e.role, {})[name] = e
+                for who in e.fillers:
+                    self.fillers.setdefault((e.role, who), set()).add(name)
+
+    def holds_for(self, d: Description, names: set[str]) -> set[str] | None:
+        """The names whose root ``d`` holds at; None if not indexed."""
+        case = _HOLDS_FOR.get(type(d))
+        return None if case is None else case(self, d, names)
+
+    def narrow(self, clauses: Sequence[Description], names: set[str]
+               ) -> tuple[set[str], list[Description]]:
+        """The names that every indexed conjunct of ``clauses`` holds for,
+        and the conjuncts that are not indexed.  Conjunctions are split
+        as ``_failure`` splits them at one node."""
+        rest: list[Description] = []
+        for d in clauses:
+            if type(d) is And:
+                names, inner = self.narrow(d.items, names)
+                rest += inner
+                continue
+            found = self.holds_for(d, names)
+            if found is None:
+                rest.append(d)
+            else:
+                names = found
+        return names, rest
+
+    def with_atom(self, atom: str, names: set[str]) -> set[str]:
+        return names & self.atoms.get(atom, _NO_NAMES)
+
+    def with_edge(self, role: str, names: set[str]):
+        """The root r-edges for ``role`` of those of ``names`` that have
+        one, by name."""
+        edges = self.edges.get(role, {})
+        return ((n, edges[n]) for n in edges.keys() & names)
+
+
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def _atom_holds_for(index: RootIndex, d: ConceptName | HostConcept,
+                    names: set[str]) -> set[str]:
+    return names if d.name == THING else index.with_atom(d.name, names)
+
+
+# The leaf clauses ``RootIndex`` answers, looked up by class: each reads
+# only the root, as its ``_HOLDS`` case does.
+_HOLDS_FOR = {
+    Thing: lambda index, d, names: names,
+    ConceptName: _atom_holds_for,
+    HostConcept: _atom_holds_for,
+    ClassicThing: lambda index, d, names: index.with_atom(CLASSIC_THING,
+                                                          names),
+    HostThing: lambda index, d, names: index.with_atom(HOST_THING, names),
+    Nothing: lambda index, d, names: index.with_atom(NOTHING, names),
+    AtLeast: lambda index, d, names: {
+        n for n, e in index.with_edge(d.role, names) if e.min >= d.n},
+    AtMost: lambda index, d, names: {
+        n for n, e in index.with_edge(d.role, names) if e.max <= d.n},
+    FillsRole: lambda index, d, names: names & index.fillers.get(
+        (d.role, d.who), _NO_NAMES),
 }
 
 

@@ -63,6 +63,26 @@ def count_steps(monkeypatch):
     return count
 
 
+@pytest.fixture
+def count_tests(monkeypatch):
+    """``count_tests(fn, *args)`` returns ``(fn(*args), tests)``, where
+    ``tests`` counts the structural tests: the calls of
+    ``subsume.subsumes_graph``."""
+    real = subsume.subsumes_graph
+
+    def count(fn, *args):
+        tests = [0]
+
+        def counted(*a):
+            tests[0] += 1
+            return real(*a)
+
+        monkeypatch.setattr(subsume, "subsumes_graph", counted)
+        return fn(*args), tests[0]
+
+    return count
+
+
 @pytest.fixture(scope="session")
 def within_agrees():
     """``within_agrees(d, world, rng)`` checks that

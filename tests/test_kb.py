@@ -6,10 +6,25 @@ import pytest
 
 from classicdl import graph, normalize, subsume
 from classicdl.descriptions import (
+    AllAttr,
+    AllRole,
     And,
     AtLeast,
+    AtMost,
+    CLASSIC_THING,
+    ClassicThing,
     ConceptName,
+    FillsAttr,
+    FillsRole,
+    HOST_THING,
+    HostConcept,
+    HostThing,
     NamedRef,
+    NOTHING,
+    Nothing,
+    OneOf,
+    SameAs,
+    THING,
     Thing,
     to_text,
     walk,
@@ -368,28 +383,91 @@ def bottom_kb_text(coherent: int, incoherent: int) -> str:
     return told_heap_kb_text(coherent) + "\n".join(lines) + "\n"
 
 
-def test_incoherent_names_form_the_bottom_class(monkeypatch):
+def test_incoherent_names_form_the_bottom_class(count_tests):
     # An incoherent name is below every name: classify gives it all names
     # as subsumers and tests nothing against it, so the structural tests
-    # grow with the coherent names only (669 here; 67,226 when every
-    # incoherent name stayed a candidate of every test).
+    # grow with the coherent names only (669 here without the root index,
+    # none with it; 67,226 when every incoherent name stayed a candidate
+    # of every test).
     coherent, incoherent = 40, 160
     kb = parse_kb(bottom_kb_text(coherent, incoherent))
-    calls = [0]
-    real = subsume.subsumes_graph
-
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(subsume, "subsumes_graph", counted)
-    tax = classify(kb)
-    monkeypatch.undo()
-    assert calls[0] <= 25 * coherent, calls[0]
+    tax, calls = count_tests(classify, kb)
+    assert calls <= 25 * coherent, calls
     got = tax.to_jsonable()
     assert json.dumps(got) == json.dumps(reference_classify(kb).to_jsonable())
     assert sorted("D%d" % j for j in range(incoherent)) in (
         sorted(node["members"]) for node in got)
+
+
+@pytest.mark.parametrize("text, budget", [
+    (told_heap_kb_text(400), 0),
+    (oracle_kb_text(0, 200), 4_000),
+], ids=["told-heap-400", "oracle-0-200"])
+def test_classify_answers_root_clauses_from_the_index(text, budget,
+                                                      count_tests):
+    # Atoms, number restrictions and role fillers are answered from the
+    # root index; only the other clauses run the structural test, on the
+    # candidates the index leaves (28,380 and 12,626 tests when every
+    # clause ran it on every candidate).
+    _, calls = count_tests(classify, parse_kb(text))
+    assert calls <= budget, calls
+
+
+# Leaves every knowledge base is asked about: THING in each spelling, the
+# realm markers as constructors and as atoms, and the default host types.
+_FIXED_LEAVES = (
+    Thing(), ClassicThing(), HostThing(), Nothing(),
+    ConceptName(THING), HostConcept(THING),
+    ConceptName(CLASSIC_THING), ConceptName(HOST_THING), ConceptName(NOTHING),
+    *(HostConcept(h) for h in ("STRING", "NUMBER", "COMPLEX", "REAL",
+                               "INTEGER")),
+)
+
+# The leaves that read beyond a subsumee's root.
+_NOT_INDEXED = {AllRole, AllAttr, SameAs, FillsAttr, OneOf}
+
+
+def _root_leaves(d):
+    if isinstance(d, And):
+        return [leaf for c in d.items for leaf in _root_leaves(c)]
+    return [d]
+
+
+def assert_root_index_agrees(kb: KnowledgeBase) -> int:
+    """The root index answers every root leaf of the names' clauses, the
+    fixed leaves, and each bound and filler over the declared roles, for
+    each coherent name exactly as ``subsume._HOLDS`` does at its root, and
+    answers "not indexed" exactly for the leaves that read further.
+    Returns the number of leaves checked."""
+    _, parts, canon = _told_graphs(kb)
+    graphs = {n: g for n, g in canon.items() if not g.incoherent}
+    index = subsume.RootIndex(graphs)
+    leaves = set(_FIXED_LEAVES)
+    for _, clauses in parts.values():
+        for c in clauses:
+            leaves.update(_root_leaves(c))
+    for r in kb.roles:
+        leaves.update(AtLeast(k, r) for k in (1, 2, 3))
+        leaves.update(AtMost(k, r) for k in (0, 1, 2, 3))
+        leaves.update(FillsRole(r, i) for i in kb.individuals.values())
+    names = set(graphs)
+    half = set(sorted(names)[::2])
+    for leaf in leaves:
+        got = index.holds_for(leaf, names)
+        if type(leaf) in _NOT_INDEXED:
+            assert got is None, to_text(leaf)
+            continue
+        holds = subsume._HOLDS[type(leaf)]
+        want = {n for n, g in graphs.items() if holds(leaf, g, g.root)}
+        assert got == want, to_text(leaf)
+        assert index.holds_for(leaf, half) == want & half, to_text(leaf)
+    return len(leaves)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_root_index_agrees_with_the_structural_test(seed):
+    assert assert_root_index_agrees(parse_kb(oracle_kb_text(seed, 100))) \
+        > len(_FIXED_LEAVES)
 
 
 def _assert_told_built_graphs_are_canonical(kb):
