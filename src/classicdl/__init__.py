@@ -63,7 +63,6 @@ from .worlds import (
     eval_description,
     eval_graph,
     find_witness,
-    merge_worlds,
     sample_interpretation,
 )
 

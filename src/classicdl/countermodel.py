@@ -366,6 +366,10 @@ def _host_confined(d: Description) -> bool:
     return host
 
 
+# The constructors whose extension is confined to the classic realm.
+_CLASSIC_ONLY = frozenset({AllRole, AllAttr, AtLeast, AtMost, SameAs,
+                           FillsRole, FillsAttr})
+
 # Whether a constructor names the host realm (True) or the classic one
 # (False), looked up by class; the others name neither.
 _NAMES_HOST = {
@@ -373,8 +377,8 @@ _NAMES_HOST = {
     HostConcept: lambda d: True,
     OneOf: lambda d: d.is_host,
     ConceptName: lambda d: d.name.startswith(HOST_TEST_ATOM_PREFIX),
-    **dict.fromkeys((ClassicThing, AllRole, AllAttr, AtLeast, AtMost, SameAs,
-                     FillsRole, FillsAttr, Nothing), lambda d: False),
+    **dict.fromkeys((*_CLASSIC_ONLY, ClassicThing, Nothing),
+                    lambda d: False),
 }
 
 
@@ -401,10 +405,6 @@ def _plan(failure: Failure, plans: dict[int, NodePlan],
     if steer is None:
         raise CounterModelError("cannot steer against %r" % (d,))
     steer(failure, plans, edge_plans, lattice)
-
-
-_CLASSIC_ONLY = frozenset({AllRole, AllAttr, AtLeast, AtMost, SameAs,
-                           FillsRole, FillsAttr})
 
 
 def _steer_nowhere(failure, plans, edge_plans, lattice) -> None:

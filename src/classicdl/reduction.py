@@ -110,11 +110,15 @@ def negate_to_dnf(f: CnfFormula) -> tuple[tuple[Literal, ...], ...]:
         for clause in f.clauses)
 
 
-def check_validity_bruteforce(dnf, variables, limit: int = 20) -> bool:
+# The most variables ``check_validity_bruteforce`` enumerates.
+BRUTEFORCE_LIMIT = 20
+
+
+def check_validity_bruteforce(dnf, variables) -> bool:
     """True iff every assignment satisfies some disjunct."""
-    if len(variables) > limit:
+    if len(variables) > BRUTEFORCE_LIMIT:
         raise ValueError("too many variables for brute force (%d > %d)"
-                         % (len(variables), limit))
+                         % (len(variables), BRUTEFORCE_LIMIT))
     for bits in itertools.product((False, True), repeat=len(variables)):
         env = dict(zip(variables, bits))
         if not any(all(env[l.var] == l.positive for l in disjunct)
@@ -130,7 +134,6 @@ def check_validity_bruteforce(dnf, variables, limit: int = 20) -> bool:
 @dataclass
 class ReductionOutput:
     kb_text: str
-    assertions: list[tuple[str, str]]  # (individual, description text)
     upper_text: str
     lower_text: str
 
@@ -151,16 +154,17 @@ def _lit_name(lit: Literal) -> str:
 
 
 def encode(f: CnfFormula) -> ReductionOutput:
-    """Build the knowledge base, per-individual descriptors, and the UPPER
-    and LOWER concepts for a formula.
+    """Build the knowledge base and the UPPER and LOWER concepts for a
+    formula.
 
     Per variable p there are four individuals: the literal carriers P-p and
     NP-p (each with truthValue restricted to {"True","False"}) and the
     approvers Yes-p and No-p forcing opposite truth values onto them.  Per
     disjunct of the negated formula there is an individual C<i> whose
     conjuncts role carries exactly the disjunct's literals; the individual
-    G collects the disjuncts.  LOWER wraps every descriptor onto a fresh
-    dummy attribute; UPPER asks only that the formula attribute lands in
+    G collects the disjuncts.  LOWER wraps each individual's descriptor
+    onto a fresh dummy attribute, as ``all(dummy, and(one-of(individual),
+    descriptor))``; UPPER asks only that the formula attribute lands in
     VALID-FORMULAE.
     """
     dnf = negate_to_dnf(f)
@@ -172,7 +176,6 @@ def encode(f: CnfFormula) -> ReductionOutput:
         "attribute deny",
         "attribute formula",
     ]
-    assertions: list[tuple[str, str]] = []
     lower_parts: list[str] = []
 
     def dummy(kind: int, tag: str) -> str:
@@ -193,7 +196,6 @@ def encode(f: CnfFormula) -> ReductionOutput:
                     'one-of("False"))))' % (pos, neg))
         for ind, descr, kind in ((pos, carrier, 1), (neg, carrier, 2),
                                  (yes, yes_descr, 3), (no, no_descr, 4)):
-            assertions.append((ind, descr))
             lower_parts.append("all(%s, and(one-of(%s), %s))"
                                % (dummy(kind, var), ind, descr))
 
@@ -205,13 +207,11 @@ def encode(f: CnfFormula) -> ReductionOutput:
         members = sorted({_lit_name(l) for l in disjunct})
         descr = "and(all(conjuncts, one-of(%s)), at-least(%d, conjuncts))" \
             % (", ".join(members), len(members))
-        assertions.append((name, descr))
         lower_parts.append("all(%s, and(one-of(%s), %s))"
                            % (dummy(5, "c%d" % i), name, descr))
 
     kb_lines.append("individual G")
     g_descr = "all(disjunctsHolding, one-of(%s))" % ", ".join(disjunct_names)
-    assertions.append(("G", g_descr))
     lower_parts.append("all(formula, and(one-of(G), %s))" % g_descr)
 
     kb_lines.append(
@@ -221,7 +221,6 @@ def encode(f: CnfFormula) -> ReductionOutput:
 
     return ReductionOutput(
         kb_text="\n".join(kb_lines) + "\n",
-        assertions=assertions,
         upper_text="all(formula, VALID-FORMULAE)",
         lower_text="and(%s)" % ", ".join(lower_parts),
     )
@@ -239,13 +238,12 @@ class IncompletenessReport:
                 "gap": self.gap}
 
 
-def demonstrate_incompleteness(f: CnfFormula,
-                               limit: int = 20) -> IncompletenessReport:
+def demonstrate_incompleteness(f: CnfFormula) -> IncompletenessReport:
     """Run the propositional ground truth against the engine's verdict on
     (UPPER, LOWER).  The engine ignores the facts asserted about the
     individuals, so its verdict is no for every input; the gap flag is set
     exactly when the formula is actually valid."""
-    valid = check_validity_bruteforce(negate_to_dnf(f), f.variables, limit)
+    valid = check_validity_bruteforce(negate_to_dnf(f), f.variables)
     out = encode(f)
     kb = out.kb()
     upper = parse_description(out.upper_text, kb)

@@ -10,14 +10,14 @@ which ``countermodel`` builds its world.  ``subsumes_graph`` is
 own filler and dom fields are consulted.  Each clause is tested once, in
 one pass over the subsumer, by one recursive core, ``_failure``;
 ``covers_everything`` is the syntactic THING-equivalence the ``all``
-cases need.  Both find a clause's case by one lookup of its class in a
-table of leaf cases (``_HOLDS`` for ``_failure``); ``and`` and the two
-``all`` constructors, which nest a description, stay inline in the
-recursive core, so a nesting level costs no extra Python frame.
-``RootIndex`` answers the leaf clauses that read only a subsumee's root
-(atoms, number restrictions, role fillers) for many named graphs at
-once, by lookup; classification uses it to run the structural test only
-for the other clauses.
+cases need.  Leaf cases are stated once, in tables looked up by class:
+``_ATOM`` (the atom a clause needs at its node), ``_EDGE`` (the test its
+role's r-edge must pass) and ``_HOLDS`` (the other leaves); ``and`` and
+the two ``all`` constructors, which nest a description, stay inline in
+the recursive core, so a nesting level costs no extra Python frame.
+``RootIndex`` answers the ``_ATOM`` and ``_EDGE`` clauses at the roots of
+many named graphs at once, by lookup; classification uses it to run the
+structural test only for the other clauses.
 ``subsumes`` wires up the full pipeline: expand both descriptions,
 translate and canonicalize the subsumee, then test.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .descriptions import (
     AllAttr,
@@ -42,7 +43,6 @@ from .descriptions import (
     HOST_THING,
     HostConcept,
     HostThing,
-    Individual,
     NamedRef,
     Nothing,
     NOTHING,
@@ -60,23 +60,15 @@ from .normalize import canonicalize
 
 
 def covers_everything(d: Description) -> bool:
-    """True iff the expanded description is equivalent to THING: ``thing``,
-    the atom ``THING``, or a conjunction of such.  Every other constructor
-    fails against the one-node THING graph, which has no edge, no dom, no
+    """True iff the expanded description is equivalent to THING: an ``and``
+    of leaves whose ``_ATOM`` is THING.  Every other constructor fails
+    against the one-node THING graph, which has no edge, no dom, no
     ``CLASSIC-THING`` atom, and follows no non-empty attribute chain."""
     t = type(d)
     if t is And:
         return all(covers_everything(c) for c in d.items)
-    case = _COVERS_EVERYTHING.get(t)
-    return case is not None and case(d)
-
-
-# The leaf constructors that can cover everything, looked up by class.
-_COVERS_EVERYTHING = {
-    Thing: lambda d: True,
-    ConceptName: lambda d: d.name == THING,
-    HostConcept: lambda d: d.name == THING,
-}
+    atom = _ATOM.get(t)
+    return atom is not None and atom(d) == THING
 
 
 @dataclass(frozen=True)
@@ -138,10 +130,18 @@ def _failure(d: Description, g: DescriptionGraph, nid: int) -> Failure | None:
         if e is not None:
             return _failure(d.restriction, g, e.dst)
     else:
-        holds = _HOLDS.get(t)
-        if holds is None:
+        atom = _ATOM.get(t)
+        if atom is not None:
+            name = atom(d)
+            holds = name == THING or name in g.nodes[nid].atoms
+        elif t in _EDGE:
+            e = g.role_edge(nid, d.role)
+            holds = e is not None and _EDGE[t](d, e)
+        elif t in _HOLDS:
+            holds = _HOLDS[t](d, g, nid)
+        else:
             raise TypeError("not a description: %r" % (d,))
-        return None if holds(d, g, nid) else Failure(d, g, nid)
+        return None if holds else Failure(d, g, nid)
     # A universal restriction whose body covers everything only needs the
     # subsumee to be classic, so the role or attribute is applicable.  Such
     # a body also holds through any edge, so only the edgeless case asks.
@@ -149,21 +149,6 @@ def _failure(d: Description, g: DescriptionGraph, nid: int) -> Failure | None:
             and CLASSIC_THING in g.nodes[nid].atoms):
         return None
     return Failure(d, g, nid)
-
-
-def _holds_atom(d: ConceptName | HostConcept, g: DescriptionGraph,
-                nid: int) -> bool:
-    return d.name in g.nodes[nid].atoms or d.name == THING
-
-
-def _holds_at_least(d: AtLeast, g: DescriptionGraph, nid: int) -> bool:
-    e = g.role_edge(nid, d.role)
-    return e is not None and e.min >= d.n
-
-
-def _holds_at_most(d: AtMost, g: DescriptionGraph, nid: int) -> bool:
-    e = g.role_edge(nid, d.role)
-    return e is not None and e.max <= d.n
 
 
 def _holds_same_as(d: SameAs, g: DescriptionGraph, nid: int) -> bool:
@@ -183,11 +168,6 @@ def _holds_same_as(d: SameAs, g: DescriptionGraph, nid: int) -> bool:
     return False
 
 
-def _holds_fills_role(d: FillsRole, g: DescriptionGraph, nid: int) -> bool:
-    e = g.role_edge(nid, d.role)
-    return e is not None and d.who in e.fillers
-
-
 def _holds_fills_attr(d: FillsAttr, g: DescriptionGraph, nid: int) -> bool:
     e = g.attr_edge(nid, d.attr)
     return e is not None and g.nodes[e.dst].dom == {d.who}
@@ -198,46 +178,56 @@ def _holds_one_of(d: OneOf, g: DescriptionGraph, nid: int) -> bool:
     return dom is not None and dom <= set(d.members)
 
 
-# The clauses that do not recurse, looked up by class: whether each holds
-# at a node.  ``_failure`` keeps ``and`` and ``all``.
+# The leaf clauses that read a node's atoms, looked up by class: the atom
+# each needs at the node.  THING is at every node, so a subsumer
+# equivalent to THING (``thing``, the atom THING, or a conjunction of
+# them) is above everything.
+_ATOM = {
+    Thing: lambda d: THING,
+    ConceptName: attrgetter("name"),
+    HostConcept: attrgetter("name"),
+    ClassicThing: lambda d: CLASSIC_THING,
+    HostThing: lambda d: HOST_THING,
+    Nothing: lambda d: NOTHING,
+}
+
+# The leaf clauses that read a node's r-edge for ``d.role``, looked up by
+# class: the test the edge must pass.  With no edge they fail.
+_EDGE = {
+    AtLeast: lambda d, e: e.min >= d.n,
+    AtMost: lambda d, e: e.max <= d.n,
+    FillsRole: lambda d, e: d.who in e.fillers,
+}
+
+# The other clauses that do not recurse, looked up by class: whether each
+# holds at a node.  Each reads beyond the node's own atoms and r-edges.
 _HOLDS = {
-    # A subsumer equivalent to THING is above everything.  That needs no
-    # check of its own: ``thing`` is answered here, the atom THING in the
-    # atom case, and a conjunction of them decomposes.
-    Thing: lambda d, g, nid: True,
-    ConceptName: _holds_atom,
-    HostConcept: _holds_atom,
-    ClassicThing: lambda d, g, nid: CLASSIC_THING in g.nodes[nid].atoms,
-    HostThing: lambda d, g, nid: HOST_THING in g.nodes[nid].atoms,
-    Nothing: lambda d, g, nid: NOTHING in g.nodes[nid].atoms,
-    AtLeast: _holds_at_least,
-    AtMost: _holds_at_most,
     SameAs: _holds_same_as,
-    FillsRole: _holds_fills_role,
     FillsAttr: _holds_fills_attr,
     OneOf: _holds_one_of,
 }
 
 
 class RootIndex:
-    """The roots of named coherent canonical graphs, indexed by atom, by
-    role (the root's r-edge) and by role filler, so that a clause that
-    reads only a subsumee's root finds the names it holds for by lookup
-    instead of one structural test per name.
+    """The roots of named coherent canonical graphs, indexed by atom and
+    by role (the root's r-edge), so that a clause that reads only a
+    subsumee's root finds the names it holds for by lookup instead of one
+    structural test per name.
 
     ``holds_for(d, names)`` is the subset of ``names`` for whose graphs
-    ``_HOLDS`` answers yes at the root, or None when ``d``'s kind is not
+    ``_failure`` finds ``d`` holding at the root, read from the same
+    ``_ATOM`` and ``_EDGE`` tables; it is None when ``d``'s kind is not
     indexed: ``same-as``, ``one-of`` and ``fills`` over an attribute read
     the nodes behind a-edges, and ``all`` recurses.  ``narrow`` applies
     a clause's indexed conjuncts and returns the others, which are left
     to ``subsumes_graph``."""
 
-    __slots__ = ("atoms", "edges", "fillers")
+    __slots__ = ("atoms", "edges")
 
     def __init__(self, graphs: dict[str, DescriptionGraph]):
-        self.atoms: dict[str, set[str]] = {}
+        # THING is at every node.
+        self.atoms: dict[str, set[str]] = {THING: set(graphs)}
         self.edges: dict[str, dict[str, REdge]] = {}
-        self.fillers: dict[tuple[str, Individual], set[str]] = {}
         for name, g in graphs.items():
             root = g.root_node
             for atom in root.atoms:
@@ -245,13 +235,18 @@ class RootIndex:
             # A canonical node has at most one r-edge per role.
             for e in root.r_edges:
                 self.edges.setdefault(e.role, {})[name] = e
-                for who in e.fillers:
-                    self.fillers.setdefault((e.role, who), set()).add(name)
 
     def holds_for(self, d: Description, names: set[str]) -> set[str] | None:
         """The names whose root ``d`` holds at; None if not indexed."""
-        case = _HOLDS_FOR.get(type(d))
-        return None if case is None else case(self, d, names)
+        t = type(d)
+        atom = _ATOM.get(t)
+        if atom is not None:
+            return names & self.atoms.get(atom(d), _NO_NAMES)
+        edge = _EDGE.get(t)
+        if edge is None:
+            return None
+        edges = self.edges.get(d.role, {})
+        return {n for n in edges.keys() & names if edge(d, edges[n])}
 
     def narrow(self, clauses: Sequence[Description], names: set[str]
                ) -> tuple[set[str], list[Description]]:
@@ -271,41 +266,8 @@ class RootIndex:
                 names = found
         return names, rest
 
-    def with_atom(self, atom: str, names: set[str]) -> set[str]:
-        return names & self.atoms.get(atom, _NO_NAMES)
-
-    def with_edge(self, role: str, names: set[str]):
-        """The root r-edges for ``role`` of those of ``names`` that have
-        one, by name."""
-        edges = self.edges.get(role, {})
-        return ((n, edges[n]) for n in edges.keys() & names)
-
 
 _NO_NAMES: frozenset[str] = frozenset()
-
-
-def _atom_holds_for(index: RootIndex, d: ConceptName | HostConcept,
-                    names: set[str]) -> set[str]:
-    return names if d.name == THING else index.with_atom(d.name, names)
-
-
-# The leaf clauses ``RootIndex`` answers, looked up by class: each reads
-# only the root, as its ``_HOLDS`` case does.
-_HOLDS_FOR = {
-    Thing: lambda index, d, names: names,
-    ConceptName: _atom_holds_for,
-    HostConcept: _atom_holds_for,
-    ClassicThing: lambda index, d, names: index.with_atom(CLASSIC_THING,
-                                                          names),
-    HostThing: lambda index, d, names: index.with_atom(HOST_THING, names),
-    Nothing: lambda index, d, names: index.with_atom(NOTHING, names),
-    AtLeast: lambda index, d, names: {
-        n for n, e in index.with_edge(d.role, names) if e.min >= d.n},
-    AtMost: lambda index, d, names: {
-        n for n, e in index.with_edge(d.role, names) if e.max <= d.n},
-    FillsRole: lambda index, d, names: names & index.fillers.get(
-        (d.role, d.who), _NO_NAMES),
-}
 
 
 def subsumes(d: Description, c: Description,

@@ -476,44 +476,6 @@ def _element_in_node(node: GraphNode, elem, world: Interpretation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# World merging
-
-
-def merge_worlds(i1: Interpretation, i2: Interpretation) -> Interpretation:
-    """Disjoint union on the classic realms (elements are relabelled),
-    plain union on the host realms; extensions merge accordingly."""
-    out = Interpretation(lattice=i1.lattice)
-    map1 = {e: ClassicElement(i) for i, e in
-            enumerate(sorted(i1.classic, key=lambda e: e.eid))}
-    off = len(map1)
-    map2 = {e: ClassicElement(off + i) for i, e in
-            enumerate(sorted(i2.classic, key=lambda e: e.eid))}
-
-    def conv(m):
-        def f(x):
-            return m[x] if isinstance(x, ClassicElement) else x
-        return f
-
-    for world, m in ((i1, map1), (i2, map2)):
-        f = conv(m)
-        out.classic |= set(m.values())
-        out.hosts |= world.hosts
-        for atom, ext in world.concept_ext.items():
-            out.concept_ext.setdefault(atom, set()).update(f(e) for e in ext)
-        for role, table in world.role_ext.items():
-            tgt = out.role_ext.setdefault(role, {})
-            for x, ys in table.items():
-                tgt.setdefault(f(x), set()).update(f(y) for y in ys)
-        for attr, table in world.attr_ext.items():
-            tgt = out.attr_ext.setdefault(attr, {})
-            for x, y in table.items():
-                tgt[f(x)] = f(y)
-        for name, ext in world.indiv_ext.items():
-            out.indiv_ext.setdefault(name, set()).update(f(e) for e in ext)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Signatures and random worlds
 
 

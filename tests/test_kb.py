@@ -436,8 +436,8 @@ def _root_leaves(d):
 def assert_root_index_agrees(kb: KnowledgeBase) -> int:
     """The root index answers every root leaf of the names' clauses, the
     fixed leaves, and each bound and filler over the declared roles, for
-    each coherent name exactly as ``subsume._HOLDS`` does at its root, and
-    answers "not indexed" exactly for the leaves that read further.
+    each coherent name exactly as ``subsume._failure`` does at its root,
+    and answers "not indexed" exactly for the leaves that read further.
     Returns the number of leaves checked."""
     _, parts, canon = _told_graphs(kb)
     graphs = {n: g for n, g in canon.items() if not g.incoherent}
@@ -457,8 +457,8 @@ def assert_root_index_agrees(kb: KnowledgeBase) -> int:
         if type(leaf) in _NOT_INDEXED:
             assert got is None, to_text(leaf)
             continue
-        holds = subsume._HOLDS[type(leaf)]
-        want = {n for n, g in graphs.items() if holds(leaf, g, g.root)}
+        want = {n for n, g in graphs.items()
+                if subsume._failure(leaf, g, g.root) is None}
         assert got == want, to_text(leaf)
         assert index.holds_for(leaf, half) == want & half, to_text(leaf)
     return len(leaves)

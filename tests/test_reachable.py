@@ -19,9 +19,6 @@ PACKAGE = pathlib.Path(classicdl.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 BENCHMARKS = sorted((PACKAGE.parent.parent / "benchmarks").glob("*.py"))
 
-# ``merge_worlds`` waits for its place on the soundness path.
-ALLOWED = {"worlds.merge_worlds"}
-
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # Per kind of definition, the reads that reach it: as an attribute
 # (True) or as a name (False).
@@ -77,8 +74,4 @@ def unreached() -> list[str]:
 
 def test_every_definition_is_reached_outside_tests():
     assert len(SOURCES) > 10 and BENCHMARKS
-    assert sorted(set(unreached()) - ALLOWED) == []
-
-
-def test_the_allowed_exceptions_still_exist():
-    assert ALLOWED <= set(unreached())
+    assert unreached() == []

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from classicdl.descriptions import to_text
 from classicdl.parsing import parse_description
 from classicdl.reduction import (
     CnfFormula,
@@ -65,6 +66,17 @@ def test_dimacs_rejects_wide_clauses():
         parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")
 
 
+def descriptors(out) -> dict[str, str]:
+    """Each individual's descriptor, read back from LOWER, which wraps it
+    as ``all(dummy, and(one-of(individual), descriptor))``."""
+    texts = {}
+    for wrapped in parse_description(out.lower_text, out.kb()).items:
+        marker, descr = wrapped.restriction.items
+        (ind,) = marker.members
+        texts[ind.name] = to_text(descr)
+    return texts
+
+
 def test_encoder_output_counts():
     f = CnfFormula(("p", "q"), ((lit("p"), lit("q"), lit("q", False)),
                                 (lit("p", False),) * 3))
@@ -83,8 +95,9 @@ def test_encoder_output_parses_and_loads():
     kb = out.kb()
     parse_description(out.upper_text, kb)
     parse_description(out.lower_text, kb)
-    for ind, text in out.assertions:
-        assert ind in kb.individuals
+    texts = descriptors(out)
+    assert texts.keys() == kb.individuals.keys()
+    for text in texts.values():
         parse_description(text, kb)
 
 
@@ -92,7 +105,7 @@ def test_disjunct_structure():
     f = CnfFormula(("p", "q", "r"),
                    ((lit("p"), lit("q", False), lit("r", False)),))
     out = encode(f)
-    (c1,) = [text for ind, text in out.assertions if ind == "C1"]
+    c1 = descriptors(out)["C1"]
     # the disjunct carries the negated clause's literal individuals
     assert "one-of(NP-p, P-q, P-r)" in c1
     assert "at-least(3, conjuncts)" in c1
@@ -100,7 +113,7 @@ def test_disjunct_structure():
 
 def test_repeated_literals_use_distinct_count():
     out = encode(P_AND_NOT_P)
-    texts = dict(out.assertions)
+    texts = descriptors(out)
     assert "at-least(1, conjuncts)" in texts["C1"]
     assert "at-least(1, conjuncts)" in texts["C2"]
 
@@ -108,7 +121,7 @@ def test_repeated_literals_use_distinct_count():
 def test_g_collects_disjuncts():
     f = CnfFormula(("p",), ((lit("p"),) * 3, (lit("p", False),) * 3))
     out = encode(f)
-    texts = dict(out.assertions)
+    texts = descriptors(out)
     assert texts["G"] == "all(disjunctsHolding, one-of(C1, C2))"
 
 

@@ -8,8 +8,9 @@ each two distinct leaves, 250 descriptions in all.  Every one of the
 62,500 ordered pairs is answered; every "no" must come with a verified
 counter-model, except in the documented host-type corner (README, "Notes
 on scope and known envelope"), where the builder must say so.  The
-bounded model search finds a world exactly for the coherent graphs, and
-a knowledge base that names every description is classified as the n^2
+bounded model search finds a world exactly for the coherent graphs,
+``covers_everything`` answers as the test against the THING graph, and a
+knowledge base that names every description is classified as the n^2
 reference classifies it.
 """
 
@@ -23,11 +24,20 @@ from classicdl.countermodel import (
     construct_graphical_world,
     interpret_rest,
 )
-from classicdl.graph import to_jsonable, translate
+from classicdl.descriptions import (
+    And,
+    ClassicThing,
+    ConceptName,
+    HostConcept,
+    THING,
+    Thing,
+    to_text,
+)
+from classicdl.graph import _THING_RESTRICTION, to_jsonable, translate
 from classicdl.kb import classify, expand
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description, parse_kb
-from classicdl.subsume import subsumes_graph
+from classicdl.subsume import covers_everything, explain, subsumes_graph
 from classicdl.worlds import eval_description
 from oracles import bounded_model_search
 from test_graph import thawed
@@ -119,6 +129,23 @@ def test_bounded_search_finds_a_world_exactly_for_coherent_graphs(corpus):
              if (bounded_model_search(g, k=1) is None) != g.incoherent]
     assert len(wrong) == 33
     assert {"at-least(2, r)", "one-of(P, Q)"} <= set(wrong)
+
+
+def test_covers_everything_is_the_test_against_thing(corpus):
+    # On every corpus description, and on THING spelled as an atom and as
+    # a host concept, alone and in nested conjunctions with ``thing``,
+    # ``covers_everything`` answers as the structural test against the
+    # one-node THING graph.
+    atoms = (ConceptName(THING), HostConcept(THING))
+    covering = [*atoms, And(atoms),
+                *(And((Thing(), And((a, Thing())))) for a in atoms)]
+    descriptions = [d for _, d, _ in corpus[1]] + covering + [
+        And((ClassicThing(), atoms[0]))]
+    for d in descriptions:
+        assert covers_everything(d) == (
+            explain(d, _THING_RESTRICTION) is None), to_text(d)
+    assert [d for d in descriptions if covers_everything(d)] == [
+        Thing(), *covering]
 
 
 @pytest.fixture(scope="module")

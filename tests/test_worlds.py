@@ -23,7 +23,6 @@ from classicdl.worlds import (
     Signature,
     eval_description,
     eval_graph,
-    merge_worlds,
     sample_interpretation,
     signature_of_description,
 )
@@ -162,26 +161,6 @@ def test_incoherent_graph_empty_everywhere(parse, kb):
         assert eval_graph(g, sample_interpretation(sig, seed)) == frozenset()
 
 
-def test_merge_worlds_properties(parse, kb):
-    d = expand(parse("and(GAME, at-least(1, r))"), kb)
-    sig = signature_of_description(d)
-    w1 = sample_interpretation(sig, seed=3)
-    w2 = sample_interpretation(sig, seed=4)
-    m = merge_worlds(w1, w2)
-    m.check()
-    assert len(m.classic) == len(w1.classic) + len(w2.classic)
-    assert len(eval_description(d, m)) == \
-        len(eval_description(d, w1)) + len(eval_description(d, w2))
-
-
-def test_merge_with_empty_world(parse, kb):
-    d = expand(parse("and(GAME, at-least(1, r))"), kb)
-    sig = signature_of_description(d)
-    w = sample_interpretation(sig, seed=9)
-    m = merge_worlds(w, Interpretation())
-    assert len(eval_description(d, m)) == len(eval_description(d, w))
-
-
 def test_elements_are_interned():
     assert ClassicElement(3) is ClassicElement(3)
     assert HostElement("INTEGER", 4) is HostElement("INTEGER", 4)
@@ -215,35 +194,6 @@ def test_countermodel_and_sampled_elements_meet(parse, kb):
     for elem in shared:
         assert any(elem is x for x in built.classic | built.hosts)
         assert any(elem is x for x in sampled.classic | sampled.hosts)
-
-
-def test_merge_worlds_relabels_classic_elements(parse, kb):
-    # the first world's elements keep their numbers and the second's come
-    # after them, in order; hosts are shared
-    d = expand(parse("and(GAME, at-least(1, r), fills(f, 3))"), kb)
-    sig = signature_of_description(d)
-    w1 = sample_interpretation(sig, seed=5)
-    w2 = sample_interpretation(sig, seed=6)
-    m = merge_worlds(w1, w2)
-    n1, n2 = len(w1.classic), len(w2.classic)
-    assert m.classic == {ClassicElement(i) for i in range(n1 + n2)}
-    assert m.hosts == w1.hosts | w2.hosts
-
-    def shift(x):
-        return ClassicElement(x.eid + n1) \
-            if isinstance(x, ClassicElement) else x
-
-    for role, table in w2.role_ext.items():
-        for x, ys in table.items():
-            assert m.role_ext[role][shift(x)] >= {shift(y) for y in ys}
-    for attr, table in w2.attr_ext.items():
-        for x, y in table.items():
-            assert m.attr_ext[attr][shift(x)] is shift(y)
-    for attr, table in w1.attr_ext.items():
-        for x, y in table.items():
-            assert m.attr_ext[attr][x] is y
-    assert m.concept_ext["GAME"] == w1.concept_ext["GAME"] | {
-        shift(x) for x in w2.concept_ext["GAME"]}
 
 
 def test_sampler_reproducible(parse):
