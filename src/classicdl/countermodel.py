@@ -7,11 +7,13 @@ free: every node of every (nested) island gets a fresh element.
 
 With a steering description the free choices of the construction are made
 against the clause where the structural test fails (``subsume.explain``),
-case by case on its shape — filler counts one below or above the bound,
-wrong-realm fillers for missing edges, distinct end values for attribute
-chains, dom picks outside an enumeration — so the distinguished element
-lands inside the graph's extension but outside the description's.  The
-result is verified before it is returned, by evaluating the graph and the
+by one rule per constructor class (``_STEER``) — a filler count one below
+an ``at-least`` or one above an ``at-most`` bound, wrong-realm fillers for
+missing edges, a fresh end value for each missing same-as tail, dom picks
+outside an enumeration — so the distinguished element lands inside the
+graph's extension but outside the description's.  A host node escapes
+every classic-only constructor (``_CLASSIC_ONLY``) unsteered.  The result
+is verified before it is returned, by evaluating the graph and the
 description at the distinguished element alone; a verification failure
 raises ``CounterModelError``.
 
@@ -138,8 +140,7 @@ def construct_graphical_world(g: DescriptionGraph,
     description's extension."""
     if g.incoherent:
         raise ValueError("cannot build a world for an incoherent graph")
-    lattice = kb.lattice if kb is not None else DEFAULT_LATTICE
-    b = _Builder(lattice)
+    b = _Builder(kb.lattice if kb is not None else DEFAULT_LATTICE)
     if steering is None:
         elems = _build_island(b, g, {}, {})
     else:
@@ -149,7 +150,7 @@ def construct_graphical_world(g: DescriptionGraph,
                              "counter-model exists")
         elems = _counter_build(b, failure)
     distinguished = elems[g.root]
-    _finalize(b, g, steering, lattice)
+    _finalize(b, g, steering)
     world = b.world
     if not element_in_graph(g, distinguished, world):
         raise CounterModelError("constructed element fell outside the "
@@ -176,10 +177,10 @@ def interpret_rest(world: Interpretation, *descs: Description) -> None:
 
 
 def _finalize(b: _Builder, g: DescriptionGraph,
-              steering: Description | None, lattice) -> None:
+              steering: Description | None) -> None:
     """Interpret every name in sight and materialize mentioned host
     values."""
-    sig = signature_of_graph(g, lattice)
+    sig = signature_of_graph(g, b.world.lattice)
     if steering is not None:
         sig = sig.merge(signature_of_description(steering))
     for v in sig.host_values:
@@ -297,16 +298,14 @@ def _build_redge(b: _Builder, parent, e, plan: EdgePlan | None) -> None:
         if root_elem in b.joins:
             used.add(b.joins[root_elem])
 
+    needed = [f for f in fillers if f not in used]
     if plan and plan.count is not None:
         k = plan.count
     elif counter is not None:
-        k = max(e.min, len([f for f in fillers if f not in used]) + 1, 1)
-        if e.max != INF:
-            k = min(k, int(e.max))
+        k = _bounded(max(e.min, len(needed) + 1), e.max)
     else:
-        k = max(e.min, _bounded(e.min + 1, e.max))
+        k = _bounded(e.min + 1, e.max)
 
-    needed = [f for f in fillers if f not in used]
     avoid = plan.dom_avoid if plan else frozenset()
     pads: list[Individual | None] = []
     if head.dom is not None:
@@ -367,8 +366,8 @@ def _host_confined(d: Description) -> bool:
 
 
 # The constructors whose extension is confined to the classic realm.
-_CLASSIC_ONLY = frozenset({AllRole, AllAttr, AtLeast, AtMost, SameAs,
-                           FillsRole, FillsAttr})
+_CLASSIC_ONLY = frozenset({ClassicThing, AllRole, AllAttr, AtLeast, AtMost,
+                           SameAs, FillsRole, FillsAttr})
 
 # Whether a constructor names the host realm (True) or the classic one
 # (False), looked up by class; the others name neither.
@@ -377,8 +376,7 @@ _NAMES_HOST = {
     HostConcept: lambda d: True,
     OneOf: lambda d: d.is_host,
     ConceptName: lambda d: d.name.startswith(HOST_TEST_ATOM_PREFIX),
-    **dict.fromkeys((*_CLASSIC_ONLY, ClassicThing, Nothing),
-                    lambda d: False),
+    **dict.fromkeys((*_CLASSIC_ONLY, Nothing), lambda d: False),
 }
 
 
@@ -393,7 +391,9 @@ def _plan(failure: Failure, plans: dict[int, NodePlan],
           lattice: HostLattice) -> None:
     """Steer the island of ``failure.graph`` so the element of
     ``failure.node`` escapes ``failure.clause``, which the structural test
-    found not to hold there."""
+    found not to hold there: a host node needs no steering against a
+    classic-only constructor, and every other case has one rule in
+    ``_STEER``."""
     d = failure.clause
     t = type(d)
     if (t in _CLASSIC_ONLY
@@ -432,28 +432,24 @@ def _steer_atom(failure, plans, edge_plans, lattice) -> None:
 
 
 def _steer_classic_thing(failure, plans, edge_plans, lattice) -> None:
-    if HOST_THING not in failure.graph.nodes[failure.node].atoms:
-        _node_plan(plans, failure.node).host = True
+    # A host node escapes with no steering (``_plan``); any other node is
+    # built as a fresh host element.
+    _node_plan(plans, failure.node).host = True
 
 
-def _steer_at_least(failure, plans, edge_plans, lattice) -> None:
+def _steer_bound(failure, plans, edge_plans, lattice) -> None:
+    """One filler below an ``at-least`` bound or one above an ``at-most``
+    bound, kept within the edge's own bounds; a role with no edge gets
+    that many fresh classic fillers."""
     d, nid = failure.clause, failure.node
+    count = d.n - 1 if type(d) is AtLeast else d.n + 1
     e = failure.graph.role_edge(nid, d.role)
     if e is None:
-        edge_plans[(nid, d.role)] = EdgePlan(count=d.n - 1,
+        edge_plans[(nid, d.role)] = EdgePlan(count=count,
                                              synthetic_host=False)
     else:
-        edge_plans[(nid, d.role)] = EdgePlan(count=_bounded(d.n - 1, e.max))
-
-
-def _steer_at_most(failure, plans, edge_plans, lattice) -> None:
-    d, nid = failure.clause, failure.node
-    e = failure.graph.role_edge(nid, d.role)
-    if e is None:
-        edge_plans[(nid, d.role)] = EdgePlan(count=d.n + 1,
-                                             synthetic_host=False)
-    else:
-        edge_plans[(nid, d.role)] = EdgePlan(count=max(e.min, d.n + 1))
+        edge_plans[(nid, d.role)] = EdgePlan(
+            count=_bounded(max(e.min, count), e.max))
 
 
 def _steer_all_role(failure, plans, edge_plans, lattice) -> None:
@@ -507,39 +503,18 @@ def _steer_same_as(failure, plans, edge_plans, lattice) -> None:
     d, g, nid = failure.clause, failure.graph, failure.node
     l_pre, l_taken = g.follow(nid, d.left[:-1])
     r_pre, r_taken = g.follow(nid, d.right[:-1])
-    l_full = l_taken == len(d.left) - 1 and \
-        g.attr_edge(l_pre, d.left[-1]) is not None
-    r_full = r_taken == len(d.right) - 1 and \
-        g.attr_edge(r_pre, d.right[-1]) is not None
-
     if l_taken < len(d.left) - 1 or r_taken < len(d.right) - 1:
         # A prefix already breaks: its next attribute has no edge, and the
         # default world sends it to the host sink, killing the chain.
         return
-    if l_full and r_full:
-        # Both chains run through the graph but end at different nodes
-        # (same-node endings would have satisfied the test); distinct nodes
-        # get distinct elements, so nothing to steer.
-        return
-    if l_pre == r_pre:
-        # A shared tail from a classic junction would have satisfied the
-        # test, so a classic junction has two distinct tail attributes.
-        plan = _node_plan(plans, l_pre)
-        if CLASSIC_THING not in g.nodes[l_pre].atoms:
-            plan.host = True
-            return
-        if not l_full:
-            plan.attr_set[d.left[-1]] = True
-        if not r_full:
-            plan.attr_set[d.right[-1]] = True
-        return
-    # Prefixes end at distinct nodes: give any missing tail its own fresh
-    # value, or, where its prefix ends at a non-classic node, make that
-    # node host, which kills the chain; existing tails point at distinct
-    # nodes already.
-    for pre, full, attr in ((l_pre, l_full, d.left[-1]),
-                            (r_pre, r_full, d.right[-1])):
-        if not full:
+    # Give each missing tail its own fresh value, or, where its prefix
+    # ends at a non-classic node, make that node host, which kills the
+    # chain.  Tails present end at distinct nodes (one node would have
+    # passed the test), and distinct nodes get distinct elements.  At one
+    # classic prefix node the two tails are distinct attributes, since a
+    # shared tail there would have passed the test too.
+    for pre, attr in ((l_pre, d.left[-1]), (r_pre, d.right[-1])):
+        if g.attr_edge(pre, attr) is None:
             plan = _node_plan(plans, pre)
             if CLASSIC_THING in g.nodes[pre].atoms:
                 plan.attr_set[attr] = True
@@ -555,8 +530,8 @@ _STEER = {
     ConceptName: _steer_atom,
     HostConcept: _steer_atom,
     ClassicThing: _steer_classic_thing,
-    AtLeast: _steer_at_least,
-    AtMost: _steer_at_most,
+    AtLeast: _steer_bound,
+    AtMost: _steer_bound,
     AllRole: _steer_all_role,
     AllAttr: _steer_all_attr,
     SameAs: _steer_same_as,

@@ -186,20 +186,15 @@ class DescriptionGraph:
         """Whether the graph is canonical under ``kb`` (``None``: none)."""
         return self.canonical_kb is kb or self.canonical_kb is ANY_KB
 
-    def clone(self, kb) -> "DescriptionGraph":
-        """A copy of this graph and of every nested restriction graph that
-        is not canonical under ``kb`` (``None``: no knowledge base); the
-        canonical ones are shared.  A fresh ``object()`` as ``kb`` copies
-        every graph but those canonical under every knowledge base.  The
-        copies are not canonical, and their nodes get fresh ids, so a copy
-        can be merged with any other graph.  Graphs are copied in the
-        preorder of ``subgraphs``, with an explicit stack, so any nesting
-        depth is fine."""
-        return self._clones(kb)[0]
-
     def _clones(self, kb) -> list["DescriptionGraph"]:
-        """The copies ``clone(kb)`` makes, the copy of this graph first and
-        the rest in the preorder of ``subgraphs``."""
+        """Copies of this graph and of every nested restriction graph that
+        is not canonical under ``kb`` (``None``: no knowledge base), the
+        copy of this graph first; the canonical ones are shared.  A fresh
+        ``object()`` as ``kb`` copies every graph but those canonical under
+        every knowledge base.  The copies are not canonical, and their
+        nodes get fresh ids, so a copy can be merged with any other graph.
+        Graphs are copied in the preorder of ``subgraphs``, with an
+        explicit stack, so any nesting depth is fine."""
         def to_copy(g):
             # Reversed, so that the stack pops them in stored order.
             return [e for node in reversed(g.nodes.values())

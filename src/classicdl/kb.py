@@ -91,6 +91,10 @@ class HostLattice:
 # types only.  It is shared, so no type is ever added to it.
 DEFAULT_LATTICE = HostLattice()
 
+# The most description nodes ``expand`` visits before it gives up: an
+# expansion can grow exponentially in the number of definitions.
+EXPANSION_LIMIT = 100_000
+
 
 @dataclass
 class KnowledgeBase:
@@ -103,7 +107,6 @@ class KnowledgeBase:
     named: dict[str, Description] = field(default_factory=dict)
     disjoint_groups: list[frozenset[str]] = field(default_factory=list)
     primitives: dict[str, Description] = field(default_factory=dict)
-    expansion_limit: int = 100_000
 
     @classmethod
     def empty(cls) -> "KnowledgeBase":
@@ -150,9 +153,9 @@ def expand(d: Description, kb: KnowledgeBase) -> Description:
     its necessary conditions; a test concept becomes an opaque minted atom
     seeded with the marker for its realm.  Reusing a primitive tag with a
     body that is not equivalent to the registered one is an error, as is
-    expansion growth past ``kb.expansion_limit``.
+    expansion growth past ``EXPANSION_LIMIT`` nodes.
     """
-    return _expand(d, kb, frozenset(), [kb.expansion_limit])
+    return _expand(d, kb, frozenset(), [EXPANSION_LIMIT])
 
 
 def _expand(node: Description, kb: KnowledgeBase, active: frozenset[str],
@@ -162,8 +165,8 @@ def _expand(node: Description, kb: KnowledgeBase, active: frozenset[str],
     itself."""
     budget[0] -= 1
     if budget[0] < 0:
-        raise KbError("expansion exceeds the configured size limit "
-                      "(%d nodes)" % kb.expansion_limit)
+        raise KbError("expansion exceeds the size limit (%d nodes)"
+                      % EXPANSION_LIMIT)
     t = type(node)
     if t is NamedRef:
         if node.name in active:

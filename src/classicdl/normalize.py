@@ -126,19 +126,15 @@ class _Run:
         return g.frozen and g not in self.own
 
 
-def _thawed(g: DescriptionGraph) -> DescriptionGraph:
-    """A private copy of a frozen graph, to change; it shares the nested
-    graphs, which are frozen under the same knowledge base."""
-    return g.clone(g.canonical_kb)
-
-
 def _movable(g: DescriptionGraph, run: _Run) -> DescriptionGraph:
     """``g``, or a private copy of it if ``merge_graphs`` would move parts
     of a shared frozen graph: its non-root nodes or its root's r-edges.
     The copy also gives those nodes fresh ids, so the same frozen graph
-    can be merged with itself."""
+    can be merged with itself.  Copying ``g`` alone is enough: the graphs
+    nested in a frozen graph are frozen too, canonical under the same
+    knowledge base or under every one."""
     if run.shared(g) and (len(g.nodes) > 1 or g.root_node.r_edges):
-        return _thawed(g)
+        return g._copy()
     return g
 
 
@@ -419,7 +415,7 @@ def _individual_pass(g, node_order, run) -> bool:
                 new_dom = intersect_doms(head.dom, frozenset(e.fillers))
                 if new_dom != head.dom:
                     if run.shared(e.restriction):
-                        e.restriction = _thawed(e.restriction)
+                        e.restriction = e.restriction._copy()
                     e.restriction.root_node.dom = new_dom
                     _normalize_graph(e.restriction, run)
                     changed = True

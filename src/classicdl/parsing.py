@@ -411,6 +411,8 @@ def parse_kb(text: str) -> KnowledgeBase:
 
     def declare(name: str, raw: str, lineno: int):
         """Declare ``name``, token 1 of the line ``raw``."""
+        if name in BUILTIN_ATOMS:
+            raise _line_error("%s is reserved" % name, raw, 1, lineno)
         if name in declared:
             raise _line_error("%s already declared on line %d"
                               % (name, declared[name]), raw, 1, lineno)
@@ -472,6 +474,8 @@ def parse_kb(text: str) -> KnowledgeBase:
                 name = tokens[k]
                 if not _is_name(name):
                     raise _line_error("expected concept names", raw, k, lineno)
+                if name in BUILTIN_ATOMS:
+                    raise _line_error("%s is reserved" % name, raw, k, lineno)
                 if name in names:
                     raise _line_error("disjoint names %s twice" % name, raw, k,
                                       lineno)

@@ -288,6 +288,15 @@ def test_disjoint_repeated_name_is_an_input_error(tmp_path, capsys):
     assert "line 2, offset 14" in err
 
 
+def test_reserved_name_in_a_kb_file_is_an_input_error(tmp_path, capsys):
+    kb_file = tmp_path / "kb.cdl"
+    kb_file.write_text("role r\nconcept THING := at-least(1, r)\n")
+    code, out, err = run(capsys, "classify", "--kb", str(kb_file))
+    assert code == 3 and out == ""
+    assert err.startswith("error: THING is reserved")
+    assert "line 2, offset 8" in err
+
+
 def test_missing_kb_file_is_an_input_error(tmp_path, capsys):
     missing = tmp_path / "absent.cdl"
     code, out, err = run(capsys, "subsumes", "--kb", str(missing),

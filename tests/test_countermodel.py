@@ -240,6 +240,17 @@ def test_wrong_realm_fillers_for_missing_edges(parse, kb):
     build(parse, kb, "GAME", "fills(coach, 4)")
 
 
+def test_host_filler_keeps_its_host_test_membership(parse, kb):
+    # all(r, test(f, host)) makes the filler's node host; the filler is a
+    # fresh host value outside INTEGER, and the opaque test atom holds of it
+    world, elem = build(parse, kb,
+                        "and(at-least(1, r), all(r, test(f, host)))",
+                        "all(r, INTEGER)")
+    (filler,) = world.role_fillers("r", elem)
+    assert isinstance(filler, HostElement)
+    assert world.concept_ext["@test:host:f"] == {filler}
+
+
 # The benchmark's ladders: an n-ary conjunction of atoms, at-least and
 # same-as clauses; a same-as chain; n levels of nested ``all``.  The "no"
 # query's subsumer has one conjunct more, in the nested ladder at its

@@ -288,7 +288,7 @@ def thawed(g):
     """A copy of ``g`` canonical under no knowledge base: every graph in
     it is copied but the shared {THING} restriction, canonical under every
     one, so ``canonicalize`` runs every rule on the copy again."""
-    return g.clone(object())
+    return g._clones(object())[0]
 
 
 def _unfrozen_nodes(g):

@@ -120,9 +120,7 @@ def _doubling_chain_kb() -> KnowledgeBase:
     lines = ["role r", "concept C0 := and(GAME, at-least(1, r))"]
     for i in range(1, 18):
         lines.append("concept C%d := and(C%d, C%d)" % (i, i - 1, i - 1))
-    kb = parse_kb("\n".join(lines))
-    kb.expansion_limit = 10_000
-    return kb
+    return parse_kb("\n".join(lines))
 
 
 def test_expansion_limit():
@@ -472,11 +470,15 @@ def test_root_index_agrees_with_the_structural_test(seed):
 
 def _assert_told_built_graphs_are_canonical(kb):
     # A name's graph, built from its told names' canonical graphs, is the
-    # canonical graph of its whole expanded definition.
+    # canonical graph of its whole expanded definition, and every graph in
+    # it is frozen under ``kb`` (or every knowledge base), so copying a
+    # frozen graph alone leaves none of its nested graphs open to change.
     _, _, canon = _told_graphs(kb)
     for name in kb.named:
         whole = canonicalize(translate(expand(NamedRef(name), kb)), kb)
         assert isomorphic(canon[name], whole), name
+        assert all(sub.canonical_under(kb)
+                   for sub in canon[name].subgraphs()), name
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -5,6 +5,7 @@ import pytest
 from classicdl import graph, normalize
 from classicdl.descriptions import CLASSIC_THING, Individual, NOTHING
 from classicdl.graph import to_jsonable, translate
+from classicdl.kb import expand
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description, parse_kb
 from classicdl.randgen import corpus_kb, random_pair
@@ -155,6 +156,22 @@ def test_host_value_dom_typing(parse):
     g = canonicalize(translate(parse('and(one-of(4, "x"), INTEGER)')))
     (node,) = g.nodes.values()
     assert node.dom == frozenset({Individual("4", "INTEGER", 4)})
+
+
+def test_host_test_atom_admits_every_host_value(parse, kb):
+    # an opaque host test is a black box: dom typing keeps every value
+    g = canonicalize(
+        translate(expand(parse("and(test(f, host), one-of(1, 2))"), kb)), kb)
+    assert sorted(ind.name for ind in g.root_node.dom) == ["1", "2"]
+
+
+@pytest.mark.parametrize("body", ["A", "classic-thing"])
+def test_classic_node_admits_no_host_filler(parse, kb, body):
+    # the fillers P and 1 fill both places under at-most(2, r), so the
+    # filler 1 joins a classic node, which no host value inhabits
+    g = canon(parse, "and(fills(r, P), fills(r, 1), at-most(2, r), "
+              "all(r, %s))" % body, kb)
+    assert g.incoherent
 
 
 def test_attr_filler_outside_target_dom(parse, kb):

@@ -198,6 +198,31 @@ def test_kb_declaration_errors_point_at_the_name(text, message, pos):
     assert (exc.value.line, exc.value.pos) == (2, pos)
 
 
+@pytest.mark.parametrize("line", [
+    "role THING",
+    "attribute CLASSIC-THING",
+    "individual HOST-THING",
+    "host-type NOTHING",
+    "host-type THING subtype-of STRING",
+    "concept NOTHING := A",
+])
+def test_kb_declaration_rejects_a_reserved_name(line):
+    # the graph-label spellings name built-in atoms, never a user's
+    name = line.split()[1]
+    with pytest.raises(ParseError, match="%s is reserved" % name) as exc:
+        parse_kb("role r\n" + line)
+    assert (exc.value.line, exc.value.pos) == (2, line.index(name))
+
+
+@pytest.mark.parametrize("name", ["THING", "CLASSIC-THING", "HOST-THING",
+                                  "NOTHING"])
+def test_disjoint_rejects_a_reserved_name(name):
+    line = "disjoint A %s B" % name
+    with pytest.raises(ParseError, match="%s is reserved" % name) as exc:
+        parse_kb(line)
+    assert (exc.value.line, exc.value.pos) == (1, len("disjoint A "))
+
+
 def test_round_trip_with_kb(kb):
     texts = [
         "and(GAME, at-least(4, participants))",

@@ -7,18 +7,21 @@ the vocabulary ``role r; attribute f, g; individual P, Q``: each leaf,
 each two distinct leaves, 250 descriptions in all.  Every one of the
 62,500 ordered pairs is answered; every "no" must come with a verified
 counter-model, except in the documented host-type corner (README, "Notes
-on scope and known envelope"), where the builder must say so.  The
+on scope and known envelope"), where the builder must say so; the worlds
+built match a recorded digest, and every steering rule runs.  The
 bounded model search finds a world exactly for the coherent graphs,
 ``covers_everything`` answers as the test against the THING graph, and a
 knowledge base that names every description is classified as the n^2
 reference classifies it.
 """
 
+import hashlib
 import itertools
 import json
 
 import pytest
 
+from classicdl import countermodel, worlds
 from classicdl.countermodel import (
     CounterModelError,
     construct_graphical_world,
@@ -26,9 +29,11 @@ from classicdl.countermodel import (
 )
 from classicdl.descriptions import (
     And,
+    CLASSIC_THING,
     ClassicThing,
     ConceptName,
     HostConcept,
+    SameAs,
     THING,
     Thing,
     to_text,
@@ -55,6 +60,12 @@ LEAVES = (
 
 HOST_CORNER = "every admissible host value lies in"
 
+# sha256 over the ``worlds.to_jsonable`` dumps (keys sorted) of every
+# counter-model the corpus builds, in pair order: a change to the steering
+# that moves any world, even to another valid one, changes it.
+WORLD_DIGEST = \
+    "756bdea70ed0479e68757c65329788a777e1be8d7fdde874b1e5fbbbc6a0df59"
+
 
 def size2_corpus() -> list[str]:
     """The leaves, then ``all(r, x)``, ``all(f, x)`` and ``and(x, y)``."""
@@ -75,8 +86,37 @@ def corpus():
     return kb, out
 
 
-def test_every_no_gets_a_counter_model(corpus):
+def _record_steering(monkeypatch) -> set:
+    """Record the class of every clause the builder steers against, and
+    for a same-as clause whose prefixes end at one node with a tail
+    missing, whether that node is classic."""
+    seen = set()
+
+    def recording(steer):
+        def steer_and_record(failure, *args):
+            d, g = failure.clause, failure.graph
+            seen.add(type(d))
+            if type(d) is SameAs:
+                l_pre, l_taken = g.follow(failure.node, d.left[:-1])
+                r_pre, r_taken = g.follow(failure.node, d.right[:-1])
+                if (l_pre == r_pre and l_taken == len(d.left) - 1
+                        and r_taken == len(d.right) - 1
+                        and None in (g.attr_edge(l_pre, d.left[-1]),
+                                     g.attr_edge(r_pre, d.right[-1]))):
+                    seen.add(("same-as at one node",
+                              CLASSIC_THING in g.nodes[l_pre].atoms))
+            steer(failure, *args)
+        return steer_and_record
+
+    for cls, steer in countermodel._STEER.items():
+        monkeypatch.setitem(countermodel._STEER, cls, recording(steer))
+    return seen
+
+
+def test_every_no_gets_a_counter_model(corpus, monkeypatch):
     kb, descs = corpus
+    steered = _record_steering(monkeypatch)
+    digest = hashlib.sha256()
     yes = no = 0
     corner = []
     for (d_text, d, _), (c_text, c, g) in itertools.product(descs, descs):
@@ -90,11 +130,19 @@ def test_every_no_gets_a_counter_model(corpus):
             assert HOST_CORNER in str(exc), (d_text, c_text, str(exc))
             corner.append((d_text, c_text))
             continue
+        digest.update(json.dumps(worlds.to_jsonable(world, elem),
+                                 sort_keys=True).encode())
         interpret_rest(world, c)
         assert eval_description(c, world, {elem}), (d_text, c_text)
         assert not eval_description(d, world, {elem}), (d_text, c_text)
     assert (yes, no) == (20_603, 41_897)
     assert len(corner) == 65
+    assert digest.hexdigest() == WORLD_DIGEST
+    # Every steering rule runs, and same-as at one prefix node runs on a
+    # classic node and on a non-classic one.
+    assert steered == {*countermodel._STEER,
+                       ("same-as at one node", True),
+                       ("same-as at one node", False)}
 
 
 def test_canonical_forms_are_fixpoints_under_both_schedules(corpus):
