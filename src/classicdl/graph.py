@@ -33,17 +33,16 @@ labelled NOTHING, no edge, and the ``incoherent`` flag set.
 ``mark_incoherent`` is the one builder of that shape; ``incoherent_graph``
 and every conflict rule of ``normalize`` go through it.
 
-``translate`` finds a constructor's case by one lookup of the
-description's class in a table of leaf cases; ``and`` and the two ``all``
-constructors, which nest a description, stay inline in it, so a nesting
-level costs no extra Python frame.
+``translate`` builds a graph in one pass, with one graph per restriction
+graph and an explicit stack of tasks, so any nesting depth is fine; the
+result is, node for node, the paper's merge of the conjuncts' graphs.
 
 ``merge_graphs`` and ``merge_nodes`` are n-ary and move their inputs into
-the result instead of cloning them, so ``translate`` builds each graph in
-one pass.  The result shares nodes and r-edges with its inputs: once
-either side is changed in place, the other may not be used.
-``normalize.canonicalize`` changes only its own copy of the parts of its
-input that are not canonical yet, so merging frozen graphs is safe.
+the result instead of cloning them: it shares nodes and r-edges with its
+inputs, so once either side is changed in place, the other may not be
+used.  ``normalize.canonicalize`` changes only its own copy of the parts
+of its input that are not canonical yet, so merging frozen graphs is
+safe.
 """
 
 from __future__ import annotations
@@ -290,16 +289,11 @@ def incoherent_graph() -> DescriptionGraph:
     return g
 
 
-def singleton_graph(*atoms: str) -> DescriptionGraph:
-    g = DescriptionGraph()
-    g.root = g.add_node(GraphNode(atoms=set(atoms)))
-    return g
-
-
 # The restriction of every at-least, at-most and fills(role, ...) clause:
 # one node labelled THING is canonical under every knowledge base, so all
 # of them share this one frozen graph.
-_THING_RESTRICTION = singleton_graph(THING)
+_THING_RESTRICTION = DescriptionGraph()
+_THING_RESTRICTION.root = _THING_RESTRICTION.add_node(GraphNode({THING}))
 _THING_RESTRICTION.canonical_kb = ANY_KB
 
 
@@ -365,98 +359,140 @@ def translate(d: Description) -> DescriptionGraph:
     Every well-formed expanded description translates; the result's
     extension equals the description's in every possible world.  Doms
     default to the universal marker and filler sets to empty.
+
+    One pass pops ``(description, graph, node)`` tasks off an explicit
+    stack, so any nesting depth is fine: a leaf, found by one lookup of
+    its class, writes its atoms, r-edge, dom or a-edges into the node;
+    ``and`` queues its conjuncts on the same node; ``all(role, C)`` opens
+    a restriction graph for C, one graph per restriction graph, and
+    ``all(attr, C)`` a target node.  The graph is, node for node, the
+    merge of the conjuncts' graphs: nodes come in the order they are
+    added, but the node of a graph or target whose whole description is
+    ``all(attr, C)`` comes after C's nodes, and the a-edge of
+    ``all(attr, C)`` after C's a-edges; NOTHING at a root makes the graph
+    incoherent, and at a target leaves it a lone NOTHING node.  A copy
+    numbers the nodes in this order, so canonical graphs depend on it.
     """
-    t = type(d)
-    if t is And:
-        return merge_graphs(*(translate(item) for item in d.items))
-    if t is AllRole:
-        return _redge_graph(d.role, 0, INF, translate(d.restriction))
-    if t is AllAttr:
-        # If the inner graph is incoherent its node keeps the NOTHING atom;
-        # normalization propagates the incoherence back up.
-        inner = translate(d.restriction)
-        g = DescriptionGraph()
-        g.nodes = inner.nodes
-        g.a_edges = inner.a_edges
-        g.root = g.add_node(GraphNode(atoms={CLASSIC_THING}))
-        g.a_edges.append(AEdge(g.root, inner.root, d.attr))
-        return g
-    case = _TRANSLATE.get(t)
-    if case is None:
-        raise TypeError("not a description: %r" % (d,))
-    return case(d)
+    top = DescriptionGraph()
+    stack: list = []
+    top.root = _open(top, d, stack)
+    while stack:
+        d, g, nid = stack.pop()
+        t = type(d)
+        if t is And:
+            stack += zip(reversed(d.items), itertools.repeat(g),
+                         itertools.repeat(nid))
+        elif t is AllRole:
+            inner = DescriptionGraph()
+            inner.root = _open(inner, d.restriction, stack)
+            _redge(g.nodes[nid], d.role, 0, INF, (), inner)
+        elif t is AllAttr:
+            g.nodes[nid].atoms.add(CLASSIC_THING)
+            _open(g, d.restriction, stack, nid, d.attr)
+        else:
+            case = _TRANSLATE.get(t)
+            if case is None:
+                raise TypeError("not a description: %r" % (d,))
+            case(d, g, nid)
+    return top
 
 
-def _unexpanded(d: Description) -> DescriptionGraph:
-    raise ValueError("description must be expanded before translation")
+@dataclass
+class _Close:
+    edge: AEdge | None  # the a-edge into an attribute target
+    last: bool  # whether the node's whole description is all(attr, C)
 
 
-def _fills_attr_graph(d: FillsAttr) -> DescriptionGraph:
-    g = DescriptionGraph()
-    g.root = g.add_node(GraphNode(atoms={CLASSIC_THING}))
-    end_atoms = HOST_THING if d.who.is_host else CLASSIC_THING
-    end = g.add_node(GraphNode(atoms={end_atoms}, dom=frozenset({d.who})))
-    g.a_edges.append(AEdge(g.root, end, d.attr))
-    return g
+def _open(g: DescriptionGraph, d: Description, stack: list,
+          src: int | None = None, attr: str = "") -> int:
+    """Add a node to ``g`` for ``d``, its root or the target of
+    ``all(attr, d)`` at node ``src``, and queue ``d`` on it above the
+    node's close."""
+    nid = g.add_node(GraphNode(set()))
+    edge = None if src is None else AEdge(src, nid, attr)
+    stack += [(_Close(edge, type(d) is AllAttr), g, nid), (d, g, nid)]
+    return nid
 
 
-def _one_of_graph(d: OneOf) -> DescriptionGraph:
-    g = DescriptionGraph()
-    atoms = HOST_THING if d.is_host else CLASSIC_THING
-    g.root = g.add_node(GraphNode(atoms={atoms}, dom=frozenset(d.members)))
-    return g
+def _close(c: _Close, g: DescriptionGraph, nid: int) -> None:
+    """Finish node ``nid`` once its description is written, by the rules
+    of ``translate``.  The nodes after a target, and the a-edges from
+    them, are its conjuncts'."""
+    if NOTHING in g.nodes[nid].atoms and nid == g.root:
+        mark_incoherent(g)
+    elif NOTHING in g.nodes[nid].atoms:
+        order = list(g.nodes)
+        added = set(order[order.index(nid):])
+        g.nodes = {n: g.nodes[n] for n in order if n not in added}
+        g.nodes[nid] = GraphNode({NOTHING})
+        g.a_edges = [e for e in g.a_edges if e.src not in added]
+    if c.edge:
+        g.a_edges.append(c.edge)
+    if c.last:
+        g.nodes[nid] = g.nodes.pop(nid)
 
 
-def _redge_graph(role: str, lo: int, hi: float,
-                 restriction: DescriptionGraph,
-                 fillers: set[Individual] | None = None) -> DescriptionGraph:
-    g = DescriptionGraph()
-    edge = REdge(role, lo, hi, restriction, set(fillers or ()))
-    g.root = g.add_node(GraphNode(atoms={CLASSIC_THING}, r_edges=[edge]))
-    return g
+def _redge(node: GraphNode, role: str, lo: int, hi: float,
+           fillers: tuple[Individual, ...] = (),
+           restriction: DescriptionGraph = _THING_RESTRICTION) -> None:
+    node.atoms.add(CLASSIC_THING)
+    node.r_edges.append(REdge(role, lo, hi, restriction, set(fillers)))
 
 
-def _same_as_graph(left: tuple[str, ...], right: tuple[str, ...]) -> DescriptionGraph:
-    """Two disjoint attribute paths from the root to a shared end node."""
-    g = DescriptionGraph()
-    g.root = g.add_node(GraphNode(atoms={CLASSIC_THING}))
-    end = g.add_node(GraphNode(atoms={THING}))
+def _one_of(d: OneOf, g: DescriptionGraph, nid: int) -> None:
+    node = g.nodes[nid]
+    node.atoms.add(HOST_THING if d.is_host else CLASSIC_THING)
+    node.dom = intersect_doms(node.dom, frozenset(d.members))
 
-    def lay_path(chain: tuple[str, ...]) -> None:
-        prev = g.root
+
+def _fills_attr(d: FillsAttr, g: DescriptionGraph, nid: int) -> None:
+    g.nodes[nid].atoms.add(CLASSIC_THING)
+    end = g.add_node(GraphNode({HOST_THING if d.who.is_host
+                                else CLASSIC_THING}, dom=frozenset({d.who})))
+    g.a_edges.append(AEdge(nid, end, d.attr))
+
+
+def _same_as(d: SameAs, g: DescriptionGraph, nid: int) -> None:
+    """Two disjoint attribute paths from the node to a shared end node."""
+    g.nodes[nid].atoms.add(CLASSIC_THING)
+    end = g.add_node(GraphNode({THING}))
+    for chain in (d.left, d.right):
+        prev = nid
         for attr in chain[:-1]:
-            mid = g.add_node(GraphNode(atoms={CLASSIC_THING}))
+            mid = g.add_node(GraphNode({CLASSIC_THING}))
             g.a_edges.append(AEdge(prev, mid, attr))
             prev = mid
         g.a_edges.append(AEdge(prev, end, chain[-1]))
 
-    lay_path(left)
-    lay_path(right)
-    return g
+
+def _unexpanded(d: Description, g: DescriptionGraph, nid: int) -> None:
+    raise ValueError("description must be expanded before translation")
 
 
-# The leaf constructors' graphs, looked up by class; ``translate`` keeps
-# the constructors that nest a description.
+# The leaf constructors' cases, and a node's close, looked up by class;
+# ``translate`` keeps the constructors that nest a description.  Each
+# writes ``d`` into node ``nid`` of graph ``g``.
 _TRANSLATE = {
-    Thing: lambda d: singleton_graph(THING),
-    ClassicThing: lambda d: singleton_graph(CLASSIC_THING),
-    HostThing: lambda d: singleton_graph(HOST_THING),
-    Nothing: lambda d: incoherent_graph(),
-    ConceptName: lambda d: singleton_graph(d.name),
-    HostConcept: lambda d: singleton_graph(d.name),
-    AtLeast: lambda d: _redge_graph(d.role, d.n, INF, _THING_RESTRICTION),
-    AtMost: lambda d: _redge_graph(d.role, 0, d.n, _THING_RESTRICTION),
+    Thing: lambda d, g, nid: g.nodes[nid].atoms.add(THING),
+    ClassicThing: lambda d, g, nid: g.nodes[nid].atoms.add(CLASSIC_THING),
+    HostThing: lambda d, g, nid: g.nodes[nid].atoms.add(HOST_THING),
+    Nothing: lambda d, g, nid: g.nodes[nid].atoms.add(NOTHING),
+    ConceptName: lambda d, g, nid: g.nodes[nid].atoms.add(d.name),
+    HostConcept: lambda d, g, nid: g.nodes[nid].atoms.add(d.name),
+    AtLeast: lambda d, g, nid: _redge(g.nodes[nid], d.role, d.n, INF),
+    AtMost: lambda d, g, nid: _redge(g.nodes[nid], d.role, 0, d.n),
     # The filler set carries the individual; the restriction stays THING
     # because a filler constraint says nothing about the *other* fillers
     # (an r-edge restriction binds them all).
-    FillsRole: lambda d: _redge_graph(d.role, 0, INF, _THING_RESTRICTION,
-                                      fillers={d.who}),
-    FillsAttr: _fills_attr_graph,
-    OneOf: _one_of_graph,
-    SameAs: lambda d: _same_as_graph(d.left, d.right),
+    FillsRole: lambda d, g, nid: _redge(g.nodes[nid], d.role, 0, INF,
+                                        (d.who,)),
+    FillsAttr: _fills_attr,
+    OneOf: _one_of,
+    SameAs: _same_as,
     NamedRef: _unexpanded,
     Primitive: _unexpanded,
     Test: _unexpanded,
+    _Close: _close,
 }
 
 

@@ -244,9 +244,8 @@ def _atom_admits_host_value(atom: str, ind: Individual, lattice) -> bool:
         return False
     if lattice.is_type(atom):
         return lattice.literal_in(ind, atom)
-    if _is_host_test_atom(atom):
-        return True
-    return False  # classic atomic concepts live in the other realm
+    # Classic atomic concepts live in the other realm.
+    return _is_host_test_atom(atom)
 
 
 def _dom_typing(node: GraphNode, lattice) -> bool:

@@ -2,27 +2,46 @@
 
 They give tests an independent view of what the engine computes:
 exhaustive model search for graph satisfiability, truth tables for 3CNF
-formulas, isomorphism of canonical graphs by their dumps, and size
-measures of descriptions and graphs.
+formulas, isomorphism of canonical graphs by their dumps, size measures
+of descriptions and graphs, and the translation built by merging graphs.
 """
 
 import itertools
 import random
 
 from classicdl.descriptions import (
+    CLASSIC_THING,
+    HOST_THING,
+    THING,
     AllAttr,
     AllRole,
     And,
     AtLeast,
     AtMost,
+    ClassicThing,
+    ConceptName,
     Description,
     FillsAttr,
     FillsRole,
+    HostConcept,
+    HostThing,
+    Nothing,
     OneOf,
     Primitive,
     SameAs,
+    Thing,
 )
-from classicdl.graph import DescriptionGraph, to_jsonable
+from classicdl.graph import (
+    _THING_RESTRICTION,
+    INF,
+    AEdge,
+    DescriptionGraph,
+    GraphNode,
+    REdge,
+    incoherent_graph,
+    merge_graphs,
+    to_jsonable,
+)
 from classicdl.kb import DEFAULT_LATTICE, HostLattice
 from classicdl.reduction import CnfFormula, Literal
 from classicdl.worlds import (
@@ -69,6 +88,84 @@ def graph_size(g: DescriptionGraph) -> int:
 def isomorphic(g1: DescriptionGraph, g2: DescriptionGraph) -> bool:
     """Structural equality up to node renaming (canonical graphs)."""
     return to_jsonable(g1) == to_jsonable(g2)
+
+
+# ---------------------------------------------------------------------------
+# Translation by merging
+
+
+def merge_translate(d: Description) -> DescriptionGraph:
+    """The translation as the paper builds it: each leaf gets a graph of
+    its own, ``and(C1, ..., Cn)`` is the merge of the conjuncts' graphs,
+    ``all(role, C)`` a root whose r-edge holds C's graph, and
+    ``all(attr, C)`` C's graph under a new root.  ``graph.translate`` must
+    build the same graph node for node."""
+    if isinstance(d, And):
+        return merge_graphs(*(merge_translate(item) for item in d.items))
+    if isinstance(d, AllAttr):
+        g = merge_translate(d.restriction)
+        inner_root = g.root
+        g.root = g.add_node(GraphNode({CLASSIC_THING}))
+        g.a_edges.append(AEdge(g.root, inner_root, d.attr))
+        g.incoherent = False
+        return g
+    if isinstance(d, Nothing):
+        return incoherent_graph()
+    g = DescriptionGraph()
+    if isinstance(d, (Thing, ClassicThing, HostThing)):
+        atom = {Thing: THING, ClassicThing: CLASSIC_THING,
+                HostThing: HOST_THING}[type(d)]
+        g.root = g.add_node(GraphNode({atom}))
+    elif isinstance(d, (ConceptName, HostConcept)):
+        g.root = g.add_node(GraphNode({d.name}))
+    elif isinstance(d, (AllRole, AtLeast, AtMost, FillsRole)):
+        if isinstance(d, AllRole):
+            edge = REdge(d.role, 0, INF, merge_translate(d.restriction))
+        elif isinstance(d, AtLeast):
+            edge = REdge(d.role, d.n, INF, _THING_RESTRICTION)
+        elif isinstance(d, AtMost):
+            edge = REdge(d.role, 0, d.n, _THING_RESTRICTION)
+        else:
+            edge = REdge(d.role, 0, INF, _THING_RESTRICTION, {d.who})
+        g.root = g.add_node(GraphNode({CLASSIC_THING}, [edge]))
+    elif isinstance(d, OneOf):
+        g.root = g.add_node(GraphNode(
+            {HOST_THING if d.is_host else CLASSIC_THING},
+            dom=frozenset(d.members)))
+    elif isinstance(d, FillsAttr):
+        g.root = g.add_node(GraphNode({CLASSIC_THING}))
+        end = g.add_node(GraphNode(
+            {HOST_THING if d.who.is_host else CLASSIC_THING},
+            dom=frozenset({d.who})))
+        g.a_edges.append(AEdge(g.root, end, d.attr))
+    elif isinstance(d, SameAs):
+        g.root = g.add_node(GraphNode({CLASSIC_THING}))
+        end = g.add_node(GraphNode({THING}))
+        for chain in (d.left, d.right):
+            prev = g.root
+            for attr in chain[:-1]:
+                mid = g.add_node(GraphNode({CLASSIC_THING}))
+                g.a_edges.append(AEdge(prev, mid, attr))
+                prev = mid
+            g.a_edges.append(AEdge(prev, end, chain[-1]))
+    elif isinstance(d, Description):
+        raise ValueError("description must be expanded before translation")
+    else:
+        raise TypeError("not a description: %r" % (d,))
+    return g
+
+
+def graph_shape(g: DescriptionGraph):
+    """Everything about ``g`` but its node ids: the root's and each
+    a-edge's ends as positions in node order, each node's atoms, dom and
+    r-edges in order, with each restriction graph's shape in turn."""
+    at = {nid: k for k, nid in enumerate(g.nodes)}
+    nodes = [(node.atoms, node.dom,
+              [(e.role, e.min, e.max, e.fillers, graph_shape(e.restriction))
+               for e in node.r_edges])
+             for node in g.nodes.values()]
+    return (at[g.root], g.incoherent, nodes,
+            [(at[e.src], at[e.dst], e.attr) for e in g.a_edges])
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,16 @@ recursion limit.
 Each layer that still recurses spends a fixed number of Python frames per
 nesting level, and the depths below leave room for those frames only:
 run as a script at the default limit, the three shapes reach about 496,
-994 and 330 levels.  A layer that spent one more frame per level, say by
-calling a case function for a recursive constructor that then calls the
-walker again, would fail here.  The ASTs are built by hand, because the
-parser has its own, lower ceiling.
+993 and 330 levels, held back by the structural test for the first and
+the third and by expansion for the second.  A layer that spent one more
+frame per level, say by calling a case function for a recursive
+constructor that then calls the walker again, would fail here.
+Translation, canonicalization and the graph dump keep explicit stacks, so
+they take any depth.  The ASTs are built by hand, because the parser has
+its own, lower ceiling.
 """
+
+import sys
 
 import pytest
 
@@ -21,7 +26,7 @@ from classicdl.descriptions import (
     NamedRef,
     walk,
 )
-from classicdl.graph import translate
+from classicdl.graph import to_jsonable, translate
 from classicdl.kb import KnowledgeBase, expand
 from classicdl.normalize import canonicalize
 from classicdl.subsume import explain
@@ -87,3 +92,21 @@ def test_world_evaluation_spends_one_frame_per_description_level():
     world = sample_interpretation(signature_of_description(d), seed=0)
     ext = eval_description(d, world)
     assert ext <= world.classic | world.hosts
+
+
+@pytest.mark.parametrize("shape, extra", [
+    (_all_role, 1),
+    (_all_attr, 1),
+    (_all_and, 2),
+], ids=["all-role", "all-attr", "all-and"])
+def test_graph_layers_take_any_depth(shape, extra):
+    depth = 3 * sys.getrecursionlimit()
+    g = canonicalize(translate(shape(depth, ConceptName("A"))))
+    assert not g.incoherent
+    # One node per level, plus the innermost restriction's in all-and.
+    nodes, stack = 0, [to_jsonable(g)]
+    while stack:
+        dump = stack.pop()
+        nodes += len(dump["nodes"])
+        stack += [e["restriction"] for n in dump["nodes"] for e in n["redges"]]
+    assert nodes == depth + extra

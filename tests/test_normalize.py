@@ -3,9 +3,9 @@ import random
 import pytest
 
 from classicdl import graph, normalize
-from classicdl.descriptions import CLASSIC_THING, Individual, NOTHING
+from classicdl.descriptions import CLASSIC_THING, Individual, NOTHING, host_int
 from classicdl.graph import to_jsonable, translate
-from classicdl.kb import expand
+from classicdl.kb import DEFAULT_LATTICE, expand
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description, parse_kb
 from classicdl.randgen import corpus_kb, random_pair
@@ -163,6 +163,16 @@ def test_host_test_atom_admits_every_host_value(parse, kb):
     g = canonicalize(
         translate(expand(parse("and(test(f, host), one-of(1, 2))"), kb)), kb)
     assert sorted(ind.name for ind in g.root_node.dom) == ["1", "2"]
+
+
+@pytest.mark.parametrize("atom, admits", [
+    ("THING", True), ("HOST-THING", True), ("NOTHING", False),
+    ("CLASSIC-THING", False), ("A", False), ("@test:host:f", True),
+    ("INTEGER", True), ("STRING", False),
+])
+def test_atom_admits_host_value(atom, admits):
+    assert normalize._atom_admits_host_value(
+        atom, host_int(4), DEFAULT_LATTICE) is admits
 
 
 @pytest.mark.parametrize("body", ["A", "classic-thing"])
