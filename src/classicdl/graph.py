@@ -15,12 +15,12 @@ trivially collision-free; structural equality is therefore always up to
 renaming: ``to_jsonable`` numbers nodes by a deterministic traversal, so
 two canonical graphs are equal exactly when their dumps are.
 
-A canonical graph is a frozen value: ``normalize.canonicalize`` marks it,
-and each of its nested restriction graphs, with the knowledge base it is
-canonical under (``None``, no knowledge base, counts as one), and nothing
-changes a marked graph again.  So canonical graphs share restriction
-graphs freely: ``clone`` copies only the graphs that are not canonical
-under the knowledge base at hand, and ``translate`` gives every
+A canonical graph is a frozen value: ``normalize`` marks it, and each of
+its nested restriction graphs, with the knowledge base it is canonical
+under (``None``, no knowledge base, counts as one), and nothing changes a
+marked graph again.  So canonical graphs share restriction graphs freely:
+``_clones`` copies only the graphs that are not canonical under the
+knowledge base at hand, and ``translate`` gives every
 ``at-least``, ``at-most`` and ``fills(role, ...)`` one shared ``{THING}``
 restriction, canonical under every knowledge base.  The mark is the
 knowledge base object itself, so a knowledge base must not change once
@@ -37,12 +37,13 @@ and every conflict rule of ``normalize`` go through it.
 graph and an explicit stack of tasks, so any nesting depth is fine; the
 result is, node for node, the paper's merge of the conjuncts' graphs.
 
-``merge_graphs`` and ``merge_nodes`` are n-ary and move their inputs into
-the result instead of cloning them: it shares nodes and r-edges with its
-inputs, so once either side is changed in place, the other may not be
-used.  ``normalize.canonicalize`` changes only its own copy of the parts
-of its input that are not canonical yet, so merging frozen graphs is
-safe.
+``absorb`` merges one graph into another in place, ``merge_graphs``
+absorbs n graphs into a fresh root, and ``merge_nodes`` merges nodes.
+They move their inputs into the result, which then shares nodes and
+r-edges with them, so once either side is changed in place, the other
+may not be used; ``absorb`` can copy instead the parts of a frozen graph
+that normalizing the result may change: its root's r-edges and other
+nodes.
 """
 
 from __future__ import annotations
@@ -102,6 +103,11 @@ class REdge:
     restriction: "DescriptionGraph"
     fillers: set[Individual] = field(default_factory=set)
 
+    def copy(self) -> "REdge":
+        """A copy that shares the restriction graph."""
+        return REdge(self.role, self.min, self.max, self.restriction,
+                     set(self.fillers))
+
 
 @dataclass
 class AEdge:
@@ -120,10 +126,8 @@ class GraphNode:
 
     def clone(self) -> "GraphNode":
         """A copy whose r-edges are copies sharing the restriction graphs
-        (``DescriptionGraph.clone`` copies those it must)."""
-        return GraphNode(set(self.atoms),
-                         [REdge(e.role, e.min, e.max, e.restriction,
-                                set(e.fillers)) for e in self.r_edges],
+        (``DescriptionGraph._clones`` copies the graphs it must)."""
+        return GraphNode(set(self.atoms), [e.copy() for e in self.r_edges],
                          self.dom)
 
 
@@ -185,29 +189,30 @@ class DescriptionGraph:
         """Whether the graph is canonical under ``kb`` (``None``: none)."""
         return self.canonical_kb is kb or self.canonical_kb is ANY_KB
 
-    def _clones(self, kb) -> list["DescriptionGraph"]:
-        """Copies of this graph and of every nested restriction graph that
-        is not canonical under ``kb`` (``None``: no knowledge base), the
-        copy of this graph first; the canonical ones are shared.  A fresh
-        ``object()`` as ``kb`` copies every graph but those canonical under
-        every knowledge base.  The copies are not canonical, and their
-        nodes get fresh ids, so a copy can be merged with any other graph.
-        Graphs are copied in the preorder of ``subgraphs``, with an
-        explicit stack, so any nesting depth is fine."""
-        def to_copy(g):
+    def _clones(self, kb, copy: bool = True) -> list["DescriptionGraph"]:
+        """This graph and every nested restriction graph that is not
+        canonical under ``kb`` (``None``: no knowledge base), in the
+        preorder of ``subgraphs``, each copied unless ``copy`` is false;
+        the canonical ones are shared.  A fresh ``object()`` as ``kb``
+        copies every graph but those canonical under every knowledge base.
+        The copies are not canonical, and their nodes get fresh ids, so a
+        copy can be merged with any other graph.  The walk keeps its own
+        stack, so any nesting depth is fine."""
+        def to_visit(g):
             # Reversed, so that the stack pops them in stored order.
             return [e for node in reversed(g.nodes.values())
                     for e in reversed(node.r_edges)
                     if not e.restriction.canonical_under(kb)]
 
-        copies = [self._copy()]
-        stack = to_copy(copies[0])
+        out = [self._copy() if copy else self]
+        stack = to_visit(out[0])
         while stack:
             e = stack.pop()
-            e.restriction = e.restriction._copy()
-            copies.append(e.restriction)
-            stack += to_copy(e.restriction)
-        return copies
+            if copy:
+                e.restriction = e.restriction._copy()
+            out.append(e.restriction)
+            stack += to_visit(e.restriction)
+        return out
 
     def _copy(self) -> "DescriptionGraph":
         """This graph alone copied, with fresh node ids; its nodes' r-edges
@@ -325,32 +330,41 @@ def merge_nodes(*nodes: GraphNode) -> GraphNode:
 
 
 def merge_graphs(*graphs: DescriptionGraph) -> DescriptionGraph:
-    """Merge graphs in one pass: disjoint union of the non-distinguished
-    nodes plus a fresh root merging the old roots; edges on the old roots
-    are re-targeted to the new root.
-
-    Nodes, r-edges and r-edge filler sets are moved into the result, not
-    cloned: it shares them with the inputs.  A merge with an
-    incoherent graph is incoherent (the intersection of an empty extension
-    with anything is empty).
-    """
-    if any(g.incoherent for g in graphs):
-        return incoherent_graph()
+    """Merge graphs in one pass: ``absorb`` each into a fresh root, so
+    the result shares nodes, r-edges and filler sets with the inputs.  A
+    merge with an incoherent graph is incoherent (the intersection of an
+    empty extension with anything is empty); the merge of no graph is a
+    root with no atom, which is THING."""
     out = DescriptionGraph()
-    new_root = out.add_node(merge_nodes(*(g.root_node for g in graphs)))
-    out.root = new_root
+    out.root = out.add_node(GraphNode(set()))
     for g in graphs:
-        root = g.root
-        for nid, node in g.nodes.items():
-            if nid != root:
-                out.nodes[nid] = node
-        for e in g.a_edges:
-            if e.src == root or e.dst == root:
-                e = AEdge(new_root if e.src == root else e.src,
-                          new_root if e.dst == root else e.dst,
-                          e.attr)
-            out.a_edges.append(e)
+        absorb(out, g)
     return out
+
+
+def absorb(into: DescriptionGraph, g: DescriptionGraph,
+           copy: bool = False) -> None:
+    """Merge ``g`` into ``into`` in place: ``g``'s root into ``into``'s
+    (atoms union, r-edge bag union, dom intersection), and ``g``'s other
+    nodes and its a-edges, re-targeted from root to root, into ``into``.
+    They are moved, or with ``copy`` copied with fresh node ids, which
+    leaves ``g`` unchanged; restriction graphs are shared either way.
+    Absorbing an incoherent graph, or into one, makes ``into`` the
+    incoherent graph."""
+    if g.incoherent or into.incoherent:
+        mark_incoherent(into)
+        return
+    ids = {nid: _fresh_id() for nid in g.nodes} if copy else {}
+    ids[g.root] = into.root
+    root, old = into.root_node, g.root_node
+    root.atoms |= old.atoms
+    root.r_edges += [e.copy() for e in old.r_edges] if copy else old.r_edges
+    root.dom = intersect_doms(root.dom, old.dom)
+    for nid, node in g.nodes.items():
+        if nid != g.root:
+            into.nodes[ids.get(nid, nid)] = node.clone() if copy else node
+    into.a_edges += [AEdge(ids.get(e.src, e.src), ids.get(e.dst, e.dst),
+                           e.attr) for e in g.a_edges]
 
 
 def translate(d: Description) -> DescriptionGraph:

@@ -261,14 +261,14 @@ def _told_parts(d: Description, kb: KnowledgeBase, names: list[str],
 
 def _told_graphs(kb: KnowledgeBase):
     """The names in told order, each name's told parts, and each name's
-    canonical graph: its told names' graphs merged with the translations
-    of its other clauses, then canonicalized.  Canonical graphs are
-    frozen: ``canonicalize`` copies the merge's own nodes once and shares
-    the told graphs' restriction graphs, so the told graphs are merged
-    uncopied and no restriction graph is copied again unless a rule must
-    change it."""
-    from .graph import merge_graphs, translate
-    from .normalize import canonicalize
+    canonical graph, built once: the translation of the conjunction of
+    its other clauses, with its told names' canonical graphs absorbed
+    into it, normalized in place by ``canonical_graph``.  Canonical
+    graphs are frozen, so a told graph is copied only where
+    normalization changes it, its root r-edges and its other nodes, and
+    its restriction graphs are shared: no restriction graph is copied
+    again unless a rule must change it."""
+    from .normalize import canonical_graph
 
     parts = {n: ([], []) for n in kb.named}
     for n, (told, clauses) in parts.items():
@@ -277,9 +277,9 @@ def _told_graphs(kb: KnowledgeBase):
     canon = {}
     for a in order:
         told, clauses = parts[a]
-        canon[a] = canonicalize(merge_graphs(
-            *(canon[p] for p in told),
-            *(translate(c) for c in clauses)), kb)
+        own = None if not clauses else clauses[0] if len(clauses) == 1 \
+            else And(tuple(clauses))
+        canon[a] = canonical_graph(own, kb, [canon[p] for p in told])
     return order, parts, canon
 
 
@@ -290,14 +290,14 @@ def classify(kb: KnowledgeBase) -> Taxonomy:
     all names are its subsumers, and it takes part in no structural test.
     ``below[a]``, the coherent names that a coherent ``a`` subsumes, is
     filled in told order: ``a``'s candidates are the names below all of
-    its told names.  Its other clauses are split into conjuncts, and each
-    conjunct that reads only a subsumee's root (an atom, a realm marker,
-    a number restriction or a role filler) narrows the candidates by a
-    lookup in a ``RootIndex`` over the coherent names' graphs, built once
-    per call.  Only the other conjuncts run the structural test, on the
-    candidates that are left.  Names with equal sets of subsumers form
-    one node; a node's parents are its nearest strict ancestors.  Names
-    equivalent to THING (``covers_everything``) join the root node.
+    its told names.  Its other clauses are split into conjuncts; each
+    that reads only a subsumee's root and r-edges (an atom, a realm
+    marker, a bound, a role filler or ``all(role, C)``) narrows the
+    candidates through a ``RootIndex`` over the coherent names' graphs,
+    built once per call, which tests C once per restriction graph.  The
+    others run the structural test on the candidates left.  Names with
+    equal subsumers form one node, whose parents are its nearest strict
+    ancestors; names equivalent to THING join the root node.
     """
     from .subsume import RootIndex, covers_everything, subsumes_graph
 

@@ -30,8 +30,10 @@ The rules of a graph read its restriction graphs but change only their
 own graph, with three exceptions: a zero max makes the restriction
 incoherent, an r-edge merge builds a new restriction graph, and filler
 bookkeeping narrows a restriction's root dom.  So ``canonicalize``
-normalizes every restriction graph once, children before parents, and
-those rules normalize the one graph they changed on the spot.
+normalizes every graph not canonical yet once, children before parents,
+and those rules normalize the one graph they changed on the spot.  It
+works in place, on a copy of its input, which is left unchanged, or, for
+``canonical_graph``, on a fresh translation, with no copy.
 
 A canonical graph is frozen (see ``graph``), and each graph is marked
 canonical as soon as it is normalized; the rule that builds a new
@@ -49,9 +51,12 @@ both reach isomorphic results.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .descriptions import (
     BUILTIN_ATOMS,
     CLASSIC_THING,
+    Description,
     HOST_TEST_ATOM_PREFIX,
     HOST_THING,
     Individual,
@@ -63,28 +68,32 @@ from .graph import (
     DescriptionGraph,
     GraphNode,
     REdge,
+    _THING_RESTRICTION,
+    absorb,
     incoherent_graph,
     intersect_doms,
     mark_incoherent,
     merge_graphs,
     merge_nodes,
+    translate,
 )
 from .kb import DEFAULT_LATTICE, KnowledgeBase
 
 
 def canonicalize(g: DescriptionGraph,
                  kb: KnowledgeBase | None = None,
-                 schedule: str = "standard") -> DescriptionGraph:
+                 schedule: str = "standard",
+                 copy: bool = True) -> DescriptionGraph:
     """Return the canonical form of ``g`` under ``kb``; the input is not
     modified.
 
     A ``g`` already canonical under ``kb`` is returned itself.  Otherwise
     ``g`` is cloned once, up front, sharing its restriction graphs that
-    are canonical under ``kb``; every merge the rules make moves parts of
-    that private copy.  Each copied graph is normalized once, children
-    before parents, and marked canonical under ``kb`` (frozen) as it is
-    finished, so the result and every restriction graph in it end up
-    marked.  The mark is ``kb`` itself, so ``kb`` must not change after
+    are canonical under ``kb``, and each copied graph is normalized once,
+    children before parents, and marked canonical under ``kb`` (frozen)
+    as it is finished.  ``copy=False`` normalizes ``g`` itself in place
+    instead, for ``canonical_graph``'s fresh graphs, which no one else
+    holds.  The mark is ``kb`` itself, so ``kb`` must not change after
     this call; a graph marked before a change would be returned unchanged
     by later calls.
 
@@ -97,10 +106,25 @@ def canonicalize(g: DescriptionGraph,
     if g.canonical_under(kb):
         return g
     run = _Run(kb, schedule)
-    copies = g._clones(kb)
-    for sub in reversed(copies):
+    graphs = g._clones(kb, copy)
+    for sub in reversed(graphs):
         _normalize_graph(sub, run)
-    return copies[0]
+    return graphs[0]
+
+
+def canonical_graph(d: Description | None,
+                    kb: KnowledgeBase | None = None,
+                    told: Sequence[DescriptionGraph] = ()
+                    ) -> DescriptionGraph:
+    """The canonical graph under ``kb`` of the expanded description ``d``
+    (None: none) and the graphs ``told``, canonical under ``kb``: ``d``'s
+    translation, with copies of each told graph's root r-edges and other
+    nodes absorbed into it, canonicalized in place.  Nothing else is
+    copied; the told graphs' restriction graphs are shared."""
+    g = merge_graphs() if d is None else translate(d)
+    for t in told:
+        absorb(g, t, copy=True)
+    return canonicalize(g, kb, copy=False)
 
 
 class _Run:
@@ -124,18 +148,6 @@ class _Run:
 
     def shared(self, g: DescriptionGraph) -> bool:
         return g.frozen and g not in self.own
-
-
-def _movable(g: DescriptionGraph, run: _Run) -> DescriptionGraph:
-    """``g``, or a private copy of it if ``merge_graphs`` would move parts
-    of a shared frozen graph: its non-root nodes or its root's r-edges.
-    The copy also gives those nodes fresh ids, so the same frozen graph
-    can be merged with itself.  Copying ``g`` alone is enough: the graphs
-    nested in a frozen graph are frozen too, canonical under the same
-    knowledge base or under every one."""
-    if run.shared(g) and (len(g.nodes) > 1 or g.root_node.r_edges):
-        return g._copy()
-    return g
 
 
 def _normalize_graph(g: DescriptionGraph, run: _Run) -> None:
@@ -266,18 +278,24 @@ def _dom_typing(node: GraphNode, lattice) -> bool:
 
 
 def _merged_redge(edges: list[REdge], run: _Run) -> REdge:
-    """One r-edge for a role: tightest bounds, merged restriction graphs
-    (moved, since the old edges are dropped, and normalized again) and the
-    union of fillers."""
-    restriction = merge_graphs(*(_movable(e.restriction, run) for e in edges))
-    _normalize_graph(restriction, run)
-    return REdge(
-        role=edges[0].role,
-        min=max(e.min for e in edges),
-        max=min(e.max for e in edges),
-        restriction=restriction,
-        fillers=set().union(*(e.fillers for e in edges)),
-    )
+    """One r-edge for a role: tightest bounds, the union of fillers, and
+    the merge of the restriction graphs, normalized again.  The merge
+    moves the graphs of this run, since the old edges are dropped, and
+    copies the shared ones.  A merge that would add nothing is skipped:
+    ``{THING} ⊓ {THING}`` is the shared {THING} restriction itself, and
+    ``R ⊓ {THING}`` is R when R's root has THING already."""
+    restrictions = [e.restriction for e in edges]
+    rest = [r for r in restrictions if r is not _THING_RESTRICTION]
+    if len(rest) < 2 and (not rest or THING in rest[0].root_node.atoms):
+        restriction = (rest or restrictions)[0]
+    else:
+        restriction = merge_graphs()
+        for r in restrictions:
+            absorb(restriction, r, copy=run.shared(r))
+        _normalize_graph(restriction, run)
+    return REdge(edges[0].role, max(e.min for e in edges),
+                 min(e.max for e in edges), restriction,
+                 set().union(*(e.fillers for e in edges)))
 
 
 def _redge_pass(g, node_order, run) -> bool:

@@ -15,11 +15,12 @@ cases need.  Leaf cases are stated once, in tables looked up by class:
 role's r-edge must pass) and ``_HOLDS`` (the other leaves); ``and`` and
 the two ``all`` constructors, which nest a description, stay inline in
 the recursive core, so a nesting level costs no extra Python frame.
-``RootIndex`` answers the ``_ATOM`` and ``_EDGE`` clauses at the roots of
-many named graphs at once, by lookup; classification uses it to run the
-structural test only for the other clauses.
-``subsumes`` wires up the full pipeline: expand both descriptions,
-translate and canonicalize the subsumee, then test.
+``RootIndex`` answers the ``_ATOM`` and ``_EDGE`` clauses and
+``all(role, C)`` at the roots of many named graphs at once, by lookup and
+one test per shared restriction graph; classification uses it to run the
+structural test per name only for the other clauses.  ``subsumes`` wires
+up the full pipeline: expand both descriptions, build the subsumee's
+canonical graph with ``canonical_graph``, then test.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ from .descriptions import (
     Thing,
     to_text,
 )
-from .graph import DescriptionGraph, REdge, translate, traversal_ranks
+from .graph import DescriptionGraph, REdge, traversal_ranks
 from .kb import KnowledgeBase, expand
-from .normalize import canonicalize
+from .normalize import canonical_graph
 
 
 def covers_everything(d: Description) -> bool:
@@ -217,17 +218,24 @@ class RootIndex:
     ``holds_for(d, names)`` is the subset of ``names`` for whose graphs
     ``_failure`` finds ``d`` holding at the root, read from the same
     ``_ATOM`` and ``_EDGE`` tables; it is None when ``d``'s kind is not
-    indexed: ``same-as``, ``one-of`` and ``fills`` over an attribute read
-    the nodes behind a-edges, and ``all`` recurses.  ``narrow`` applies
-    a clause's indexed conjuncts and returns the others, which are left
-    to ``subsumes_graph``."""
+    indexed: ``same-as``, ``one-of`` and the constructors over an
+    attribute read the nodes behind a-edges.  As in ``_failure``,
+    ``all(role, C)`` holds through the root's r-edge for the role iff C
+    subsumes the edge's restriction graph, and without one iff C covers
+    everything and the root is classic; restriction graphs are frozen
+    and shared, so each (C, restriction graph) pair is tested once for
+    the life of the index.  ``narrow`` applies a clause's indexed
+    conjuncts and returns the others, which are left to
+    ``subsumes_graph``."""
 
-    __slots__ = ("atoms", "edges")
+    __slots__ = ("atoms", "edges", "below")
 
     def __init__(self, graphs: dict[str, DescriptionGraph]):
         # THING is at every node.
         self.atoms: dict[str, set[str]] = {THING: set(graphs)}
         self.edges: dict[str, dict[str, REdge]] = {}
+        # C -> restriction graph -> whether C subsumes it.
+        self.below: dict[Description, dict[DescriptionGraph, bool]] = {}
         for name, g in graphs.items():
             root = g.root_node
             for atom in root.atoms:
@@ -242,11 +250,23 @@ class RootIndex:
         atom = _ATOM.get(t)
         if atom is not None:
             return names & self.atoms.get(atom(d), _NO_NAMES)
-        edge = _EDGE.get(t)
-        if edge is None:
+        if t is not AllRole and t not in _EDGE:
             return None
         edges = self.edges.get(d.role, {})
-        return {n for n in edges.keys() & names if edge(d, edges[n])}
+        if t is not AllRole:
+            return {n for n in edges.keys() & names if _EDGE[t](d, edges[n])}
+        below = self.below.setdefault(d.restriction, {})
+        found = set()
+        for n in edges.keys() & names:
+            r = edges[n].restriction
+            if r not in below:
+                below[r] = subsumes_graph(d.restriction, r)
+            if below[r]:
+                found.add(n)
+        if covers_everything(d.restriction):
+            found |= (names - edges.keys()) & \
+                self.atoms.get(CLASSIC_THING, _NO_NAMES)
+        return found
 
     def narrow(self, clauses: Sequence[Description], names: set[str]
                ) -> tuple[set[str], list[Description]]:
@@ -278,7 +298,7 @@ def subsumes(d: Description, c: Description,
         kb = KnowledgeBase.empty()
     de = expand(d, kb)
     ce = expand(c, kb)
-    return subsumes_graph(de, canonicalize(translate(ce), kb))
+    return subsumes_graph(de, canonical_graph(ce, kb))
 
 
 def equivalent(d: Description, c: Description,

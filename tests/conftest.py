@@ -1,10 +1,17 @@
 import pytest
+from hypothesis import settings
 
 from classicdl import subsume
 from classicdl.kb import KnowledgeBase
 from classicdl.parsing import parse_description, parse_kb
 from classicdl.worlds import eval_description
 from oracles import world_domain
+
+# Every run draws the same hypothesis examples: each test's examples are
+# seeded from the test itself, and no example database replays earlier
+# failures.  A test's own settings keep their ``max_examples``.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 BASIC_KB_TEXT = """\
 # shared test vocabulary

@@ -3,7 +3,8 @@
 They give tests an independent view of what the engine computes:
 exhaustive model search for graph satisfiability, truth tables for 3CNF
 formulas, isomorphism of canonical graphs by their dumps, size measures
-of descriptions and graphs, and the translation built by merging graphs.
+of descriptions and graphs, the translation built by merging graphs, and
+the told graphs of classification built by merging graphs.
 """
 
 import itertools
@@ -41,8 +42,16 @@ from classicdl.graph import (
     incoherent_graph,
     merge_graphs,
     to_jsonable,
+    translate,
 )
-from classicdl.kb import DEFAULT_LATTICE, HostLattice
+from classicdl.kb import (
+    DEFAULT_LATTICE,
+    HostLattice,
+    KnowledgeBase,
+    _definition_order,
+    _told_parts,
+)
+from classicdl.normalize import canonicalize
 from classicdl.reduction import CnfFormula, Literal
 from classicdl.worlds import (
     ClassicElement,
@@ -153,6 +162,24 @@ def merge_translate(d: Description) -> DescriptionGraph:
     else:
         raise TypeError("not a description: %r" % (d,))
     return g
+
+
+def merge_told_graphs(kb: KnowledgeBase) -> dict[str, DescriptionGraph]:
+    """Each name's canonical graph as classification built it by merging:
+    its told names' canonical graphs merged with the translation of each
+    of its other clauses, one graph per clause, and the merge
+    canonicalized, which copies it whole.  ``kb._told_graphs`` must build
+    the same graphs, dump for dump."""
+    parts = {n: ([], []) for n in kb.named}
+    for n, (told, clauses) in parts.items():
+        _told_parts(kb.named[n], kb, told, clauses)
+    canon = {}
+    for a in _definition_order({n: told for n, (told, _) in parts.items()}):
+        told, clauses = parts[a]
+        canon[a] = canonicalize(merge_graphs(
+            *(canon[p] for p in told),
+            *(translate(c) for c in clauses)), kb)
+    return canon
 
 
 def graph_shape(g: DescriptionGraph):

@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import json
 import random
 
@@ -29,7 +30,7 @@ from classicdl.descriptions import (
     to_text,
     walk,
 )
-from classicdl.graph import to_jsonable, translate
+from classicdl.graph import GraphNode, to_jsonable, translate
 from classicdl.kb import (
     HostLattice,
     KbError,
@@ -44,7 +45,8 @@ from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description, parse_kb
 from classicdl.randgen import random_description, random_pair
 from classicdl.subsume import equivalent, subsumes
-from oracles import isomorphic
+from oracles import isomorphic, merge_told_graphs
+from test_translate import INPUTS
 
 
 def test_expand_two_step():
@@ -421,8 +423,8 @@ _FIXED_LEAVES = (
                                "INTEGER")),
 )
 
-# The leaves that read beyond a subsumee's root.
-_NOT_INDEXED = {AllRole, AllAttr, SameAs, FillsAttr, OneOf}
+# The leaves that read beyond a subsumee's root and its r-edges.
+_NOT_INDEXED = {AllAttr, SameAs, FillsAttr, OneOf}
 
 
 def _root_leaves(d):
@@ -541,18 +543,73 @@ def test_classify_leaves_told_graphs_unchanged(text, monkeypatch):
     # them changes none of them.
     kb = parse_kb(text)
     built = []
-    real = normalize.canonicalize
+    real = normalize.canonical_graph
 
-    def snapshot(g, kb=None, schedule="standard"):
-        canon = real(g, kb, schedule)
+    def snapshot(d, kb=None, told=()):
+        canon = real(d, kb, told)
         built.append((canon, to_jsonable(canon)))
         return canon
 
-    monkeypatch.setattr(normalize, "canonicalize", snapshot)
+    monkeypatch.setattr(normalize, "canonical_graph", snapshot)
     classify(kb)
     assert len(built) == len(kb.named)
     for canon, before in built:
         assert to_jsonable(canon) == before
+
+
+def _taxonomy_kbs(seed):
+    spec = importlib.util.spec_from_file_location("bench_inputs", INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [text for _, text in inputs.taxonomy_kbs(seed)]
+
+
+@pytest.mark.parametrize("text", [
+    *(oracle_kb_text(seed, 100) for seed in range(3)),
+    told_heap_kb_text(100),
+    *SHARED_TOLD_KBS,
+    *RESTRICTION_RULE_KBS,
+    *_taxonomy_kbs(0),
+])
+def test_told_graphs_match_the_merging_builder(text):
+    # Each told graph, built once from its own clauses' translation and
+    # copies of its told graphs, dumps as the merge of the told graphs
+    # and of one translation per clause, canonicalized whole.
+    kb = parse_kb(text)
+    _, _, canon = _told_graphs(kb)
+    merged = merge_told_graphs(kb)
+    for name in kb.named:
+        assert to_jsonable(canon[name]) == to_jsonable(merged[name]), name
+
+
+def test_classify_clones_only_told_graph_nodes(monkeypatch):
+    # Building a name's graph copies the parts of its told graphs that
+    # normalization may change, each told graph's root r-edges and its
+    # other nodes, and nothing of the fresh translation: on a told chain
+    # that is one clone per non-root node of each told graph, and every
+    # node cloned belongs to a told graph.
+    n = 30
+    kb = parse_kb("role r\nattribute f\nconcept C0 := all(f, A0)\n" + "".join(
+        "concept C%d := and(C%d, all(f, A%d), all(r, B%d))\n"
+        % (i, i - 1, i, i) for i in range(1, n)))
+    cloned = []
+    real = GraphNode.clone
+
+    def counted(node):
+        cloned.append(node)
+        return real(node)
+
+    monkeypatch.setattr(GraphNode, "clone", counted)
+    _, parts, canon = _told_graphs(kb)
+    told_nodes = {id(node) for g in canon.values() for sub in g.subgraphs()
+                  for node in sub.nodes.values()}
+    assert cloned and all(id(node) in told_nodes for node in cloned)
+    expected = sum(len(canon[p].nodes) - 1
+                   for told, _ in parts.values() for p in told)
+    assert len(cloned) == expected
+    cloned.clear()
+    classify(kb)
+    assert len(cloned) == expected
 
 
 def test_classify_translates_each_clause_once(monkeypatch):

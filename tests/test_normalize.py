@@ -6,10 +6,10 @@ from classicdl import graph, normalize
 from classicdl.descriptions import CLASSIC_THING, Individual, NOTHING, host_int
 from classicdl.graph import to_jsonable, translate
 from classicdl.kb import DEFAULT_LATTICE, expand
-from classicdl.normalize import canonicalize
+from classicdl.normalize import canonical_graph, canonicalize
 from classicdl.parsing import parse_description, parse_kb
 from classicdl.randgen import corpus_kb, random_pair
-from oracles import isomorphic
+from oracles import graph_shape, isomorphic
 from test_canonical_goldens import golden_kb
 from test_graph import DEEP_SHAPES, thawed
 
@@ -406,6 +406,26 @@ def test_canonical_input_is_returned_itself(canonical_corpus):
     for g, kb, schedule in canonical_corpus:
         assert canonicalize(g, kb, schedule) is g
         assert all(sub.canonical_under(kb) for sub in g.subgraphs())
+
+
+def test_canonicalize_leaves_its_input_unchanged():
+    # canonicalize copies its input up front and normalizes the copy;
+    # canonical_graph normalizes a fresh translation in place, to the
+    # same canonical form.
+    kb = corpus_kb()
+    rng = random.Random(5)
+    for _ in range(300):
+        for d in random_pair(rng):
+            g = translate(d)
+            before = ([list(sub.nodes) for sub in g.subgraphs()],
+                      graph_shape(g))
+            canon = canonicalize(g, kb)
+            assert canon is not g
+            assert ([list(sub.nodes) for sub in g.subgraphs()],
+                    graph_shape(g)) == before
+            assert not any(sub.frozen for sub in g.subgraphs()
+                           if sub is not graph._THING_RESTRICTION)
+            assert to_jsonable(canonical_graph(d, kb)) == to_jsonable(canon)
 
 
 def test_same_as_cascade_merges_in_linear_time():
