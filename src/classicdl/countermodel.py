@@ -12,10 +12,10 @@ an ``at-least`` or one above an ``at-most`` bound, wrong-realm fillers for
 missing edges, a fresh end value for each missing same-as tail, dom picks
 outside an enumeration — so the distinguished element lands inside the
 graph's extension but outside the description's.  A host node escapes
-every classic-only constructor (``_CLASSIC_ONLY``) unsteered.  The result
-is verified before it is returned, by evaluating the graph and the
-description at the distinguished element alone; a verification failure
-raises ``CounterModelError``.
+every classic-only constructor (``descriptions.CLASSIC_ONLY``)
+unsteered.  The result is verified before it is returned, by evaluating
+the graph and the description at the distinguished element alone; a
+verification failure raises ``CounterModelError``.
 
 Known limitation, inherent to the algorithm being modelled: a host-valued
 dom can force the distinguished element to be a literal whose built-in
@@ -34,17 +34,18 @@ from .descriptions import (
     AtLeast,
     AtMost,
     BUILTIN_ATOMS,
+    CLASSIC_ONLY,
     CLASSIC_THING,
     ClassicThing,
     ConceptName,
     Description,
     FillsAttr,
     FillsRole,
-    HOST_TEST_ATOM_PREFIX,
     HOST_THING,
     HostConcept,
     HostThing,
     Individual,
+    is_host_test_atom,
     Nothing,
     OneOf,
     SameAs,
@@ -257,7 +258,7 @@ def _build_node(b: _Builder, nid: int, node: GraphNode,
         else:
             elem = b.fresh(True, _minimal_host_type(node, lattice))
         for atom in node.atoms:
-            if atom.startswith(HOST_TEST_ATOM_PREFIX):
+            if is_host_test_atom(atom):
                 b.add_membership(atom, elem)
         return elem
 
@@ -365,25 +366,15 @@ def _host_confined(d: Description) -> bool:
     return host
 
 
-# The constructors whose extension is confined to the classic realm.
-_CLASSIC_ONLY = frozenset({ClassicThing, AllRole, AllAttr, AtLeast, AtMost,
-                           SameAs, FillsRole, FillsAttr})
-
 # Whether a constructor names the host realm (True) or the classic one
 # (False), looked up by class; the others name neither.
 _NAMES_HOST = {
     HostThing: lambda d: True,
     HostConcept: lambda d: True,
     OneOf: lambda d: d.is_host,
-    ConceptName: lambda d: d.name.startswith(HOST_TEST_ATOM_PREFIX),
-    **dict.fromkeys((*_CLASSIC_ONLY, Nothing), lambda d: False),
+    ConceptName: lambda d: is_host_test_atom(d.name),
+    **dict.fromkeys((*CLASSIC_ONLY, Nothing), lambda d: False),
 }
-
-
-def _node_plan(plans: dict[int, NodePlan], nid: int) -> NodePlan:
-    if nid not in plans:
-        plans[nid] = NodePlan()
-    return plans[nid]
 
 
 def _plan(failure: Failure, plans: dict[int, NodePlan],
@@ -396,7 +387,7 @@ def _plan(failure: Failure, plans: dict[int, NodePlan],
     ``_STEER``."""
     d = failure.clause
     t = type(d)
-    if (t in _CLASSIC_ONLY
+    if (t in CLASSIC_ONLY
             and HOST_THING in failure.graph.nodes[failure.node].atoms):
         # These constructors confine their extension to the classic realm;
         # a host element escapes them with no steering at all.
@@ -424,8 +415,7 @@ def _steer_atom(failure, plans, edge_plans, lattice) -> None:
                 raise CounterModelError(
                     "every admissible host value lies in %s; the structural "
                     "test under-approximates here" % d.name)
-            plan = _node_plan(plans, nid)
-            plan.dom_pick = outside[0]
+            plans.setdefault(nid, NodePlan()).dom_pick = outside[0]
         return
     # Fresh elements belong to no extra extensions, so the default build
     # already escapes a missing atom.
@@ -434,7 +424,7 @@ def _steer_atom(failure, plans, edge_plans, lattice) -> None:
 def _steer_classic_thing(failure, plans, edge_plans, lattice) -> None:
     # A host node escapes with no steering (``_plan``); any other node is
     # built as a fresh host element.
-    _node_plan(plans, failure.node).host = True
+    plans.setdefault(failure.node, NodePlan()).host = True
 
 
 def _steer_bound(failure, plans, edge_plans, lattice) -> None:
@@ -456,7 +446,7 @@ def _steer_all_role(failure, plans, edge_plans, lattice) -> None:
     d, nid = failure.clause, failure.node
     if covers_everything(d.restriction):
         # The body covers everything, so the root must be non-classic.
-        _node_plan(plans, nid).host = True
+        plans.setdefault(nid, NodePlan()).host = True
     elif failure.inner is not None:
         # The body fails in the edge's restriction graph.
         edge_plans[(nid, d.role)] = EdgePlan(counter=failure.inner)
@@ -469,11 +459,11 @@ def _steer_all_attr(failure, plans, edge_plans, lattice) -> None:
     # A body failing through an edge is reported at the edge's target, so
     # the attribute has no edge here.
     d, nid = failure.clause, failure.node
+    plan = plans.setdefault(nid, NodePlan())
     if covers_everything(d.restriction):
-        _node_plan(plans, nid).host = True
+        plan.host = True
     else:
-        _node_plan(plans, nid).attr_set[d.attr] = not _host_confined(
-            d.restriction)
+        plan.attr_set[d.attr] = not _host_confined(d.restriction)
 
 
 def _steer_fills_role(failure, plans, edge_plans, lattice) -> None:
@@ -490,12 +480,12 @@ def _steer_fills_attr(failure, plans, edge_plans, lattice) -> None:
     d = failure.clause
     e = failure.graph.attr_edge(failure.node, d.attr)
     if e is not None:
-        _node_plan(plans, e.dst).dom_avoid |= {d.who}
+        plans.setdefault(e.dst, NodePlan()).dom_avoid |= {d.who}
 
 
 def _steer_one_of(failure, plans, edge_plans, lattice) -> None:
     if failure.graph.nodes[failure.node].dom is not None:
-        _node_plan(plans, failure.node).dom_avoid |= frozenset(
+        plans.setdefault(failure.node, NodePlan()).dom_avoid |= frozenset(
             failure.clause.members)
 
 
@@ -515,7 +505,7 @@ def _steer_same_as(failure, plans, edge_plans, lattice) -> None:
     # shared tail there would have passed the test too.
     for pre, attr in ((l_pre, d.left[-1]), (r_pre, d.right[-1])):
         if g.attr_edge(pre, attr) is None:
-            plan = _node_plan(plans, pre)
+            plan = plans.setdefault(pre, NodePlan())
             if CLASSIC_THING in g.nodes[pre].atoms:
                 plan.attr_set[attr] = True
             else:

@@ -6,6 +6,12 @@ attribute-chain equalities, filler and enumeration constraints over
 individuals, plus primitive and test concepts.  ``to_text`` renders the
 ASCII surface syntax accepted by :mod:`classicdl.parsing`.
 
+Translation, the structural test, the counter-model and world
+evaluation read the constructor facts they must agree on from here:
+``ATOM``, the atom of each atomic constructor; ``CLASSIC_ONLY``, the
+constructors confined to the classic realm (CLASSIC-THING);
+``UNEXPANDED``, those expansion removes; and ``is_host_test_atom``.
+
 Every layer over descriptions finds a constructor's case by looking up
 the description's class, ``type(d)``, so no constructor class may be
 subclassed: a lookup would not find the subclass.
@@ -14,6 +20,7 @@ subclassed: a lookup would not find the subclass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 # Built-in atoms that may appear in graph node labels.
 THING = "THING"
@@ -22,14 +29,20 @@ HOST_THING = "HOST-THING"
 NOTHING = "NOTHING"
 BUILTIN_ATOMS = frozenset({THING, CLASSIC_THING, HOST_THING, NOTHING})
 
-# Prefixes for atoms minted during expansion; '@' cannot appear in a user
-# identifier, so these never collide with source-level concept names.
-PRIMITIVE_ATOM_PREFIX = "@prim:"
-TEST_ATOM_PREFIX = "@test:"
-HOST_TEST_ATOM_PREFIX = "@test:host:"
-
 REALM_CLASSIC = "classic"
 REALM_HOST = "host"
+
+# Prefixes for atoms minted during expansion; '@' cannot appear in a user
+# identifier, so these never collide with source-level concept names.  A
+# test concept's atom is the prefix, its realm, ':' and its function.
+PRIMITIVE_ATOM_PREFIX = "@prim:"
+TEST_ATOM_PREFIX = "@test:"
+HOST_TEST_ATOM_PREFIX = TEST_ATOM_PREFIX + REALM_HOST + ":"
+
+
+def is_host_test_atom(atom: str) -> bool:
+    """Whether the atom stands for a host-realm test concept."""
+    return atom.startswith(HOST_TEST_ATOM_PREFIX)
 
 
 @dataclass(frozen=True)
@@ -213,6 +226,19 @@ class Test(Description):
 class NamedRef(Description):
     name: str
 
+
+# The shared constructor facts (see the module docstring).
+ATOM = {
+    Thing: lambda d: THING,
+    ConceptName: attrgetter("name"),
+    HostConcept: attrgetter("name"),
+    ClassicThing: lambda d: CLASSIC_THING,
+    HostThing: lambda d: HOST_THING,
+    Nothing: lambda d: NOTHING,
+}
+CLASSIC_ONLY = frozenset({ClassicThing, AllRole, AllAttr, AtLeast, AtMost,
+                          SameAs, FillsRole, FillsAttr})
+UNEXPANDED = frozenset({NamedRef, Primitive, Test})
 
 # The leaf constructors' surface text and AST dump, looked up by class.
 # The constructors that nest a description (``and``, ``all``,

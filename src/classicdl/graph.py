@@ -58,25 +58,19 @@ from .descriptions import (
     And,
     AtLeast,
     AtMost,
+    ATOM,
+    CLASSIC_ONLY,
     CLASSIC_THING,
-    ClassicThing,
-    ConceptName,
     Description,
     FillsAttr,
     FillsRole,
     HOST_THING,
-    HostConcept,
-    HostThing,
     Individual,
-    NamedRef,
     NOTHING,
-    Nothing,
     OneOf,
-    Primitive,
     SameAs,
-    Test,
     THING,
-    Thing,
+    UNEXPANDED,
 )
 
 INF = math.inf
@@ -375,9 +369,11 @@ def translate(d: Description) -> DescriptionGraph:
     default to the universal marker and filler sets to empty.
 
     One pass pops ``(description, graph, node)`` tasks off an explicit
-    stack, so any nesting depth is fine: a leaf, found by one lookup of
-    its class, writes its atoms, r-edge, dom or a-edges into the node;
-    ``and`` queues its conjuncts on the same node; ``all(role, C)`` opens
+    stack, so any nesting depth is fine.  A constructor in
+    ``CLASSIC_ONLY`` adds CLASSIC-THING to its node, the one rule for the
+    classic realm; then an atomic one writes its ``ATOM``, another leaf,
+    found by one lookup of its class, its r-edge, dom or a-edges; ``and``
+    queues its conjuncts on the same node; ``all(role, C)`` opens
     a restriction graph for C, one graph per restriction graph, and
     ``all(attr, C)`` a target node.  The graph is, node for node, the
     merge of the conjuncts' graphs: nodes come in the order they are
@@ -393,21 +389,28 @@ def translate(d: Description) -> DescriptionGraph:
     while stack:
         d, g, nid = stack.pop()
         t = type(d)
+        if t in CLASSIC_ONLY:
+            g.nodes[nid].atoms.add(CLASSIC_THING)
         if t is And:
             stack += zip(reversed(d.items), itertools.repeat(g),
                          itertools.repeat(nid))
         elif t is AllRole:
             inner = DescriptionGraph()
             inner.root = _open(inner, d.restriction, stack)
-            _redge(g.nodes[nid], d.role, 0, INF, (), inner)
+            g.nodes[nid].r_edges.append(REdge(d.role, 0, INF, inner))
         elif t is AllAttr:
-            g.nodes[nid].atoms.add(CLASSIC_THING)
             _open(g, d.restriction, stack, nid, d.attr)
+        elif t in ATOM:
+            g.nodes[nid].atoms.add(ATOM[t](d))
         else:
             case = _TRANSLATE.get(t)
-            if case is None:
+            if case is not None:
+                case(d, g, nid)
+            elif t in UNEXPANDED:
+                raise ValueError(
+                    "description must be expanded before translation")
+            else:
                 raise TypeError("not a description: %r" % (d,))
-            case(d, g, nid)
     return top
 
 
@@ -447,10 +450,9 @@ def _close(c: _Close, g: DescriptionGraph, nid: int) -> None:
 
 
 def _redge(node: GraphNode, role: str, lo: int, hi: float,
-           fillers: tuple[Individual, ...] = (),
-           restriction: DescriptionGraph = _THING_RESTRICTION) -> None:
-    node.atoms.add(CLASSIC_THING)
-    node.r_edges.append(REdge(role, lo, hi, restriction, set(fillers)))
+           fillers: tuple[Individual, ...] = ()) -> None:
+    node.r_edges.append(REdge(role, lo, hi, _THING_RESTRICTION,
+                              set(fillers)))
 
 
 def _one_of(d: OneOf, g: DescriptionGraph, nid: int) -> None:
@@ -460,7 +462,6 @@ def _one_of(d: OneOf, g: DescriptionGraph, nid: int) -> None:
 
 
 def _fills_attr(d: FillsAttr, g: DescriptionGraph, nid: int) -> None:
-    g.nodes[nid].atoms.add(CLASSIC_THING)
     end = g.add_node(GraphNode({HOST_THING if d.who.is_host
                                 else CLASSIC_THING}, dom=frozenset({d.who})))
     g.a_edges.append(AEdge(nid, end, d.attr))
@@ -468,7 +469,6 @@ def _fills_attr(d: FillsAttr, g: DescriptionGraph, nid: int) -> None:
 
 def _same_as(d: SameAs, g: DescriptionGraph, nid: int) -> None:
     """Two disjoint attribute paths from the node to a shared end node."""
-    g.nodes[nid].atoms.add(CLASSIC_THING)
     end = g.add_node(GraphNode({THING}))
     for chain in (d.left, d.right):
         prev = nid
@@ -479,20 +479,11 @@ def _same_as(d: SameAs, g: DescriptionGraph, nid: int) -> None:
         g.a_edges.append(AEdge(prev, end, chain[-1]))
 
 
-def _unexpanded(d: Description, g: DescriptionGraph, nid: int) -> None:
-    raise ValueError("description must be expanded before translation")
-
-
-# The leaf constructors' cases, and a node's close, looked up by class;
-# ``translate`` keeps the constructors that nest a description.  Each
-# writes ``d`` into node ``nid`` of graph ``g``.
+# The leaf constructors' cases but the atomic ones, and a node's close,
+# looked up by class; ``translate`` keeps the constructors that nest a
+# description and writes the atomic ones' ``ATOM``.  Each writes ``d``
+# into node ``nid`` of graph ``g``.
 _TRANSLATE = {
-    Thing: lambda d, g, nid: g.nodes[nid].atoms.add(THING),
-    ClassicThing: lambda d, g, nid: g.nodes[nid].atoms.add(CLASSIC_THING),
-    HostThing: lambda d, g, nid: g.nodes[nid].atoms.add(HOST_THING),
-    Nothing: lambda d, g, nid: g.nodes[nid].atoms.add(NOTHING),
-    ConceptName: lambda d, g, nid: g.nodes[nid].atoms.add(d.name),
-    HostConcept: lambda d, g, nid: g.nodes[nid].atoms.add(d.name),
     AtLeast: lambda d, g, nid: _redge(g.nodes[nid], d.role, d.n, INF),
     AtMost: lambda d, g, nid: _redge(g.nodes[nid], d.role, 0, d.n),
     # The filler set carries the individual; the restriction stays THING
@@ -503,9 +494,6 @@ _TRANSLATE = {
     FillsAttr: _fills_attr,
     OneOf: _one_of,
     SameAs: _same_as,
-    NamedRef: _unexpanded,
-    Primitive: _unexpanded,
-    Test: _unexpanded,
     _Close: _close,
 }
 

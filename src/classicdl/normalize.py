@@ -57,9 +57,9 @@ from .descriptions import (
     BUILTIN_ATOMS,
     CLASSIC_THING,
     Description,
-    HOST_TEST_ATOM_PREFIX,
     HOST_THING,
     Individual,
+    is_host_test_atom,
     NOTHING,
     THING,
 )
@@ -197,10 +197,6 @@ def _node_local_pass(g, node_order, run) -> bool:
     return changed
 
 
-def _is_host_test_atom(atom: str) -> bool:
-    return atom.startswith(HOST_TEST_ATOM_PREFIX)
-
-
 def _close_atoms(node: GraphNode, lattice) -> bool:
     """Seed realm markers and close host concepts upward.  A dom of
     classic individuals only, or of host values only, gives its realm's
@@ -216,7 +212,7 @@ def _close_atoms(node: GraphNode, lattice) -> bool:
         if lattice.is_type(atom):
             add.add(HOST_THING)
             add.update(lattice.ancestors(atom))
-        elif _is_host_test_atom(atom):
+        elif is_host_test_atom(atom):
             # Opaque host-realm atom: realm marker only, no lattice closure.
             add.add(HOST_THING)
         else:
@@ -257,7 +253,7 @@ def _atom_admits_host_value(atom: str, ind: Individual, lattice) -> bool:
     if lattice.is_type(atom):
         return lattice.literal_in(ind, atom)
     # Classic atomic concepts live in the other realm.
-    return _is_host_test_atom(atom)
+    return is_host_test_atom(atom)
 
 
 def _dom_typing(node: GraphNode, lattice) -> bool:

@@ -11,11 +11,11 @@ own filler and dom fields are consulted.  Each clause is tested once, in
 one pass over the subsumer, by one recursive core, ``_failure``;
 ``covers_everything`` is the syntactic THING-equivalence the ``all``
 cases need.  Leaf cases are stated once, in tables looked up by class:
-``_ATOM`` (the atom a clause needs at its node), ``_EDGE`` (the test its
-role's r-edge must pass) and ``_HOLDS`` (the other leaves); ``and`` and
-the two ``all`` constructors, which nest a description, stay inline in
-the recursive core, so a nesting level costs no extra Python frame.
-``RootIndex`` answers the ``_ATOM`` and ``_EDGE`` clauses and
+``descriptions.ATOM`` (the atom a clause needs at its node), ``_EDGE``
+(the test its role's r-edge must pass) and ``_HOLDS`` (the other leaves);
+``and`` and the two ``all`` constructors, which nest a description, stay
+inline in the recursive core, so a nesting level costs no extra Python
+frame.  ``RootIndex`` answers the ``ATOM`` and ``_EDGE`` clauses and
 ``all(role, C)`` at the roots of many named graphs at once, by lookup and
 one test per shared restriction graph; classification uses it to run the
 structural test per name only for the other clauses.  ``subsumes`` wires
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .descriptions import (
     AllAttr,
@@ -35,25 +34,16 @@ from .descriptions import (
     And,
     AtLeast,
     AtMost,
+    ATOM,
     CLASSIC_THING,
-    ClassicThing,
-    ConceptName,
     Description,
     FillsAttr,
     FillsRole,
-    HOST_THING,
-    HostConcept,
-    HostThing,
-    NamedRef,
-    Nothing,
-    NOTHING,
     OneOf,
-    Primitive,
     SameAs,
-    Test,
     THING,
-    Thing,
     to_text,
+    UNEXPANDED,
 )
 from .graph import DescriptionGraph, REdge, traversal_ranks
 from .kb import KnowledgeBase, expand
@@ -62,13 +52,13 @@ from .normalize import canonical_graph
 
 def covers_everything(d: Description) -> bool:
     """True iff the expanded description is equivalent to THING: an ``and``
-    of leaves whose ``_ATOM`` is THING.  Every other constructor fails
+    of leaves whose ``ATOM`` is THING.  Every other constructor fails
     against the one-node THING graph, which has no edge, no dom, no
     ``CLASSIC-THING`` atom, and follows no non-empty attribute chain."""
     t = type(d)
     if t is And:
         return all(covers_everything(c) for c in d.items)
-    atom = _ATOM.get(t)
+    atom = ATOM.get(t)
     return atom is not None and atom(d) == THING
 
 
@@ -92,13 +82,13 @@ class Failure:
                 "inner": self.inner and self.inner.to_jsonable()}
 
 
-_UNEXPANDED = frozenset({NamedRef, Primitive, Test})
-
-
 def explain(d: Description, g: DescriptionGraph) -> Failure | None:
     """None iff the description subsumes the canonical graph; otherwise
-    the ``Failure`` that shows it does not."""
-    if type(d) in _UNEXPANDED:
+    the ``Failure`` that shows it does not.  An unexpanded ``d``, or an
+    unexpanded part the test reaches, is a ``ValueError``; a part after a
+    failing conjunct or under an ``all`` with no edge is never reached,
+    and finding it would take a walk of ``d`` on every query."""
+    if type(d) in UNEXPANDED:
         raise ValueError("description must be expanded before subsumption")
     # An incoherent subsumee is below everything.
     if g.incoherent:
@@ -131,15 +121,19 @@ def _failure(d: Description, g: DescriptionGraph, nid: int) -> Failure | None:
         if e is not None:
             return _failure(d.restriction, g, e.dst)
     else:
-        atom = _ATOM.get(t)
+        atom = ATOM.get(t)
         if atom is not None:
             name = atom(d)
+            # THING is at every node.
             holds = name == THING or name in g.nodes[nid].atoms
         elif t in _EDGE:
             e = g.role_edge(nid, d.role)
             holds = e is not None and _EDGE[t](d, e)
         elif t in _HOLDS:
             holds = _HOLDS[t](d, g, nid)
+        elif t in UNEXPANDED:
+            raise ValueError(
+                "description must be expanded before subsumption")
         else:
             raise TypeError("not a description: %r" % (d,))
         return None if holds else Failure(d, g, nid)
@@ -179,19 +173,6 @@ def _holds_one_of(d: OneOf, g: DescriptionGraph, nid: int) -> bool:
     return dom is not None and dom <= set(d.members)
 
 
-# The leaf clauses that read a node's atoms, looked up by class: the atom
-# each needs at the node.  THING is at every node, so a subsumer
-# equivalent to THING (``thing``, the atom THING, or a conjunction of
-# them) is above everything.
-_ATOM = {
-    Thing: lambda d: THING,
-    ConceptName: attrgetter("name"),
-    HostConcept: attrgetter("name"),
-    ClassicThing: lambda d: CLASSIC_THING,
-    HostThing: lambda d: HOST_THING,
-    Nothing: lambda d: NOTHING,
-}
-
 # The leaf clauses that read a node's r-edge for ``d.role``, looked up by
 # class: the test the edge must pass.  With no edge they fail.
 _EDGE = {
@@ -217,7 +198,7 @@ class RootIndex:
 
     ``holds_for(d, names)`` is the subset of ``names`` for whose graphs
     ``_failure`` finds ``d`` holding at the root, read from the same
-    ``_ATOM`` and ``_EDGE`` tables; it is None when ``d``'s kind is not
+    ``ATOM`` and ``_EDGE`` tables; it is None when ``d``'s kind is not
     indexed: ``same-as``, ``one-of`` and the constructors over an
     attribute read the nodes behind a-edges.  As in ``_failure``,
     ``all(role, C)`` holds through the root's r-edge for the role iff C
@@ -247,7 +228,7 @@ class RootIndex:
     def holds_for(self, d: Description, names: set[str]) -> set[str] | None:
         """The names whose root ``d`` holds at; None if not indexed."""
         t = type(d)
-        atom = _ATOM.get(t)
+        atom = ATOM.get(t)
         if atom is not None:
             return names & self.atoms.get(atom(d), _NO_NAMES)
         if t is not AllRole and t not in _EDGE:

@@ -51,21 +51,19 @@ from .descriptions import (
     Description,
     FillsAttr,
     FillsRole,
-    HOST_TEST_ATOM_PREFIX,
     HOST_THING,
     HostConcept,
     HostThing,
     Individual,
+    is_host_test_atom,
     literal_name,
-    NamedRef,
     NOTHING,
     Nothing,
     OneOf,
-    Primitive,
     SameAs,
-    Test,
     THING,
     Thing,
+    UNEXPANDED,
     walk,
 )
 from .graph import DescriptionGraph, GraphNode, INF
@@ -290,18 +288,16 @@ def _eval(d: Description, world: Interpretation,
         inner = _eval(d.restriction, world, frozenset(value.values()))
         return frozenset(e for e, v in value.items() if v in inner)
     case = _EVAL.get(t)
-    if case is None:
-        raise TypeError("not a description: %r" % (d,))
-    return case(d, world, within)
+    if case is not None:
+        return case(d, world, within)
+    if t in UNEXPANDED:
+        raise EvalError("description must be expanded before evaluation")
+    raise TypeError("not a description: %r" % (d,))
 
 
 def _part(realm: set, within: frozenset | None) -> set:
     """The elements of a realm of the world that lie in ``within``."""
     return realm if within is None else realm & within
-
-
-def _unexpanded(d, world, within):
-    raise EvalError("description must be expanded before evaluation")
 
 
 def _eval_concept(d: ConceptName, world, within):
@@ -338,18 +334,13 @@ def _eval_one_of(d: OneOf, world, within):
     return frozenset(out) if within is None else within & out
 
 
-def _eval_at_least(d: AtLeast, world, within):
+def _eval_bound(d: AtLeast | AtMost, world, within):
+    """Either number bound, checked as ``lo <= count <= hi``."""
+    lo, hi = (d.n, INF) if type(d) is AtLeast else (0, d.n)
     fillers = world.role_ext.get(d.role, {})
     return frozenset(
         e for e in _part(world.classic, within)
-        if world.count_non_congruent(fillers.get(e, ())) >= d.n)
-
-
-def _eval_at_most(d: AtMost, world, within):
-    fillers = world.role_ext.get(d.role, {})
-    return frozenset(
-        e for e in _part(world.classic, within)
-        if world.count_non_congruent(fillers.get(e, ())) <= d.n)
+        if lo <= world.count_non_congruent(fillers.get(e, ())) <= hi)
 
 
 def _eval_fills_role(d: FillsRole, world, within):
@@ -374,12 +365,9 @@ _EVAL = {
     SameAs: _eval_same_as,
     FillsAttr: _eval_fills_attr,
     OneOf: _eval_one_of,
-    AtLeast: _eval_at_least,
-    AtMost: _eval_at_most,
+    AtLeast: _eval_bound,
+    AtMost: _eval_bound,
     FillsRole: _eval_fills_role,
-    NamedRef: _unexpanded,
-    Primitive: _unexpanded,
-    Test: _unexpanded,
 }
 
 
@@ -641,7 +629,7 @@ def sample_interpretation(sig: Signature, seed: int,
     n_all = len(everything)
     bits, bits_all = n.bit_length(), n_all.bit_length()
     for atom in sorted(sig.atoms):
-        carrier = hosts if atom.startswith(HOST_TEST_ATOM_PREFIX) else classic
+        carrier = hosts if is_host_test_atom(atom) else classic
         world.concept_ext[atom] = {e for e in carrier if rand() < 0.5}
     counts = min(sig.max_number + 1, 4) + 1
     bits_counts = counts.bit_length()

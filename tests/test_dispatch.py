@@ -17,6 +17,9 @@ from classicdl.descriptions import (
     And,
     AtLeast,
     AtMost,
+    ATOM,
+    CLASSIC_ONLY,
+    CLASSIC_THING,
     ClassicThing,
     ConceptName,
     Description,
@@ -108,7 +111,9 @@ REJECTED = {
     "explain": {
         None: _not_a_description,
         **dict.fromkeys(UNEXPANDED, _must_expand(ValueError, "subsumption"))},
-    "_failure": dict.fromkeys((None, *UNEXPANDED), _not_a_description),
+    "_failure": {
+        None: _not_a_description,
+        **dict.fromkeys(UNEXPANDED, _must_expand(ValueError, "subsumption"))},
     "covers_everything": {},
     "_plan": dict.fromkeys(
         (None, Thing, And, *UNEXPANDED),
@@ -152,3 +157,25 @@ def test_layer_handles_or_rejects_every_class(name):
         key = None if d is STRANGER else type(d)
         expected = rejected[key](d) if key in rejected else None
         assert _outcome(LAYERS[name], d) == expected, (name, d)
+
+
+def test_translation_and_counter_model_agree_on_shared_facts():
+    # Translation marks a classic-only constructor's node CLASSIC-THING
+    # (or a classic one-of's, through its dom), and writes each atomic
+    # constructor's atom there; the counter-model lets a host node
+    # escape every classic-only constructor unsteered.
+    host = canonicalize(translate(HostThing()))
+    for d in SAMPLES:
+        t = type(d)
+        if t is And or t in UNEXPANDED:
+            continue
+        atoms = translate(d).root_node.atoms
+        classic = t in CLASSIC_ONLY or (t is OneOf and not d.is_host)
+        assert (CLASSIC_THING in atoms) == classic, d
+        if t in ATOM:
+            assert ATOM[t](d) in atoms, d
+        if t in CLASSIC_ONLY:
+            plans, edge_plans = {}, {}
+            countermodel._plan(subsume.Failure(d, host, host.root), plans,
+                               edge_plans, DEFAULT_LATTICE)
+            assert (plans, edge_plans) == ({}, {}), d

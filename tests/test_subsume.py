@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from classicdl import descriptions
 from classicdl.descriptions import (
     AllRole,
     And,
+    AtLeast,
     ClassicThing,
     ConceptName,
+    REALM_HOST,
     THING,
     Thing,
     walk,
@@ -19,6 +22,7 @@ from classicdl.randgen import random_pair
 from classicdl.subsume import (
     covers_everything,
     equivalent,
+    explain,
     subsumes,
     subsumes_graph,
 )
@@ -194,6 +198,17 @@ def test_expansion_errors_propagate():
     broken.named["X"] = NamedRef("missing")
     with pytest.raises(KbError, match="unknown named concept"):
         subsumes(parse_description("X", broken), Thing(), broken)
+
+
+def test_unexpanded_part_is_rejected_where_reached():
+    # A nested test(...) that the structural test reaches is the same
+    # ValueError as a top-level one, not an unknown class.
+    test = descriptions.Test("even", REALM_HOST)
+    g = canonicalize(translate(And((ConceptName("A"), AtLeast(1, "r")))))
+    for d in (test, And((ConceptName("A"), test)), AllRole("r", test)):
+        with pytest.raises(ValueError,
+                           match="must be expanded before subsumption"):
+            explain(d, g)
 
 
 def test_trivial_equality_is_classic_thing(parse, kb):
