@@ -78,6 +78,8 @@ class NodePlan:
     dom_avoid: frozenset = frozenset()    # joins to rule out
     # attr -> a fresh value for it, host (True) or classic (False)
     attr_set: dict[str, bool] = field(default_factory=dict)
+    # a role with no edge -> (count, host) fresh fillers for it
+    fresh: dict[str, tuple[int, bool]] = field(default_factory=dict)
 
 
 @dataclass
@@ -85,8 +87,6 @@ class EdgePlan:
     count: int | None = None
     counter: Failure | None = None         # the body's failure to follow
     dom_avoid: frozenset = frozenset()
-    # a role with no edge: fresh fillers, host (True) or classic (False)
-    synthetic_host: bool | None = None
 
 
 class _Builder:
@@ -279,10 +279,9 @@ def _build_node(b: _Builder, nid: int, node: GraphNode,
         b.join_individual(join, elem)
     for e in node.r_edges:
         _build_redge(b, elem, e, edge_plans.get((nid, e.role)))
-    for (pnid, role), eplan in edge_plans.items():
-        if pnid == nid and eplan.synthetic_host is not None:
-            for _ in range(eplan.count):
-                b.add_role_pair(role, elem, b.fresh(eplan.synthetic_host))
+    for role, (count, host) in (plan.fresh.items() if plan else ()):
+        for _ in range(count):
+            b.add_role_pair(role, elem, b.fresh(host))
     return elem
 
 
@@ -435,8 +434,7 @@ def _steer_bound(failure, plans, edge_plans, lattice) -> None:
     count = d.n - 1 if type(d) is AtLeast else d.n + 1
     e = failure.graph.role_edge(nid, d.role)
     if e is None:
-        edge_plans[(nid, d.role)] = EdgePlan(count=count,
-                                             synthetic_host=False)
+        plans.setdefault(nid, NodePlan()).fresh[d.role] = (count, False)
     else:
         edge_plans[(nid, d.role)] = EdgePlan(
             count=_bounded(max(e.min, count), e.max))
@@ -451,8 +449,8 @@ def _steer_all_role(failure, plans, edge_plans, lattice) -> None:
         # The body fails in the edge's restriction graph.
         edge_plans[(nid, d.role)] = EdgePlan(counter=failure.inner)
     else:
-        edge_plans[(nid, d.role)] = EdgePlan(
-            count=1, synthetic_host=not _host_confined(d.restriction))
+        plans.setdefault(nid, NodePlan()).fresh[d.role] = (
+            1, not _host_confined(d.restriction))
 
 
 def _steer_all_attr(failure, plans, edge_plans, lattice) -> None:

@@ -126,19 +126,22 @@ class GraphNode:
 
 
 class _EdgeIndex:
-    """Hashed (node, attribute) -> a-edge and (node, role) -> r-edge maps.
+    """Hashed (node, attribute) -> a-edge and (node, role) -> r-edge maps,
+    and node -> the a-edges out of it, in stored order.
 
     Attribute and role names are kept apart.  Where a node has several
     edges with one label (possible only before canonicalization), the first
     in stored order wins.
     """
 
-    __slots__ = ("attr", "role")
+    __slots__ = ("attr", "role", "out")
 
     def __init__(self, g: "DescriptionGraph"):
         self.attr: dict[tuple[int, str], AEdge] = {}
+        self.out: dict[int, list[AEdge]] = {}
         for e in g.a_edges:
             self.attr.setdefault((e.src, e.attr), e)
+            self.out.setdefault(e.src, []).append(e)
         self.role: dict[tuple[int, str], REdge] = {}
         for nid, node in g.nodes.items():
             for e in node.r_edges:
@@ -152,9 +155,9 @@ class DescriptionGraph:
     ``ANY_KB``, or ``NOT_CANONICAL``; a graph canonical under some
     knowledge base is frozen and never changes again, and that knowledge
     base must not change either (see the module docstring).  ``attr_edge``,
-    ``role_edge`` and ``follow`` answer from a hashed edge index that is
-    built on the first of them called; they are meant for canonical
-    graphs, whose index therefore always matches the graph.
+    ``role_edge``, ``follow`` and ``out_edges`` answer from a hashed edge
+    index built on the first of them called, on raw graphs too (graph
+    evaluation, the dump), so no graph may change after its first query.
     """
 
     def __init__(self):
@@ -236,6 +239,10 @@ class DescriptionGraph:
         """The r-edge for ``role`` on node ``nid``, if any."""
         index = self._index or self._build_index()
         return index.role.get((nid, role))
+
+    def out_edges(self) -> dict[int, list[AEdge]]:
+        """Each node's outgoing a-edges, in stored order; read only."""
+        return (self._index or self._build_index()).out
 
     def follow(self, nid: int, chain) -> tuple[int, int]:
         """Walk the attribute ``chain`` from ``nid`` as far as edges go.
@@ -509,11 +516,7 @@ def traversal_ranks(g: DescriptionGraph) -> dict[int, int]:
     — which have at most one edge per (node, attribute) — get an ordering
     that is independent of internal node ids.
     """
-    out: dict[int, list[AEdge]] = {}
-    for e in g.a_edges:
-        out.setdefault(e.src, []).append(e)
-    for es in out.values():
-        es.sort(key=lambda e: e.attr)
+    out = g.out_edges()
     ranks: dict[int, int] = {}
     stack = [g.root]
     while stack:
@@ -521,7 +524,7 @@ def traversal_ranks(g: DescriptionGraph) -> dict[int, int]:
         if nid in ranks:
             continue
         ranks[nid] = len(ranks)
-        for e in reversed(out.get(nid, [])):
+        for e in reversed(sorted(out.get(nid, ()), key=lambda e: e.attr)):
             if e.dst not in ranks:
                 stack.append(e.dst)
     # Unreached nodes (possible only in hand-built graphs) go last, by id.

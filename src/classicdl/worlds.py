@@ -13,6 +13,10 @@ a description (``and``, ``all``) stay inline in its recursive core, so a
 nesting level costs one Python frame.  ``signature_of_description`` walks
 the tree and looks each node's class up the same way.
 
+``find_witness`` decides graph membership in one loop over an explicit
+stack, reading a-edges from each graph's edge index; the index is built
+on a graph's first query, raw or canonical, so a queried graph is final.
+
 Roles and attributes are stored per classic element: a role maps each
 element to its set of fillers, an attribute maps it to its value, so a
 clause reads an element's fillers or value by lookup.
@@ -66,7 +70,7 @@ from .descriptions import (
     UNEXPANDED,
     walk,
 )
-from .graph import DescriptionGraph, GraphNode, INF
+from .graph import DescriptionGraph, INF
 from .kb import DEFAULT_LATTICE, HostLattice
 
 
@@ -401,66 +405,57 @@ def find_witness(g: DescriptionGraph, elem,
     the graph's extension, or None.
 
     The root maps to the element; every node's image satisfies its atoms,
-    bounds, and dom; every a-edge's images are related by its attribute.
-    Attribute application forces the assignment: one walk from the root
-    follows each a-edge once.  Translated and canonical graphs reach every
-    node from the root through a-edges; a node that none reaches raises
+    bounds, and dom; every a-edge's images are related by its attribute;
+    every role filler lies in its r-edge's restriction graph.  Each
+    (graph, element) pair popped off the stack forces its assignment by a
+    walk along a-edges from the root, is checked node by node, and pushes
+    each role filler with its restriction graph.  Translated and canonical
+    graphs reach every node from the root; a node not reached raises
     ``ValueError``.
     """
-    if g.incoherent:
-        return None
-    out_edges: dict[int, list] = {}
-    for e in g.a_edges:
-        out_edges.setdefault(e.src, []).append(e)
-    assign: dict[int, object] = {g.root: elem}
-    stack = [g.root]
+    witness = None
+    stack = [(g, elem)]
     while stack:
-        src = stack.pop()
-        for e in out_edges.get(src, ()):
-            v = world.attr_value(e.attr, assign[src])
-            if v is None:
+        sub, top = stack.pop()
+        if sub.incoherent:
+            return None
+        out = sub.out_edges()
+        assign: dict[int, object] = {sub.root: top}
+        todo = [sub.root]
+        while todo:
+            src = todo.pop()
+            for e in out.get(src, ()):
+                v = world.attr_value(e.attr, assign[src])
+                if v is None:
+                    return None
+                if e.dst not in assign:
+                    assign[e.dst] = v
+                    todo.append(e.dst)
+                elif assign[e.dst] != v:
+                    return None
+        for nid in sub.nodes:
+            if nid not in assign:
+                raise ValueError("graph node %d is not reachable from the "
+                                 "root" % nid)
+        for nid, value in assign.items():
+            node = sub.nodes[nid]
+            for atom in node.atoms:
+                if not world.in_atom(atom, value):
+                    return None
+            for e in node.r_edges:
+                fillers = world.role_fillers(e.role, value)
+                if not e.min <= world.count_non_congruent(fillers) <= e.max:
+                    return None
+                if not all(world.individual_ext(f) & fillers
+                           for f in e.fillers):
+                    return None
+                stack += [(e.restriction, x) for x in fillers]
+            if node.dom is not None and not any(
+                    value in world.individual_ext(f) for f in node.dom):
                 return None
-            if e.dst not in assign:
-                assign[e.dst] = v
-                stack.append(e.dst)
-            elif assign[e.dst] != v:
-                return None
-    unassigned = [nid for nid in g.nodes if nid not in assign]
-    if unassigned:
-        raise ValueError("graph node %d is not reachable from the root"
-                         % unassigned[0])
-    return assign if _check_assignment(g, assign, world) else None
-
-
-def _check_assignment(g, assign, world) -> bool:
-    """Every node's own conditions; the walk in ``find_witness`` has
-    already checked the a-edges' attribute values."""
-    for nid, value in assign.items():
-        if not _element_in_node(g.nodes[nid], value, world):
-            return False
-    return True
-
-
-def _element_in_node(node: GraphNode, elem, world: Interpretation) -> bool:
-    for atom in node.atoms:
-        if not world.in_atom(atom, elem):
-            return False
-    for e in node.r_edges:
-        fillers = world.role_fillers(e.role, elem)
-        count = world.count_non_congruent(fillers)
-        if not (e.min <= count <= e.max):
-            return False
-        for x in fillers:
-            if not element_in_graph(e.restriction, x, world):
-                return False
-        for f in e.fillers:
-            ext = world.individual_ext(f)
-            if not any(x in ext for x in fillers):
-                return False
-    if node.dom is not None:
-        if not any(elem in world.individual_ext(f) for f in node.dom):
-            return False
-    return True
+        # The first pair popped is the top graph's.
+        witness = witness or assign
+    return witness
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,17 @@ def test_unreached_node_raises(parse, kb):
         eval_graph(g, w)
 
 
+def test_unreached_restriction_node_raises(parse, kb):
+    # the same one restriction graph down, met at the r-filler of c0
+    g = canonicalize(translate(expand(parse("all(r, GAME)"), kb)), kb)
+    lost = g.root_node.r_edges[0].restriction.add_node(
+        GraphNode(atoms={"GAME"}))
+    w = _world()
+    w.role_ext["r"] = {ClassicElement(0): {ClassicElement(1)}}
+    with pytest.raises(ValueError, match="node %d" % lost):
+        eval_graph(g, w)
+
+
 def _reached(g) -> set:
     seen, todo = {g.root}, [g.root]
     while todo:
