@@ -71,6 +71,11 @@ class CounterModelError(Exception):
     """The steered construction could not produce a separating world."""
 
 
+# The most fresh elements a world may get: a large number bound, or nested
+# ones, would exhaust memory before the world was built.
+ELEMENT_LIMIT = 100_000
+
+
 @dataclass
 class NodePlan:
     host: bool = False                    # THING-only node: a fresh host one
@@ -96,9 +101,16 @@ class _Builder:
         self._next_classic = 0
         self._next_anon = 0
 
+    def reserve(self, count: int) -> None:
+        """Fail unless ``count`` more fresh elements fit the limit."""
+        if self._next_classic + self._next_anon + count > ELEMENT_LIMIT:
+            raise CounterModelError("counter-model exceeds the size limit "
+                                    "(%d elements)" % ELEMENT_LIMIT)
+
     def fresh(self, host: bool, vtype: str | None = None):
         """A new anonymous host element of ``vtype``, or a new classic
         element."""
+        self.reserve(1)
         if host:
             e = HostElement(vtype, anon_id=self._next_anon)
             self._next_anon += 1
@@ -280,6 +292,7 @@ def _build_node(b: _Builder, nid: int, node: GraphNode,
     for e in node.r_edges:
         _build_redge(b, elem, e, edge_plans.get((nid, e.role)))
     for role, (count, host) in (plan.fresh.items() if plan else ()):
+        b.reserve(count)
         for _ in range(count):
             b.add_role_pair(role, elem, b.fresh(host))
     return elem
@@ -305,6 +318,7 @@ def _build_redge(b: _Builder, parent, e, plan: EdgePlan | None) -> None:
         k = _bounded(max(e.min, len(needed) + 1), e.max)
     else:
         k = _bounded(e.min + 1, e.max)
+    b.reserve(k)
 
     avoid = plan.dom_avoid if plan else frozenset()
     pads: list[Individual | None] = []

@@ -8,7 +8,6 @@ registry, which grows monotonically the first time each tag is expanded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from graphlib import CycleError, TopologicalSorter
 from operator import is_
 
 from .descriptions import (
@@ -128,12 +127,25 @@ class KnowledgeBase:
 
 def _definition_order(refs: dict[str, set[str] | list[str]]) -> list[str]:
     """The named concepts ordered so that each follows the names its
-    definition refers to; a cycle is a ``KbError``."""
-    try:
-        return list(TopologicalSorter(refs).static_order())
-    except CycleError as exc:
-        raise KbError("recursive named concept: %s" % exc.args[1][0]) \
-            from None
+    definition refers to; a cycle is a ``KbError``.  One depth-first pass
+    from a root that refers to every name, with its own stack."""
+    order: list[str] = []
+    listed: dict[str, bool] = {}  # False while the name is on the stack
+    stack = [(None, iter(refs))]
+    while stack:
+        name, todo = stack[-1]
+        ref = next(todo, None)
+        if ref is None:
+            stack.pop()
+            if name is not None:
+                listed[name] = True
+                order.append(name)
+        elif ref not in listed:
+            listed[ref] = False
+            stack.append((ref, iter(refs.get(ref, ()))))
+        elif not listed[ref]:
+            raise KbError("recursive named concept: %s" % ref)
+    return order
 
 
 def primitive_atom(tag: str) -> str:

@@ -43,10 +43,12 @@ rules therefore replace or copy a shared restriction before they change
 it; every other change is to ``canonicalize``'s own graphs.
 
 Each merge removes a node and every numeric step moves a bound
-monotonically, so the fixpoint exists.  Most graphs reach it in their first
-round, so each rule pass returns at once when nothing in the graph can fire
-it.  ``canonicalize`` accepts two rule schedules to let tests check that
-both reach isomorphic results.
+monotonically, so the fixpoint exists.  A round merges r-edges, runs the
+node-local steps to their fixpoint at each node, merges a-edges and keeps
+the fillers' books; only the last two change what an earlier pass reads,
+so only they start another round, and most graphs settle in one.
+``canonicalize`` accepts two rule schedules to let tests check that both
+reach isomorphic results.
 """
 
 from __future__ import annotations
@@ -153,21 +155,23 @@ class _Run:
 def _normalize_graph(g: DescriptionGraph, run: _Run) -> None:
     """Run ``g``'s own rules to a fixpoint, or until a conflict makes it
     incoherent, and mark it canonical.  Its restriction graphs must be
-    canonical already; a rule that changes one re-normalizes it.  Each
-    pass returns at once when nothing can fire it; only the a-edge pass
+    canonical already; a rule that changes one re-normalizes it.  Only a
+    pass that can unsettle an earlier one starts another round when it
+    fires (``_SCHEDULES``).  Each pass returns at once when nothing can
+    fire it; only the a-edge pass
     removes nodes, and a pass that makes ``g`` incoherent reports a
     change."""
     step = 1 if run.schedule == "standard" else -1
-    passes = _SCHEDULES[run.schedule]
-    changed = True
-    while changed and not g.incoherent:
+    passes, unsettling = _SCHEDULES[run.schedule]
+    again = True
+    while again and not g.incoherent:
         node_order = list(g.nodes)[::step]
-        changed = False
+        again = False
         for p in passes:
             if p(g, node_order, run):
                 if g.incoherent:
                     break
-                changed = True
+                again |= p in unsettling
                 if p is _aedge_pass:
                     node_order = [n for n in node_order if n in g.nodes]
     run.mark(g)
@@ -177,16 +181,12 @@ def _normalize_graph(g: DescriptionGraph, run: _Run) -> None:
 
 
 def _node_local_pass(g, node_order, run) -> bool:
+    """Each node's steps to their fixpoint in one visit.  Dom typing may
+    precede closure, which adds no atom that rejects a host value (the
+    classic marker joins a classic atom or a dom of no host value)."""
     changed = False
     for nid in node_order:
         node = g.nodes[nid]
-        changed |= _close_atoms(node, run.lattice)
-        if (_realm_conflicts(node, run.lattice)
-                or _disjointness(node, run.groups)
-                or any(e.min > e.max for e in node.r_edges)
-                or node.dom is not None and not node.dom):
-            return mark_incoherent(g)
-        changed |= _dom_typing(node, run.lattice)
         for e in node.r_edges:
             if e.restriction.incoherent and e.max != 0:
                 e.max = 0
@@ -194,6 +194,13 @@ def _node_local_pass(g, node_order, run) -> bool:
             if e.max == 0 and not e.restriction.incoherent:
                 e.restriction = run.mark(incoherent_graph())
                 changed = True
+        changed |= _dom_typing(node, run.lattice)
+        changed |= _close_atoms(node, run.lattice)
+        if (_realm_conflicts(node, run.lattice)
+                or _disjointness(node, run.groups)
+                or any(e.min > e.max for e in node.r_edges)
+                or node.dom is not None and not node.dom):
+            return mark_incoherent(g)
     return changed
 
 
@@ -279,7 +286,8 @@ def _merged_redge(edges: list[REdge], run: _Run) -> REdge:
     moves the graphs of this run, since the old edges are dropped, and
     copies the shared ones.  A merge that would add nothing is skipped:
     ``{THING} ⊓ {THING}`` is the shared {THING} restriction itself, and
-    ``R ⊓ {THING}`` is R when R's root has THING already."""
+    ``R ⊓ {THING}`` is R when R's root has THING already, and else R with
+    THING at its root, which no rule reads: canonical as it stands."""
     restrictions = [e.restriction for e in edges]
     rest = [r for r in restrictions if r is not _THING_RESTRICTION]
     if len(rest) < 2 and (not rest or THING in rest[0].root_node.atoms):
@@ -288,7 +296,10 @@ def _merged_redge(edges: list[REdge], run: _Run) -> REdge:
         restriction = merge_graphs()
         for r in restrictions:
             absorb(restriction, r, copy=run.shared(r))
-        _normalize_graph(restriction, run)
+        if len(rest) > 1:
+            _normalize_graph(restriction, run)
+        else:
+            run.mark(restriction)
     return REdge(edges[0].role, max(e.min for e in edges),
                  min(e.max for e in edges), restriction,
                  set().union(*(e.fillers for e in edges)))
@@ -435,5 +446,7 @@ def _individual_pass(g, node_order, run) -> bool:
     return changed
 
 
-_PASSES = (_node_local_pass, _redge_pass, _aedge_pass, _individual_pass)
-_SCHEDULES = {"standard": _PASSES, "alternate": _PASSES[::-1]}
+# Each schedule: its passes in order, and those that start another round.
+_PASSES = (_redge_pass, _node_local_pass, _aedge_pass, _individual_pass)
+_SCHEDULES = {"standard": (_PASSES, _PASSES[2:]),
+              "alternate": (_PASSES[::-1], _PASSES)}

@@ -36,6 +36,7 @@ from .kb import KnowledgeBase
 from .normalize import canonical_graph
 from .subsume import subsumes_graph
 from .worlds import (
+    _below,
     eval_description,
     eval_graph,
     sample_interpretation,
@@ -57,15 +58,33 @@ def corpus_kb() -> KnowledgeBase:
     return kb
 
 
+def _pick(getrandbits, seq):
+    """``Random.choice(seq)`` drawn from ``getrandbits``; over a range it
+    is ``Random.randint``."""
+    n = len(seq)
+    return seq[_below(getrandbits, n, n.bit_length())]
+
+
+def _sample(getrandbits, population, k: int) -> list:
+    """``Random.sample(population, k)`` of at most 21 members, as 3.11."""
+    pool, out = list(population), []
+    for n in range(len(pool), len(pool) - k, -1):
+        j = _below(getrandbits, n, n.bit_length())
+        out.append(pool[j])
+        pool[j] = pool[n - 1]
+    return out
+
+
 def random_description(rng: random.Random, depth: int = 4) -> Description:
     """One random description with nesting depth at most ``depth``."""
     leaf_ops = ("atom", "atom", "one-of", "fills-role", "fills-attr",
                 "at-least", "at-most", "same-as", "thing", "classic-thing",
                 "nothing")
     deep_ops = leaf_ops + ("and", "and", "all-role", "all-role", "all-attr")
-    op = rng.choice(deep_ops if depth > 0 else leaf_ops)
+    bits = rng.getrandbits
+    op = _pick(bits, deep_ops if depth > 0 else leaf_ops)
     if op == "atom":
-        return ConceptName(rng.choice(ATOMS))
+        return ConceptName(_pick(bits, ATOMS))
     if op == "thing":
         return Thing()
     if op == "classic-thing":
@@ -73,27 +92,27 @@ def random_description(rng: random.Random, depth: int = 4) -> Description:
     if op == "nothing":
         return Nothing()
     if op == "one-of":
-        k = rng.randint(1, len(INDIVIDUALS))
-        return OneOf(tuple(rng.sample(INDIVIDUALS, k)))
+        k = _pick(bits, range(1, len(INDIVIDUALS) + 1))
+        return OneOf(tuple(_sample(bits, INDIVIDUALS, k)))
     if op == "fills-role":
-        return FillsRole(rng.choice(ROLES), rng.choice(INDIVIDUALS))
+        return FillsRole(_pick(bits, ROLES), _pick(bits, INDIVIDUALS))
     if op == "fills-attr":
-        return FillsAttr(rng.choice(ATTRS), rng.choice(INDIVIDUALS))
+        return FillsAttr(_pick(bits, ATTRS), _pick(bits, INDIVIDUALS))
     if op == "at-least":
-        return AtLeast(rng.randint(1, 3), rng.choice(ROLES))
+        return AtLeast(_pick(bits, range(1, 4)), _pick(bits, ROLES))
     if op == "at-most":
-        return AtMost(rng.randint(0, 3), rng.choice(ROLES))
+        return AtMost(_pick(bits, range(4)), _pick(bits, ROLES))
     if op == "same-as":
-        left = tuple(rng.choice(ATTRS) for _ in range(rng.randint(1, 2)))
-        right = tuple(rng.choice(ATTRS) for _ in range(rng.randint(1, 2)))
+        left = tuple(_pick(bits, ATTRS) for _ in range(_pick(bits, (1, 2))))
+        right = tuple(_pick(bits, ATTRS) for _ in range(_pick(bits, (1, 2))))
         return SameAs(left, right)
     if op == "and":
-        n = rng.randint(2, 3)
+        n = _pick(bits, range(2, 4))
         return And(tuple(random_description(rng, depth - 1)
                          for _ in range(n)))
     if op == "all-role":
-        return AllRole(rng.choice(ROLES), random_description(rng, depth - 1))
-    return AllAttr(rng.choice(ATTRS), random_description(rng, depth - 1))
+        return AllRole(_pick(bits, ROLES), random_description(rng, depth - 1))
+    return AllAttr(_pick(bits, ATTRS), random_description(rng, depth - 1))
 
 
 def random_pair(rng: random.Random) -> tuple[Description, Description]:
@@ -111,11 +130,11 @@ def random_pair(rng: random.Random) -> tuple[Description, Description]:
         return d, d
     # Weaken a number restriction or wrap in a shared context.
     c = random_description(rng, depth=2)
-    role = rng.choice(ROLES)
-    n = rng.randint(1, 3)
+    role = _pick(rng.getrandbits, ROLES)
+    n = _pick(rng.getrandbits, range(1, 4))
     return (
         And((AtLeast(n, role), d)) if rng.random() < 0.5 else AtLeast(n, role),
-        And((AtLeast(n + rng.randint(0, 1), role), c, d)),
+        And((AtLeast(n + _pick(rng.getrandbits, range(2)), role), c, d)),
     )
 
 

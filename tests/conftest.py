@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import settings
 
-from classicdl import subsume
+from classicdl import normalize, subsume
 from classicdl.kb import KnowledgeBase
 from classicdl.parsing import parse_description, parse_kb
 from classicdl.worlds import eval_description
@@ -66,6 +68,30 @@ def count_steps(monkeypatch):
 
         monkeypatch.setattr(subsume, "_failure", counted)
         return fn(*args), steps[0]
+
+    return count
+
+
+@pytest.fixture
+def count_rounds(monkeypatch):
+    """``count_rounds(fn, *args)`` returns ``(fn(*args), rounds)``, where
+    ``rounds`` maps each graph that ``normalize`` normalized to the number
+    of fixpoint rounds it ran: the calls of its schedule's first pass."""
+    def count(fn, *args):
+        rounds = Counter()
+        schedules = {}
+        for name, (passes, unsettling) in normalize._SCHEDULES.items():
+            first = passes[0]
+
+            def counted(g, *a, first=first):
+                rounds[g] += 1
+                return first(g, *a)
+
+            schedules[name] = tuple(
+                tuple(counted if p is first else p for p in seq)
+                for seq in (passes, unsettling))
+        monkeypatch.setattr(normalize, "_SCHEDULES", schedules)
+        return fn(*args), rounds
 
     return count
 

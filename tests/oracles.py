@@ -3,12 +3,15 @@
 They give tests an independent view of what the engine computes:
 exhaustive model search for graph satisfiability, truth tables for 3CNF
 formulas, isomorphism of canonical graphs by their dumps, size measures
-of descriptions and graphs, the translation built by merging graphs, and
-the told graphs of classification built by merging graphs.
+of descriptions and graphs, the translation built by merging graphs, the
+told graphs of classification built by merging graphs, normalization
+that runs another round after any change, and the random corpus drawn
+through ``random.Random``'s own methods.
 """
 
 import itertools
 import random
+from contextlib import contextmanager
 
 from classicdl.descriptions import (
     CLASSIC_THING,
@@ -39,6 +42,7 @@ from classicdl.graph import (
     DescriptionGraph,
     GraphNode,
     REdge,
+    absorb,
     incoherent_graph,
     merge_graphs,
     to_jsonable,
@@ -51,7 +55,9 @@ from classicdl.kb import (
     _definition_order,
     _told_parts,
 )
+from classicdl import normalize
 from classicdl.normalize import canonicalize
+from classicdl.randgen import ATOMS, ATTRS, INDIVIDUALS, ROLES
 from classicdl.reduction import CnfFormula, Literal
 from classicdl.worlds import (
     ClassicElement,
@@ -180,6 +186,129 @@ def merge_told_graphs(kb: KnowledgeBase) -> dict[str, DescriptionGraph]:
             *(canon[p] for p in told),
             *(translate(c) for c in clauses)), kb)
     return canon
+
+
+# ---------------------------------------------------------------------------
+# Normalization with a round after every change
+
+
+def reference_normalize_graph(g: DescriptionGraph, run) -> None:
+    """``normalize._normalize_graph`` with the node-local pass first and
+    another round after any pass changes ``g``, so each round re-checks
+    every rule; "alternate" runs the passes in reverse."""
+    step = 1 if run.schedule == "standard" else -1
+    passes = (normalize._node_local_pass, normalize._redge_pass,
+              normalize._aedge_pass, normalize._individual_pass)[::step]
+    changed = True
+    while changed and not g.incoherent:
+        node_order = list(g.nodes)[::step]
+        changed = False
+        for p in passes:
+            if p(g, node_order, run):
+                if g.incoherent:
+                    break
+                changed = True
+                if p is normalize._aedge_pass:
+                    node_order = [n for n in node_order if n in g.nodes]
+    run.mark(g)
+
+
+def reference_merged_redge(edges: list[REdge], run) -> REdge:
+    """``normalize._merged_redge`` that normalizes every merge it builds,
+    ``R ⊓ {THING}`` included."""
+    restrictions = [e.restriction for e in edges]
+    rest = [r for r in restrictions if r is not _THING_RESTRICTION]
+    if len(rest) < 2 and (not rest or THING in rest[0].root_node.atoms):
+        restriction = (rest or restrictions)[0]
+    else:
+        restriction = merge_graphs()
+        for r in restrictions:
+            absorb(restriction, r, copy=run.shared(r))
+        normalize._normalize_graph(restriction, run)
+    return REdge(edges[0].role, max(e.min for e in edges),
+                 min(e.max for e in edges), restriction,
+                 set().union(*(e.fillers for e in edges)))
+
+
+@contextmanager
+def reference_normalization():
+    """Within the block, ``normalize`` runs the reference loop and r-edge
+    merge above in place of its own; the rule passes are the engine's."""
+    saved = normalize._normalize_graph, normalize._merged_redge
+    normalize._normalize_graph = reference_normalize_graph
+    normalize._merged_redge = reference_merged_redge
+    try:
+        yield
+    finally:
+        normalize._normalize_graph, normalize._merged_redge = saved
+
+
+# ---------------------------------------------------------------------------
+# The random corpus drawn by ``random.Random``'s methods
+
+
+def reference_random_description(rng: random.Random,
+                                 depth: int = 4) -> Description:
+    """``randgen.random_description`` drawn with ``Random.choice``,
+    ``randint`` and ``sample``."""
+    leaf_ops = ("atom", "atom", "one-of", "fills-role", "fills-attr",
+                "at-least", "at-most", "same-as", "thing", "classic-thing",
+                "nothing")
+    deep_ops = leaf_ops + ("and", "and", "all-role", "all-role", "all-attr")
+    op = rng.choice(deep_ops if depth > 0 else leaf_ops)
+    if op == "atom":
+        return ConceptName(rng.choice(ATOMS))
+    if op == "thing":
+        return Thing()
+    if op == "classic-thing":
+        return ClassicThing()
+    if op == "nothing":
+        return Nothing()
+    if op == "one-of":
+        k = rng.randint(1, len(INDIVIDUALS))
+        return OneOf(tuple(rng.sample(INDIVIDUALS, k)))
+    if op == "fills-role":
+        return FillsRole(rng.choice(ROLES), rng.choice(INDIVIDUALS))
+    if op == "fills-attr":
+        return FillsAttr(rng.choice(ATTRS), rng.choice(INDIVIDUALS))
+    if op == "at-least":
+        return AtLeast(rng.randint(1, 3), rng.choice(ROLES))
+    if op == "at-most":
+        return AtMost(rng.randint(0, 3), rng.choice(ROLES))
+    if op == "same-as":
+        left = tuple(rng.choice(ATTRS) for _ in range(rng.randint(1, 2)))
+        right = tuple(rng.choice(ATTRS) for _ in range(rng.randint(1, 2)))
+        return SameAs(left, right)
+    if op == "and":
+        n = rng.randint(2, 3)
+        return And(tuple(reference_random_description(rng, depth - 1)
+                         for _ in range(n)))
+    if op == "all-role":
+        return AllRole(rng.choice(ROLES),
+                       reference_random_description(rng, depth - 1))
+    return AllAttr(rng.choice(ATTRS),
+                   reference_random_description(rng, depth - 1))
+
+
+def reference_random_pair(rng: random.Random
+                          ) -> tuple[Description, Description]:
+    """``randgen.random_pair`` drawn with ``Random``'s methods."""
+    mode = rng.random()
+    d = reference_random_description(rng)
+    if mode < 0.40:
+        return d, reference_random_description(rng)
+    if mode < 0.65:
+        extra = reference_random_description(rng, depth=2)
+        return d, And((d, extra))
+    if mode < 0.80:
+        return d, d
+    c = reference_random_description(rng, depth=2)
+    role = rng.choice(ROLES)
+    n = rng.randint(1, 3)
+    return (
+        And((AtLeast(n, role), d)) if rng.random() < 0.5 else AtLeast(n, role),
+        And((AtLeast(n + rng.randint(0, 1), role), c, d)),
+    )
 
 
 def graph_shape(g: DescriptionGraph):

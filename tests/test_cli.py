@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -110,6 +111,17 @@ def test_countermodel_construction_failure_exit_code(capsys):
     code, out, err = run(capsys, "countermodel", "INTEGER", "one-of(1, 2)")
     assert code == 1 and out == ""
     assert "error" in err
+
+
+def test_countermodel_size_limit_fails_fast(capsys):
+    # A billion fillers would exhaust memory; the planned count is checked
+    # against the element ceiling before any of them is built.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "countermodel", "at-least(1000000000, r)",
+                         "at-least(1, r)")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "size limit" in err
 
 
 def test_countermodel_host_literal_identity_corner(capsys):

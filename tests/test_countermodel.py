@@ -286,6 +286,26 @@ def _ladder_no_query(make, n):
     return expand(d, kb), canonicalize(translate(expand(c, kb)), kb)
 
 
+@pytest.mark.parametrize("subsumee, steering", [
+    # an r-edge's planned filler count, and fresh fillers for a role with
+    # no edge: both are checked before any filler is built
+    ("at-least(1, r)", "at-least(1000000000, r)"),
+    ("GAME", "at-most(1000000000, r)"),
+])
+def test_planned_counts_past_the_element_limit_fail(parse, kb, subsumee,
+                                                    steering):
+    with pytest.raises(CounterModelError, match="size limit"):
+        build(parse, kb, subsumee, steering)
+
+
+def test_nested_at_least_ladder_stops_at_the_element_limit():
+    # Each level copies its restriction island per filler, so the world
+    # doubles per level: 16 levels would take 2^17 elements.
+    g = canonicalize(translate(parse_description(_nested_text(16))))
+    with pytest.raises(CounterModelError, match="size limit"):
+        construct_graphical_world(g)
+
+
 def test_within_agrees_in_counter_model_worlds(within_agrees):
     # the worlds the membership check runs in: ladder and corpus "no" cases
     rng = random.Random(0)

@@ -2,6 +2,7 @@ import gc
 import importlib.util
 import json
 import random
+from graphlib import CycleError, TopologicalSorter
 
 import pytest
 
@@ -37,6 +38,7 @@ from classicdl.kb import (
     KnowledgeBase,
     Taxonomy,
     TaxonomyNode,
+    _definition_order,
     _told_graphs,
     classify,
     expand,
@@ -156,6 +158,54 @@ def test_classify_rejects_told_cycle():
     kb.named["B"] = NamedRef("A")
     with pytest.raises(KbError, match="recursive named concept"):
         classify(kb)
+
+
+def _random_refs(rng: random.Random, n: int, cycle: int):
+    """``n`` names, each referring to up to three names before it in a
+    random order, so the map is a DAG; with ``cycle`` > 0, also one cycle
+    through that many names (one is a name referring to itself).  The
+    map's own order is shuffled too."""
+    names = ["N%d" % i for i in range(n)]
+    rng.shuffle(names)
+    refs = {name: set(rng.sample(names[:i], min(i, rng.randint(0, 3))))
+            for i, name in enumerate(names)}
+    ring = rng.sample(names, cycle)
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        refs[a].add(b)
+    return {name: refs[name] for name in rng.sample(names, n)}
+
+
+def _on_a_cycle(refs, name) -> bool:
+    seen, stack = set(), list(refs[name])
+    while stack:
+        ref = stack.pop()
+        if ref == name:
+            return True
+        if ref not in seen:
+            seen.add(ref)
+            stack.extend(refs[ref])
+    return False
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_definition_order_against_graphlib(seed):
+    # One depth-first pass must list what graphlib's sort lists, each name
+    # after the names it refers to, and raise on every cycle, naming a
+    # name on it.
+    rng = random.Random(seed)
+    n = rng.randint(1, 60)
+    dag = _random_refs(rng, n, 0)
+    order = _definition_order(dag)
+    assert sorted(order) == sorted(TopologicalSorter(dag).static_order())
+    at = {name: k for k, name in enumerate(order)}
+    assert all(at[ref] < at[name] for name, refs in dag.items()
+               for ref in refs)
+    cyclic = _random_refs(rng, n, rng.randint(1, min(n, 5)))
+    with pytest.raises(CycleError):
+        list(TopologicalSorter(cyclic).static_order())
+    with pytest.raises(KbError, match="recursive named concept: ") as exc:
+        _definition_order(cyclic)
+    assert _on_a_cycle(cyclic, str(exc.value).rsplit(" ", 1)[1])
 
 
 def test_classify_orders_by_strength():
