@@ -47,8 +47,8 @@ monotonically, so the fixpoint exists.  A round merges r-edges, runs the
 node-local steps to their fixpoint at each node, merges a-edges and keeps
 the fillers' books; only the last two change what an earlier pass reads,
 so only they start another round, and most graphs settle in one.
-``canonicalize`` accepts two rule schedules to let tests check that both
-reach isomorphic results.
+The engine runs that one order; the tests check that every order of the
+passes, over the nodes forward or reversed, gives the same result.
 """
 
 from __future__ import annotations
@@ -83,8 +83,7 @@ from .kb import DEFAULT_LATTICE, KnowledgeBase
 
 
 def canonicalize(g: DescriptionGraph,
-                 kb: KnowledgeBase | None = None,
-                 schedule: str = "standard",
+                 kb: KnowledgeBase | None = None, *,
                  copy: bool = True) -> DescriptionGraph:
     """Return the canonical form of ``g`` under ``kb``; the input is not
     modified.
@@ -98,16 +97,10 @@ def canonicalize(g: DescriptionGraph,
     holds.  The mark is ``kb`` itself, so ``kb`` must not change after
     this call; a graph marked before a change would be returned unchanged
     by later calls.
-
-    ``schedule`` picks the order of each fixpoint round: "standard", or
-    "alternate", which tries the rule families and the nodes in reverse;
-    the result is the same up to node renaming either way.
     """
-    if schedule not in ("standard", "alternate"):
-        raise ValueError("unknown schedule: %r" % schedule)
     if g.canonical_under(kb):
         return g
-    run = _Run(kb, schedule)
+    run = _Run(kb)
     graphs = g._clones(kb, copy)
     for sub in reversed(graphs):
         _normalize_graph(sub, run)
@@ -136,11 +129,10 @@ class _Run:
     parent's rule may still move or narrow them.  Any other frozen graph
     a rule meets may be shared, so the rule copies it first."""
 
-    def __init__(self, kb: KnowledgeBase | None, schedule: str):
+    def __init__(self, kb: KnowledgeBase | None):
         self.kb = kb
         self.lattice = kb.lattice if kb is not None else DEFAULT_LATTICE
         self.groups = kb.disjoint_groups if kb is not None else []
-        self.schedule = schedule
         self.own: set[DescriptionGraph] = set()
 
     def mark(self, g: DescriptionGraph) -> DescriptionGraph:
@@ -157,21 +149,19 @@ def _normalize_graph(g: DescriptionGraph, run: _Run) -> None:
     incoherent, and mark it canonical.  Its restriction graphs must be
     canonical already; a rule that changes one re-normalizes it.  Only a
     pass that can unsettle an earlier one starts another round when it
-    fires (``_SCHEDULES``).  Each pass returns at once when nothing can
+    fires (``_UNSETTLING``).  Each pass returns at once when nothing can
     fire it; only the a-edge pass
     removes nodes, and a pass that makes ``g`` incoherent reports a
     change."""
-    step = 1 if run.schedule == "standard" else -1
-    passes, unsettling = _SCHEDULES[run.schedule]
     again = True
     while again and not g.incoherent:
-        node_order = list(g.nodes)[::step]
+        node_order = list(g.nodes)
         again = False
-        for p in passes:
+        for p in _PASSES:
             if p(g, node_order, run):
                 if g.incoherent:
                     break
-                again |= p in unsettling
+                again |= p in _UNSETTLING
                 if p is _aedge_pass:
                     node_order = [n for n in node_order if n in g.nodes]
     run.mark(g)
@@ -446,7 +436,6 @@ def _individual_pass(g, node_order, run) -> bool:
     return changed
 
 
-# Each schedule: its passes in order, and those that start another round.
+# A round's passes in order, and those that start another round.
 _PASSES = (_redge_pass, _node_local_pass, _aedge_pass, _individual_pass)
-_SCHEDULES = {"standard": (_PASSES, _PASSES[2:]),
-              "alternate": (_PASSES[::-1], _PASSES)}
+_UNSETTLING = _PASSES[2:]

@@ -76,21 +76,17 @@ def count_steps(monkeypatch):
 def count_rounds(monkeypatch):
     """``count_rounds(fn, *args)`` returns ``(fn(*args), rounds)``, where
     ``rounds`` maps each graph that ``normalize`` normalized to the number
-    of fixpoint rounds it ran: the calls of its schedule's first pass."""
+    of fixpoint rounds it ran: the calls of a round's first pass."""
     def count(fn, *args):
         rounds = Counter()
-        schedules = {}
-        for name, (passes, unsettling) in normalize._SCHEDULES.items():
-            first = passes[0]
+        first = normalize._PASSES[0]
 
-            def counted(g, *a, first=first):
-                rounds[g] += 1
-                return first(g, *a)
+        def counted(g, *a):
+            rounds[g] += 1
+            return first(g, *a)
 
-            schedules[name] = tuple(
-                tuple(counted if p is first else p for p in seq)
-                for seq in (passes, unsettling))
-        monkeypatch.setattr(normalize, "_SCHEDULES", schedules)
+        monkeypatch.setattr(normalize, "_PASSES",
+                            (counted, *normalize._PASSES[1:]))
         return fn(*args), rounds
 
     return count

@@ -5,8 +5,8 @@ exhaustive model search for graph satisfiability, truth tables for 3CNF
 formulas, isomorphism of canonical graphs by their dumps, size measures
 of descriptions and graphs, the translation built by merging graphs, the
 told graphs of classification built by merging graphs, normalization
-that runs another round after any change, and the random corpus drawn
-through ``random.Random``'s own methods.
+in any order of the rule passes with another round after any change,
+and the random corpus drawn through ``random.Random``'s own methods.
 """
 
 import itertools
@@ -189,28 +189,40 @@ def merge_told_graphs(kb: KnowledgeBase) -> dict[str, DescriptionGraph]:
 
 
 # ---------------------------------------------------------------------------
-# Normalization with a round after every change
+# Normalization in any rule order, with a round after every change
 
 
-def reference_normalize_graph(g: DescriptionGraph, run) -> None:
-    """``normalize._normalize_graph`` with the node-local pass first and
-    another round after any pass changes ``g``, so each round re-checks
-    every rule; "alternate" runs the passes in reverse."""
-    step = 1 if run.schedule == "standard" else -1
-    passes = (normalize._node_local_pass, normalize._redge_pass,
-              normalize._aedge_pass, normalize._individual_pass)[::step]
-    changed = True
-    while changed and not g.incoherent:
-        node_order = list(g.nodes)[::step]
-        changed = False
-        for p in passes:
-            if p(g, node_order, run):
-                if g.incoherent:
-                    break
-                changed = True
-                if p is normalize._aedge_pass:
+@contextmanager
+def rule_order(passes, reverse_nodes=False):
+    """Within the block, ``normalize._normalize_graph`` runs ``passes`` in
+    the order given, visits the nodes in insertion order, or in reverse if
+    ``reverse_nodes``, and starts another round after any pass changes the
+    graph.  The engine's rules call ``_normalize_graph`` through the
+    module, so the restriction graphs they normalize follow the same
+    order."""
+    passes = tuple(passes)
+    step = -1 if reverse_nodes else 1
+
+    def normalize_graph(g: DescriptionGraph, run) -> None:
+        changed = True
+        while changed and not g.incoherent:
+            node_order = list(g.nodes)[::step]
+            changed = False
+            for p in passes:
+                if p(g, node_order, run):
+                    if g.incoherent:
+                        break
+                    changed = True
+                    # The a-edge pass removes nodes; ``passes`` may wrap it.
                     node_order = [n for n in node_order if n in g.nodes]
-    run.mark(g)
+        run.mark(g)
+
+    saved = normalize._normalize_graph
+    normalize._normalize_graph = normalize_graph
+    try:
+        yield
+    finally:
+        normalize._normalize_graph = saved
 
 
 def reference_merged_redge(edges: list[REdge], run) -> REdge:
@@ -232,15 +244,17 @@ def reference_merged_redge(edges: list[REdge], run) -> REdge:
 
 @contextmanager
 def reference_normalization():
-    """Within the block, ``normalize`` runs the reference loop and r-edge
-    merge above in place of its own; the rule passes are the engine's."""
-    saved = normalize._normalize_graph, normalize._merged_redge
-    normalize._normalize_graph = reference_normalize_graph
+    """Within the block, ``normalize`` runs the node-local pass first and
+    another round after any change (``rule_order``), and normalizes every
+    r-edge merge it builds; the rule passes are the engine's."""
+    saved = normalize._merged_redge
     normalize._merged_redge = reference_merged_redge
     try:
-        yield
+        with rule_order((normalize._node_local_pass, normalize._redge_pass,
+                         normalize._aedge_pass, normalize._individual_pass)):
+            yield
     finally:
-        normalize._normalize_graph, normalize._merged_redge = saved
+        normalize._merged_redge = saved
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 ``goldens/canonical_digests.json`` holds SHA-256 digests of the dumps
 that the inputs below produce: the canonical form of every description
-of the first 500 ``random_pair`` draws of seeds 0-2, under both rule
-schedules, and the counter-model world of each coherent subsumee, built
+of the first 500 ``random_pair`` draws of seeds 0-2, in the engine's rule
+order and with the passes and the nodes in reverse (``oracles.rule_order``),
+and the counter-model world of each coherent subsumee, built
 unsteered and steered by its subsumer.  A change to canonicalization or
 to the counter-model construction that alters any graph or world shows
 up here.  Print fresh digests with ``python tests/test_canonical_goldens.py``.
@@ -14,11 +15,12 @@ import json
 import pathlib
 import random
 
-from classicdl import graph, worlds
+from classicdl import graph, normalize, worlds
 from classicdl.countermodel import CounterModelError, construct_graphical_world
 from classicdl.normalize import canonicalize
 from classicdl.randgen import corpus_kb, random_pair
 from classicdl.subsume import subsumes_graph
+from oracles import rule_order
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "canonical_digests.json"
 SEEDS = (0, 1, 2)
@@ -50,9 +52,11 @@ def digests() -> dict:
                 translated = graph.translate(desc)
                 canon = canonicalize(translated, kb)
                 _update(canon_h, graph.to_jsonable(canon))
-                _update(canon_h, graph.to_jsonable(
-                    canonicalize(translated, kb, "alternate")))
-            # ``canon`` is now the subsumee's standard canonical form
+                with rule_order(reversed(normalize._PASSES),
+                                reverse_nodes=True):
+                    _update(canon_h, graph.to_jsonable(
+                        canonicalize(translated, kb)))
+            # ``canon`` is now the subsumee's canonical form
             if canon.incoherent:
                 continue
             world, elem = construct_graphical_world(canon, kb=kb)

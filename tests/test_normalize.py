@@ -1,3 +1,4 @@
+import contextlib
 import random
 
 import pytest
@@ -9,13 +10,20 @@ from classicdl.kb import DEFAULT_LATTICE, expand
 from classicdl.normalize import canonical_graph, canonicalize
 from classicdl.parsing import parse_description, parse_kb
 from classicdl.randgen import corpus_kb, random_pair
-from oracles import graph_shape, isomorphic
+from oracles import graph_shape, isomorphic, rule_order
 from test_canonical_goldens import golden_kb
 from test_graph import DEEP_SHAPES, thawed
 
 
 def canon(parse, text, kb=None):
     return canonicalize(translate(parse(text)), kb)
+
+
+def _order(reverse):
+    """The engine's rule order, or, for ``reverse``, the passes and the
+    nodes in reverse, with another round after any change."""
+    return (rule_order(reversed(normalize._PASSES), reverse_nodes=True)
+            if reverse else contextlib.nullcontext())
 
 
 def test_min_above_max_is_incoherent(parse):
@@ -202,8 +210,9 @@ def test_attr_filler_narrows_target_dom(parse, kb):
     # the merged target can only be the filler.
     g = translate(parse(
         "and(all(coach, one-of(Pat, Kim, P)), fills(coach, Pat))"))
-    for schedule in ("standard", "alternate"):
-        c = canonicalize(g, kb, schedule=schedule)
+    for reverse in (False, True):
+        with _order(reverse):
+            c = canonicalize(g, kb)
         (edge,) = c.a_edges
         assert to_jsonable(c)["aedges"][0]["fillers"] == ["Pat"]
         assert c.nodes[edge.dst].dom == frozenset({Individual("Pat")})
@@ -235,8 +244,9 @@ def test_two_schedules_agree(parse, kb):
         "and(same-as((f),(g)), same-as((f),(h)), all(f, TALL))",
     ]:
         g = translate(parse(text))
-        assert isomorphic(canonicalize(g, kb),
-                          canonicalize(g, kb, schedule="alternate"))
+        with _order(True):
+            reversed_form = canonicalize(g, kb)
+        assert isomorphic(canonicalize(g, kb), reversed_form)
 
 
 def test_disjointness_hook():
@@ -335,41 +345,49 @@ def _disjoint_kb():
     return kb
 
 
-@pytest.mark.parametrize("schedule", ["standard", "alternate"])
+ORDERS = pytest.mark.parametrize("reverse", [False, True],
+                                 ids=["standard", "alternate"])
+
+
+@ORDERS
 @pytest.mark.parametrize("text", RENORMALIZED_CASES)
-def test_renormalized_restrictions_are_incoherent(text, schedule):
+def test_renormalized_restrictions_are_incoherent(text, reverse):
     kb = _disjoint_kb()
-    g = canonicalize(translate(parse_description(text, kb)), kb,
-                     schedule=schedule)
+    with _order(reverse):
+        g = canonicalize(translate(parse_description(text, kb)), kb)
     assert g.incoherent
 
 
-@pytest.mark.parametrize("schedule", ["standard", "alternate"])
-def test_every_restriction_graph_is_canonical(schedule):
+@ORDERS
+def test_every_restriction_graph_is_canonical(reverse):
     kb = _disjoint_kb()
     rng = random.Random(3)
     descriptions = [parse_description(t, kb) for t in RENORMALIZED_CASES]
     for _ in range(300):
         descriptions.extend(random_pair(rng))
-    for d in descriptions:
-        g = canonicalize(translate(d), kb, schedule=schedule)
-        for sub in g.subgraphs():
-            assert isomorphic(sub, canonicalize(thawed(sub), kb,
-                                                schedule=schedule))
+    with _order(reverse):
+        for d in descriptions:
+            g = canonicalize(translate(d), kb)
+            for sub in g.subgraphs():
+                assert isomorphic(sub, canonicalize(thawed(sub), kb))
 
 
 @pytest.fixture(scope="module")
 def canonical_corpus():
-    """(graph, kb, schedule) for the canonical forms of the golden random
-    corpus and of the deep shapes, under both schedules."""
+    """(graph, kb, reverse) for the canonical forms of the golden random
+    corpus and of the deep shapes, in the engine's rule order and in the
+    reverse one (``_order``)."""
     kb = golden_kb()
     descriptions = [(d, kb) for seed in (0, 1, 2)
                     for rng in [random.Random(seed)] for _ in range(500)
                     for d in random_pair(rng)]
     descriptions += [(parse_description(text), None) for text in DEEP_SHAPES]
-    return [(canonicalize(translate(d), dkb, schedule), dkb, schedule)
-            for d, dkb in descriptions
-            for schedule in ("standard", "alternate")]
+    corpus = []
+    for reverse in (False, True):
+        with _order(reverse):
+            corpus += [(canonicalize(translate(d), dkb), dkb, reverse)
+                       for d, dkb in descriptions]
+    return corpus
 
 
 @pytest.mark.parametrize("rule_pass", [
@@ -380,9 +398,9 @@ def test_each_pass_is_a_fixpoint_on_canonical_graphs(rule_pass,
                                                      canonical_corpus):
     # Pins the passes' early returns: on a canonical graph every pass finds
     # nothing to rewrite, whether or not it returns before its scan.
-    for g, kb, schedule in canonical_corpus:
-        run = normalize._Run(kb, schedule)
-        step = 1 if schedule == "standard" else -1
+    for g, kb, reverse in canonical_corpus:
+        run = normalize._Run(kb)
+        step = -1 if reverse else 1
         for sub in g.subgraphs():
             work = thawed(sub)
             before = to_jsonable(work)
@@ -393,7 +411,7 @@ def test_each_pass_is_a_fixpoint_on_canonical_graphs(rule_pass,
 
 def test_shared_thing_restriction_stays_thing(canonical_corpus):
     # Every at-least, at-most and fills(role, ...) shares one frozen
-    # {THING} restriction; canonicalizing the corpus under both schedules
+    # {THING} restriction; canonicalizing the corpus in both rule orders
     # runs each rule that changes a restriction graph on it.
     assert canonical_corpus
     assert graph._THING_RESTRICTION.canonical_kb is graph.ANY_KB
@@ -403,8 +421,8 @@ def test_shared_thing_restriction_stays_thing(canonical_corpus):
 
 
 def test_canonical_input_is_returned_itself(canonical_corpus):
-    for g, kb, schedule in canonical_corpus:
-        assert canonicalize(g, kb, schedule) is g
+    for g, kb, _ in canonical_corpus:
+        assert canonicalize(g, kb) is g
         assert all(sub.canonical_under(kb) for sub in g.subgraphs())
 
 
@@ -426,6 +444,15 @@ def test_canonicalize_leaves_its_input_unchanged():
             assert not any(sub.frozen for sub in g.subgraphs()
                            if sub is not graph._THING_RESTRICTION)
             assert to_jsonable(canonical_graph(d, kb)) == to_jsonable(canon)
+
+
+def test_copy_is_keyword_only():
+    # A third positional argument would otherwise bind to ``copy`` and be
+    # taken as true.
+    g = translate(parse_description("all(r, A)"))
+    with pytest.raises(TypeError):
+        canonicalize(g, None, "alternate")
+    assert canonicalize(g, None, copy=True) is not g
 
 
 def test_same_as_cascade_merges_in_linear_time():

@@ -1,48 +1,97 @@
 """Normalization rounds: a graph takes another round only when a pass that
 unsettles an earlier one fired, and reaches the same canonical form as the
 reference loop in ``oracles``, which runs another round after any change
-and normalizes every r-edge merge it builds."""
+and normalizes every r-edge merge it builds, and as every order of the
+rule passes, over the nodes forward or reversed."""
 
+import itertools
 import random
 
 import pytest
 
 from classicdl import normalize
 from classicdl.graph import to_jsonable, translate
-from classicdl.kb import _told_graphs
+from classicdl.kb import _told_graphs, expand
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description, parse_kb
 from classicdl.randgen import corpus_kb, random_pair
-from oracles import reference_normalization
+from oracles import reference_normalization, rule_order
+from test_canonical_goldens import golden_kb
 from test_kb import _taxonomy_kbs, oracle_kb_text
+from test_small_scope import KB_TEXT, size2_corpus
 from test_translate import _deep_descriptions
 
-SCHEDULES = ("standard", "alternate")
 
-
-def _same_canonical_forms(graphs, kb, schedule):
+def _same_canonical_forms(graphs, kb):
     """Canonicalize each raw graph with the engine and with the reference
     loop, and compare dumps and incoherent flags."""
     with reference_normalization():
-        expected = [canonicalize(g, kb, schedule) for g in graphs]
+        expected = [canonicalize(g, kb) for g in graphs]
     for g, ref in zip(graphs, expected):
-        got = canonicalize(g, kb, schedule)
+        got = canonicalize(g, kb)
         assert got.incoherent == ref.incoherent
         assert to_jsonable(got) == to_jsonable(ref)
 
 
-@pytest.mark.parametrize("schedule", SCHEDULES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_random_subsumees_match_the_reference_loop(seed, schedule):
+def test_random_subsumees_match_the_reference_loop(seed):
     rng = random.Random(seed)
     graphs = [translate(random_pair(rng)[1]) for _ in range(2000)]
-    _same_canonical_forms(graphs, corpus_kb(), schedule)
+    _same_canonical_forms(graphs, corpus_kb())
 
 
-@pytest.mark.parametrize("schedule", SCHEDULES)
-def test_deep_ladders_match_the_reference_loop(schedule):
-    _same_canonical_forms([translate(d) for d in _deep_descriptions()],
-                          None, schedule)
+def test_deep_ladders_match_the_reference_loop():
+    _same_canonical_forms([translate(d) for d in _deep_descriptions()], None)
+
+
+def _size2_corpus():
+    kb = parse_kb(KB_TEXT)
+    return kb, [translate(expand(parse_description(text, kb), kb))
+                for text in size2_corpus()]
+
+
+def _random_corpus():
+    kb = golden_kb()
+    rng = random.Random(0)
+    return kb, [translate(d) for _ in range(500) for d in random_pair(rng)]
+
+
+@pytest.mark.parametrize("corpus, interacting", [
+    (_size2_corpus, 14),
+    (_random_corpus, 61),
+], ids=["size2", "random"])
+def test_every_rule_order_gives_the_engines_canonical_form(corpus,
+                                                          interacting):
+    # 24 orders of the four passes, times the nodes forward or reversed.
+    kb, graphs = corpus()
+    expected = [to_jsonable(canonicalize(g, kb)) for g in graphs]
+    mismatches = []
+    for passes in itertools.permutations(normalize._PASSES):
+        for reverse_nodes in (False, True):
+            with rule_order(passes, reverse_nodes):
+                mismatches += [
+                    (i, [p.__name__ for p in passes], reverse_nodes)
+                    for i, (g, want) in enumerate(zip(graphs, expected))
+                    if to_jsonable(canonicalize(g, kb)) != want]
+    assert mismatches == []
+    # The power of the check: the descriptions on which two or more
+    # distinct passes change a graph, nested graphs included, so their
+    # order could matter.
+    fired = []
+
+    def recorded(rule_pass):
+        def run_pass(g, node_order, run):
+            if rule_pass(g, node_order, run):
+                fired[-1].add(rule_pass)
+                return True
+            return False
+        return run_pass
+
+    with rule_order(map(recorded, normalize._PASSES)):
+        for g in graphs:
+            fired.append(set())
+            canonicalize(g, kb)
+    assert sum(len(passes) >= 2 for passes in fired) == interacting
 
 
 @pytest.mark.parametrize("text", [
@@ -91,10 +140,11 @@ def test_dom_typing_to_one_realm_is_a_conflict_in_one_call(monkeypatch):
 
     monkeypatch.setattr(normalize, "_dom_typing", recorded)
     kb = corpus_kb()
-    for schedule in SCHEDULES:
-        dropped.clear()
-        g = canonicalize(translate(parse_description(
-            "and(all(r, STRING), fills(r, P), fills(r, 3), at-most(2, r))",
-            kb)), kb, schedule)
-        assert g.incoherent
-        assert [{ind.name for ind in d} for d in dropped] == [{"3"}]
+    g = translate(parse_description(
+        "and(all(r, STRING), fills(r, P), fills(r, 3), at-most(2, r))", kb))
+    assert canonicalize(g, kb).incoherent
+    assert [{ind.name for ind in d} for d in dropped] == [{"3"}]
+    dropped.clear()
+    with rule_order(reversed(normalize._PASSES), reverse_nodes=True):
+        assert canonicalize(g, kb).incoherent
+    assert [{ind.name for ind in d} for d in dropped] == [{"3"}]
