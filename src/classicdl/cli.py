@@ -5,8 +5,9 @@ Subcommands: ``parse``, ``graph``, ``canon``, ``subsumes``, ``classify``,
 "yes"/"no" for subsumption; ``subsumes --explain`` prints the failing
 clause as JSON instead).  Exit codes: 0 success (and "yes"), 1 "no"
 or a failed property run, 2 usage errors, 3 parse, knowledge-base and
-DIMACS errors, input files that cannot be read, and input nested too
-deeply for the interpreter's recursion limit.
+DIMACS errors, DIMACS files beyond the brute-force check, input files
+that cannot be read or are not UTF-8, and input nested too deeply for
+the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ def _read_file(path: str, error: type[Exception]) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise error("cannot read %s: %s" % (path, exc.strerror or exc)) \
-            from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise error("cannot read %s: %s" % (path, reason)) from None
 
 
 def _load_kb(path: str | None) -> KnowledgeBase:
@@ -215,6 +216,10 @@ def _dispatch(args) -> int:
     if cmd == "reduce":
         formula = reduction.parse_dimacs(
             _read_file(args.cnf_file, reduction.DimacsError))
+        if len(formula.variables) > reduction.BRUTEFORCE_LIMIT:
+            raise reduction.DimacsError(
+                "too many variables for the brute-force check (%d > %d)"
+                % (len(formula.variables), reduction.BRUTEFORCE_LIMIT))
         report = reduction.demonstrate_incompleteness(formula)
         _emit(report.to_jsonable())
         return 0

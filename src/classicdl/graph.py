@@ -37,13 +37,12 @@ and every conflict rule of ``normalize`` go through it.
 graph and an explicit stack of tasks, so any nesting depth is fine; the
 result is, node for node, the paper's merge of the conjuncts' graphs.
 
-``absorb`` merges one graph into another in place, ``merge_graphs``
-absorbs n graphs into a fresh root, and ``merge_nodes`` merges nodes.
-They move their inputs into the result, which then shares nodes and
-r-edges with them, so once either side is changed in place, the other
-may not be used; ``absorb`` can copy instead the parts of a frozen graph
-that normalizing the result may change: its root's r-edges and other
-nodes.
+``absorb`` merges one graph into another in place, and ``merge_graphs``
+absorbs n graphs into a fresh root.  A frozen graph is copied (its
+root's r-edges and other nodes, the parts that normalizing the result
+may change) and so left unchanged; any other is moved into the result
+and may not be used afterwards.  ``merge_nodes`` merges nodes, moving
+their r-edges.
 """
 
 from __future__ import annotations
@@ -331,11 +330,11 @@ def merge_nodes(*nodes: GraphNode) -> GraphNode:
 
 
 def merge_graphs(*graphs: DescriptionGraph) -> DescriptionGraph:
-    """Merge graphs in one pass: ``absorb`` each into a fresh root, so
-    the result shares nodes, r-edges and filler sets with the inputs.  A
-    merge with an incoherent graph is incoherent (the intersection of an
-    empty extension with anything is empty); the merge of no graph is a
-    root with no atom, which is THING."""
+    """Merge graphs in one pass: ``absorb`` each into a fresh root, which
+    copies the frozen ones and moves the others.  A merge with an
+    incoherent graph is incoherent (the intersection of an empty extension
+    with anything is empty); the merge of no graph is a root with no atom,
+    which is THING."""
     out = DescriptionGraph()
     out.root = out.add_node(GraphNode(set()))
     for g in graphs:
@@ -343,18 +342,18 @@ def merge_graphs(*graphs: DescriptionGraph) -> DescriptionGraph:
     return out
 
 
-def absorb(into: DescriptionGraph, g: DescriptionGraph,
-           copy: bool = False) -> None:
+def absorb(into: DescriptionGraph, g: DescriptionGraph) -> None:
     """Merge ``g`` into ``into`` in place: ``g``'s root into ``into``'s
     (atoms union, r-edge bag union, dom intersection), and ``g``'s other
     nodes and its a-edges, re-targeted from root to root, into ``into``.
-    They are moved, or with ``copy`` copied with fresh node ids, which
-    leaves ``g`` unchanged; restriction graphs are shared either way.
+    A frozen ``g`` is copied, with fresh node ids, and so left unchanged;
+    any other is moved.  Restriction graphs are shared either way.
     Absorbing an incoherent graph, or into one, makes ``into`` the
     incoherent graph."""
     if g.incoherent or into.incoherent:
         mark_incoherent(into)
         return
+    copy = g.frozen
     ids = {nid: _fresh_id() for nid in g.nodes} if copy else {}
     ids[g.root] = into.root
     root, old = into.root_node, g.root_node

@@ -35,12 +35,11 @@ and those rules normalize the one graph they changed on the spot.  It
 works in place, on a copy of its input, which is left unchanged, or, for
 ``canonical_graph``, on a fresh translation, with no copy.
 
-A canonical graph is frozen (see ``graph``), and each graph is marked
-canonical as soon as it is normalized; the rule that builds a new
-restriction graph marks it too.  The restriction graphs a rule meets may
-also be frozen ones shared with other canonical graphs.  Those three
-rules therefore replace or copy a shared restriction before they change
-it; every other change is to ``canonicalize``'s own graphs.
+A canonical graph is frozen (see ``graph``), and a result is frozen as
+it is returned: every graph in it that is not frozen yet is marked
+canonical.  While the rules run, the frozen graphs are exactly the ones
+shared with other canonical graphs, so a rule copies a graph before it
+changes it if and only if the graph is frozen.
 
 Each merge removes a node and every numeric step moves a bound
 monotonically, so the fixpoint exists.  A round merges r-edges, runs the
@@ -90,20 +89,21 @@ def canonicalize(g: DescriptionGraph,
 
     A ``g`` already canonical under ``kb`` is returned itself.  Otherwise
     ``g`` is cloned once, up front, sharing its restriction graphs that
-    are canonical under ``kb``, and each copied graph is normalized once,
-    children before parents, and marked canonical under ``kb`` (frozen)
-    as it is finished.  ``copy=False`` normalizes ``g`` itself in place
-    instead, for ``canonical_graph``'s fresh graphs, which no one else
-    holds.  The mark is ``kb`` itself, so ``kb`` must not change after
-    this call; a graph marked before a change would be returned unchanged
-    by later calls.
+    are canonical under ``kb``; each copied graph is normalized once,
+    children before parents, and then every graph of the result that is
+    not frozen yet is marked canonical under ``kb``.  ``copy=False``
+    normalizes ``g`` itself in place instead, for ``canonical_graph``'s
+    fresh graphs, which no one else holds.  The mark is ``kb`` itself, so
+    ``kb`` must not change after this call; a graph marked before a change
+    would be returned unchanged by later calls.
     """
     if g.canonical_under(kb):
         return g
-    run = _Run(kb)
     graphs = g._clones(kb, copy)
     for sub in reversed(graphs):
-        _normalize_graph(sub, run)
+        _normalize_graph(sub, kb)
+    for sub in graphs[0]._clones(kb, copy=False):
+        sub.canonical_kb = kb
     return graphs[0]
 
 
@@ -118,62 +118,40 @@ def canonical_graph(d: Description | None,
     copied; the told graphs' restriction graphs are shared."""
     g = merge_graphs() if d is None else translate(d)
     for t in told:
-        absorb(g, t, copy=True)
+        absorb(g, t)
     return canonicalize(g, kb, copy=False)
 
 
-class _Run:
-    """One ``canonicalize`` call: its settings, and the graphs it has
-    normalized.  Each graph is marked canonical under ``kb`` as soon as it
-    is normalized, but the graphs of this call stay its own to change: a
-    parent's rule may still move or narrow them.  Any other frozen graph
-    a rule meets may be shared, so the rule copies it first."""
-
-    def __init__(self, kb: KnowledgeBase | None):
-        self.kb = kb
-        self.lattice = kb.lattice if kb is not None else DEFAULT_LATTICE
-        self.groups = kb.disjoint_groups if kb is not None else []
-        self.own: set[DescriptionGraph] = set()
-
-    def mark(self, g: DescriptionGraph) -> DescriptionGraph:
-        g.canonical_kb = self.kb
-        self.own.add(g)
-        return g
-
-    def shared(self, g: DescriptionGraph) -> bool:
-        return g.frozen and g not in self.own
-
-
-def _normalize_graph(g: DescriptionGraph, run: _Run) -> None:
+def _normalize_graph(g: DescriptionGraph, kb: KnowledgeBase | None) -> None:
     """Run ``g``'s own rules to a fixpoint, or until a conflict makes it
-    incoherent, and mark it canonical.  Its restriction graphs must be
-    canonical already; a rule that changes one re-normalizes it.  Only a
-    pass that can unsettle an earlier one starts another round when it
-    fires (``_UNSETTLING``).  Each pass returns at once when nothing can
-    fire it; only the a-edge pass
-    removes nodes, and a pass that makes ``g`` incoherent reports a
+    incoherent.  Its restriction graphs must be canonical already; a rule
+    that changes one re-normalizes it.  Only a pass that can unsettle an
+    earlier one starts another round when it fires (``_UNSETTLING``).
+    Each pass returns at once when nothing can fire it; only the a-edge
+    pass removes nodes, and a pass that makes ``g`` incoherent reports a
     change."""
     again = True
     while again and not g.incoherent:
         node_order = list(g.nodes)
         again = False
         for p in _PASSES:
-            if p(g, node_order, run):
+            if p(g, node_order, kb):
                 if g.incoherent:
                     break
                 again |= p in _UNSETTLING
                 if p is _aedge_pass:
                     node_order = [n for n in node_order if n in g.nodes]
-    run.mark(g)
 
 
 # -- node-local steps -------------------------------------------------------
 
 
-def _node_local_pass(g, node_order, run) -> bool:
+def _node_local_pass(g, node_order, kb) -> bool:
     """Each node's steps to their fixpoint in one visit.  Dom typing may
     precede closure, which adds no atom that rejects a host value (the
     classic marker joins a classic atom or a dom of no host value)."""
+    lattice = kb.lattice if kb is not None else DEFAULT_LATTICE
+    groups = kb.disjoint_groups if kb is not None else []
     changed = False
     for nid in node_order:
         node = g.nodes[nid]
@@ -182,12 +160,12 @@ def _node_local_pass(g, node_order, run) -> bool:
                 e.max = 0
                 changed = True
             if e.max == 0 and not e.restriction.incoherent:
-                e.restriction = run.mark(incoherent_graph())
+                e.restriction = incoherent_graph()
                 changed = True
-        changed |= _dom_typing(node, run.lattice)
-        changed |= _close_atoms(node, run.lattice)
-        if (_realm_conflicts(node, run.lattice)
-                or _disjointness(node, run.groups)
+        changed |= _dom_typing(node, lattice)
+        changed |= _close_atoms(node, lattice)
+        if (_realm_conflicts(node, lattice)
+                or _disjointness(node, groups)
                 or any(e.min > e.max for e in node.r_edges)
                 or node.dom is not None and not node.dom):
             return mark_incoherent(g)
@@ -270,11 +248,11 @@ def _dom_typing(node: GraphNode, lattice) -> bool:
 # -- r-edge merging ---------------------------------------------------------
 
 
-def _merged_redge(edges: list[REdge], run: _Run) -> REdge:
+def _merged_redge(edges: list[REdge], kb: KnowledgeBase | None) -> REdge:
     """One r-edge for a role: tightest bounds, the union of fillers, and
     the merge of the restriction graphs, normalized again.  The merge
-    moves the graphs of this run, since the old edges are dropped, and
-    copies the shared ones.  A merge that would add nothing is skipped:
+    moves the graphs of this call, since the old edges are dropped, and
+    copies the frozen ones.  A merge that would add nothing is skipped:
     ``{THING} ⊓ {THING}`` is the shared {THING} restriction itself, and
     ``R ⊓ {THING}`` is R when R's root has THING already, and else R with
     THING at its root, which no rule reads: canonical as it stands."""
@@ -285,17 +263,15 @@ def _merged_redge(edges: list[REdge], run: _Run) -> REdge:
     else:
         restriction = merge_graphs()
         for r in restrictions:
-            absorb(restriction, r, copy=run.shared(r))
+            absorb(restriction, r)
         if len(rest) > 1:
-            _normalize_graph(restriction, run)
-        else:
-            run.mark(restriction)
+            _normalize_graph(restriction, kb)
     return REdge(edges[0].role, max(e.min for e in edges),
                  min(e.max for e in edges), restriction,
                  set().union(*(e.fillers for e in edges)))
 
 
-def _redge_pass(g, node_order, run) -> bool:
+def _redge_pass(g, node_order, kb) -> bool:
     changed = False
     for nid in node_order:
         node = g.nodes[nid]
@@ -307,7 +283,7 @@ def _redge_pass(g, node_order, run) -> bool:
         if len(by_role) < len(node.r_edges):
             node.r_edges = [
                 es[0] if len(es) == 1
-                else _merged_redge(es, run)
+                else _merged_redge(es, kb)
                 for es in by_role.values()]
             changed = True
     return changed
@@ -341,7 +317,7 @@ class _UnionFind:
         return ra, rb
 
 
-def _aedge_pass(g, node_order, run) -> bool:
+def _aedge_pass(g, node_order, kb) -> bool:
     """Collapse duplicate (source, attribute) a-edges, cascading target
     merges by congruence closure (Downey, Sethi and Tarjan, JACM 1980):
     each node class keeps an attribute -> target map, and a union folds
@@ -400,7 +376,7 @@ def _aedge_pass(g, node_order, run) -> bool:
 # -- individual bookkeeping -------------------------------------------------
 
 
-def _individual_pass(g, node_order, run) -> bool:
+def _individual_pass(g, node_order, kb) -> bool:
     """The r-edges' filler/dom subset rule and bound/cardinality
     arithmetic."""
     changed = False
@@ -428,10 +404,10 @@ def _individual_pass(g, node_order, run) -> bool:
             if e.max == len(e.fillers):
                 new_dom = intersect_doms(head.dom, frozenset(e.fillers))
                 if new_dom != head.dom:
-                    if run.shared(e.restriction):
+                    if e.restriction.frozen:
                         e.restriction = e.restriction._copy()
                     e.restriction.root_node.dom = new_dom
-                    _normalize_graph(e.restriction, run)
+                    _normalize_graph(e.restriction, kb)
                     changed = True
     return changed
 

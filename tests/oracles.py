@@ -203,19 +203,18 @@ def rule_order(passes, reverse_nodes=False):
     passes = tuple(passes)
     step = -1 if reverse_nodes else 1
 
-    def normalize_graph(g: DescriptionGraph, run) -> None:
+    def normalize_graph(g: DescriptionGraph, kb) -> None:
         changed = True
         while changed and not g.incoherent:
             node_order = list(g.nodes)[::step]
             changed = False
             for p in passes:
-                if p(g, node_order, run):
+                if p(g, node_order, kb):
                     if g.incoherent:
                         break
                     changed = True
                     # The a-edge pass removes nodes; ``passes`` may wrap it.
                     node_order = [n for n in node_order if n in g.nodes]
-        run.mark(g)
 
     saved = normalize._normalize_graph
     normalize._normalize_graph = normalize_graph
@@ -225,7 +224,7 @@ def rule_order(passes, reverse_nodes=False):
         normalize._normalize_graph = saved
 
 
-def reference_merged_redge(edges: list[REdge], run) -> REdge:
+def reference_merged_redge(edges: list[REdge], kb) -> REdge:
     """``normalize._merged_redge`` that normalizes every merge it builds,
     ``R ⊓ {THING}`` included."""
     restrictions = [e.restriction for e in edges]
@@ -235,8 +234,8 @@ def reference_merged_redge(edges: list[REdge], run) -> REdge:
     else:
         restriction = merge_graphs()
         for r in restrictions:
-            absorb(restriction, r, copy=run.shared(r))
-        normalize._normalize_graph(restriction, run)
+            absorb(restriction, r)
+        normalize._normalize_graph(restriction, kb)
     return REdge(edges[0].role, max(e.min for e in edges),
                  min(e.max for e in edges), restriction,
                  set().union(*(e.fillers for e in edges)))

@@ -407,6 +407,17 @@ def test_reduce_missing_file_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: cannot read")
 
 
+@pytest.mark.parametrize("argv", [("classify", "--kb"), ("reduce",)])
+def test_file_not_utf8_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("role r\nconcept CAF\xc9 := at-least(1, r)\n"
+                     .encode("latin-1"))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: cannot read %s" % path)
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text, message", [
     ("1 -2 3 0\n", "clause before DIMACS header"),
     ("p cnf 2 1\n1 x 0\n", "not an integer"),
@@ -419,6 +430,16 @@ def test_reduce_malformed_dimacs_is_an_input_error(tmp_path, capsys, text,
     code, out, err = run(capsys, "reduce", str(cnf))
     assert code == 3 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_reduce_beyond_the_brute_force_limit_is_an_input_error(tmp_path,
+                                                               capsys):
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text("p cnf 21 1\n1 2 3 0\n")
+    code, out, err = run(capsys, "reduce", str(cnf))
+    assert code == 3 and out == ""
+    assert err == ("error: too many variables for the brute-force check "
+                   "(21 > 20)\n")
 
 
 def test_subsumes_explain(capsys):

@@ -356,6 +356,23 @@ def test_canonicalize_shares_frozen_restrictions(clone_calls):
     assert to_jsonable(told) == before
 
 
+def test_merge_graphs_copies_a_frozen_input():
+    # A frozen graph is a value: a merge copies its nodes and r-edges, so
+    # normalizing the merge, even in place, leaves it unchanged.
+    told = canonicalize(translate(parse_description(
+        "and(A, all(r, and(B, all(s, C))), same-as((f),(g)))")))
+    before = to_jsonable(told)
+    g = merge_graphs(told, translate(parse_description(
+        "and(D, at-most(0, r), all(f, E))")))
+    nodes = [n for sub in (told, g) for n in sub.nodes.values()]
+    edges = [e for n in nodes for e in n.r_edges]
+    assert len(set(map(id, nodes))) == len(nodes)
+    assert len(set(map(id, edges))) == len(edges)
+    canonicalize(g)
+    canonicalize(g, copy=False)
+    assert to_jsonable(told) == before
+
+
 def _preorder(g):
     """The recursive reference walk ``subgraphs`` must agree with."""
     out = [g]
