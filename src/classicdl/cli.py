@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from . import randgen, reduction
+from . import reduction
 from .countermodel import (
     CounterModelError,
     construct_graphical_world,
@@ -224,6 +224,7 @@ def _dispatch(args) -> int:
         _emit(report.to_jsonable())
         return 0
     if cmd == "fuzz":
+        from . import randgen  # only fuzz runs it: not imported per call
         sound = randgen.soundness_run(args.seed, args.cases,
                                       worlds_per_case=10,
                                       max_domain=args.max_domain)

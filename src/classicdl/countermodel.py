@@ -26,8 +26,6 @@ test rejects may still contain every admissible element.  Steering raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .descriptions import (
     AllAttr,
     AllRole,
@@ -76,22 +74,25 @@ class CounterModelError(Exception):
 ELEMENT_LIMIT = 100_000
 
 
-@dataclass
 class NodePlan:
-    host: bool = False                    # THING-only node: a fresh host one
-    dom_pick: Individual | None = None    # forced dom/filler join
-    dom_avoid: frozenset = frozenset()    # joins to rule out
-    # attr -> a fresh value for it, host (True) or classic (False)
-    attr_set: dict[str, bool] = field(default_factory=dict)
-    # a role with no edge -> (count, host) fresh fillers for it
-    fresh: dict[str, tuple[int, bool]] = field(default_factory=dict)
+    __slots__ = ("host", "dom_pick", "dom_avoid", "attr_set", "fresh")
+    def __init__(self, dom_pick: Individual | None = None):
+        self.host = False             # THING-only node: a fresh host one
+        self.dom_pick = dom_pick      # forced dom/filler join
+        self.dom_avoid = frozenset()  # joins to rule out
+        # attr -> a fresh value for it, host (True) or classic (False)
+        self.attr_set: dict[str, bool] = {}
+        # a role with no edge -> (count, host) fresh fillers for it
+        self.fresh: dict[str, tuple[int, bool]] = {}
 
 
-@dataclass
 class EdgePlan:
-    count: int | None = None
-    counter: Failure | None = None         # the body's failure to follow
-    dom_avoid: frozenset = frozenset()
+    __slots__ = ("count", "counter", "dom_avoid")
+    def __init__(self, count: int | None = None,
+                 counter: Failure | None = None, dom_avoid=frozenset()):
+        self.count = count
+        self.counter = counter  # the body's failure to follow
+        self.dom_avoid: frozenset = dom_avoid
 
 
 class _Builder:

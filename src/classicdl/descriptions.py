@@ -15,11 +15,14 @@ constructors confined to the classic realm (CLASSIC-THING);
 Every layer over descriptions finds a constructor's case by looking up
 the description's class, ``type(d)``, so no constructor class may be
 subclassed: a lookup would not find the subclass.
+
+Descriptions, individuals and the other ``Value``s are equal by class and
+fields, hashed and pickled by fields, shown as ``AtLeast(n=2, role='s')``
+and immutable; each checks and sets its ``__slots__`` in its ``__init__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 
 # Built-in atoms that may appear in graph node labels.
@@ -45,17 +48,48 @@ def is_host_test_atom(atom: str) -> bool:
     return atom.startswith(HOST_TEST_ATOM_PREFIX)
 
 
-@dataclass(frozen=True)
-class Individual:
+_set = object.__setattr__  # sets a field past ``Value.__setattr__``
+
+
+class Value:
+    """Base class of the values the module docstring describes."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = attrgetter(*cls.__slots__) if cls.__slots__ else lambda v: ()
+
+        def __eq__(self, other):
+            return type(other) is cls and fields(self) == fields(other)
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = lambda self: hash(fields(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to or delete field %r" % name)
+
+    __delattr__ = __setattr__
+
+
+class Individual(Value):
     """A classic individual name or a typed host value.
 
     Host values carry their host type and literal payload; ``name`` is the
     canonical source spelling (``Pat``, ``4``, ``4.5``, ``"abc"``).
     """
 
-    name: str
-    host_type: str | None = None
-    value: object = None
+    __slots__ = ("name", "host_type", "value")
+    def __init__(self, name: str, host_type: str | None = None, value=None):
+        _set(self, "name", name)
+        _set(self, "host_type", host_type)
+        _set(self, "value", value)
 
     @property
     def is_host(self) -> bool:
@@ -88,143 +122,138 @@ def host_string(s: str) -> Individual:
     return Individual(literal_name("STRING", s), "STRING", s)
 
 
-class Description:
+class Description(Value):
     """Base class for description AST nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Thing(Description):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ClassicThing(Description):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class HostThing(Description):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Nothing(Description):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ConceptName(Description):
-    name: str
+    __slots__ = ("name",)
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class HostConcept(Description):
-    name: str
+    __slots__ = ("name",)
+    __init__ = ConceptName.__init__
 
 
-@dataclass(frozen=True)
 class And(Description):
-    items: tuple[Description, ...]
-
-    def __post_init__(self):
-        if len(self.items) < 2:
+    __slots__ = ("items",)
+    def __init__(self, items: tuple[Description, ...]):
+        if len(items) < 2:
             raise ValueError("conjunction needs at least two conjuncts")
+        _set(self, "items", items)
 
 
-@dataclass(frozen=True)
 class AllRole(Description):
-    role: str
-    restriction: Description
+    __slots__ = ("role", "restriction")
+    def __init__(self, role: str, restriction: Description):
+        _set(self, "role", role)
+        _set(self, "restriction", restriction)
 
 
-@dataclass(frozen=True)
 class AllAttr(Description):
-    attr: str
-    restriction: Description
+    __slots__ = ("attr", "restriction")
+    def __init__(self, attr: str, restriction: Description):
+        _set(self, "attr", attr)
+        _set(self, "restriction", restriction)
 
 
-@dataclass(frozen=True)
 class AtLeast(Description):
-    n: int
-    role: str
-
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("n", "role")
+    def __init__(self, n: int, role: str):
+        if n < 1:
             raise ValueError("at-least bound must be a positive integer")
+        _set(self, "n", n)
+        _set(self, "role", role)
 
 
-@dataclass(frozen=True)
 class AtMost(Description):
-    n: int
-    role: str
-
-    def __post_init__(self):
-        if self.n < 0:
+    __slots__ = ("n", "role")
+    def __init__(self, n: int, role: str):
+        if n < 0:
             raise ValueError("at-most bound must be non-negative")
+        _set(self, "n", n)
+        _set(self, "role", role)
 
 
-@dataclass(frozen=True)
 class SameAs(Description):
     """Equality of two attribute-composition chains."""
 
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.left or not self.right:
+    __slots__ = ("left", "right")
+    def __init__(self, left: tuple[str, ...], right: tuple[str, ...]):
+        if not left or not right:
             raise ValueError("same-as chains must be non-empty")
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class FillsRole(Description):
-    role: str
-    who: Individual
+    __slots__ = ("role", "who")
+    def __init__(self, role: str, who: Individual):
+        _set(self, "role", role)
+        _set(self, "who", who)
 
 
-@dataclass(frozen=True)
 class FillsAttr(Description):
-    attr: str
-    who: Individual
+    __slots__ = ("attr", "who")
+    def __init__(self, attr: str, who: Individual):
+        _set(self, "attr", attr)
+        _set(self, "who", who)
 
 
-@dataclass(frozen=True)
 class OneOf(Description):
-    members: tuple[Individual, ...]
-
-    def __post_init__(self):
-        if not self.members:
+    __slots__ = ("members",)
+    def __init__(self, members: tuple[Individual, ...]):
+        if not members:
             raise ValueError("one-of needs at least one member")
-        kinds = {m.is_host for m in self.members}
-        if len(kinds) > 1:
+        if len({m.is_host for m in members}) > 1:
             raise ValueError("one-of members must be all host values "
                              "or all classic individuals")
+        _set(self, "members", members)
 
     @property
     def is_host(self) -> bool:
         return self.members[0].is_host
 
 
-@dataclass(frozen=True)
 class Primitive(Description):
-    body: Description
-    tag: str
+    __slots__ = ("body", "tag")
+    def __init__(self, body: Description, tag: str):
+        _set(self, "body", body)
+        _set(self, "tag", tag)
 
 
-@dataclass(frozen=True)
 class Test(Description):
-    func: str
-    realm: str  # REALM_CLASSIC or REALM_HOST
-
-    def __post_init__(self):
-        if self.realm not in (REALM_CLASSIC, REALM_HOST):
+    __slots__ = ("func", "realm")
+    def __init__(self, func: str, realm: str):
+        if realm not in (REALM_CLASSIC, REALM_HOST):
             raise ValueError("test realm must be 'classic' or 'host'")
+        _set(self, "func", func)
+        _set(self, "realm", realm)
 
 
-@dataclass(frozen=True)
 class NamedRef(Description):
-    name: str
+    __slots__ = ("name",)
+    __init__ = ConceptName.__init__
 
 
 # The shared constructor facts (see the module docstring).

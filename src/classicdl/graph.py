@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .descriptions import (
     AllAttr,
@@ -86,15 +85,17 @@ def _fresh_id() -> int:
     return next(_node_ids)
 
 
-@dataclass
 class REdge:
     """Role component of a node: bounds, nested restriction graph, fillers."""
 
-    role: str
-    min: int
-    max: float  # non-negative integer or INF
-    restriction: "DescriptionGraph"
-    fillers: set[Individual] = field(default_factory=set)
+    __slots__ = ("role", "min", "max", "restriction", "fillers")
+    def __init__(self, role: str, min: int, max: float,
+                 restriction: DescriptionGraph, fillers=None):
+        self.role = role
+        self.min = min
+        self.max = max  # a non-negative integer or INF
+        self.restriction = restriction
+        self.fillers: set[Individual] = set() if fillers is None else fillers
 
     def copy(self) -> "REdge":
         """A copy that shares the restriction graph."""
@@ -102,20 +103,22 @@ class REdge:
                      set(self.fillers))
 
 
-@dataclass
 class AEdge:
-    src: int
-    dst: int
-    attr: str
+    __slots__ = ("src", "dst", "attr")
+    def __init__(self, src: int, dst: int, attr: str):
+        self.src = src
+        self.dst = dst
+        self.attr = attr
 
 
-@dataclass
 class GraphNode:
     """Atoms, r-edge bag, and dom (``None`` marks the universal set)."""
 
-    atoms: set[str]
-    r_edges: list[REdge] = field(default_factory=list)
-    dom: frozenset[Individual] | None = None
+    __slots__ = ("atoms", "r_edges", "dom")
+    def __init__(self, atoms: set[str], r_edges=None, dom=None):
+        self.atoms = atoms
+        self.r_edges: list[REdge] = [] if r_edges is None else r_edges
+        self.dom: frozenset[Individual] | None = dom
 
     def clone(self) -> "GraphNode":
         """A copy whose r-edges are copies sharing the restriction graphs
@@ -420,10 +423,11 @@ def translate(d: Description) -> DescriptionGraph:
     return top
 
 
-@dataclass
 class _Close:
-    edge: AEdge | None  # the a-edge into an attribute target
-    last: bool  # whether the node's whole description is all(attr, C)
+    __slots__ = ("edge", "last")
+    def __init__(self, edge: AEdge | None, last: bool):
+        self.edge = edge  # the a-edge into an attribute target
+        self.last = last  # whether the node's description is all(attr, C)
 
 
 def _open(g: DescriptionGraph, d: Description, stack: list,

@@ -7,7 +7,6 @@ registry, which grows monotonically the first time each tag is expanded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import is_
 
 from .descriptions import (
@@ -95,17 +94,19 @@ DEFAULT_LATTICE = HostLattice()
 EXPANSION_LIMIT = 100_000
 
 
-@dataclass
 class KnowledgeBase:
     """Declared vocabulary plus named concepts and disjointness groups."""
 
-    roles: set[str] = field(default_factory=set)
-    attributes: set[str] = field(default_factory=set)
-    individuals: dict[str, Individual] = field(default_factory=dict)
-    lattice: HostLattice = field(default_factory=HostLattice)
-    named: dict[str, Description] = field(default_factory=dict)
-    disjoint_groups: list[frozenset[str]] = field(default_factory=list)
-    primitives: dict[str, Description] = field(default_factory=dict)
+    __slots__ = ("roles", "attributes", "individuals", "lattice", "named",
+                 "disjoint_groups", "primitives")
+    def __init__(self):
+        self.roles: set[str] = set()
+        self.attributes: set[str] = set()
+        self.individuals: dict[str, Individual] = {}
+        self.lattice = HostLattice()
+        self.named: dict[str, Description] = {}
+        self.disjoint_groups: list[frozenset[str]] = []
+        self.primitives: dict[str, Description] = {}
 
     @classmethod
     def empty(cls) -> "KnowledgeBase":
@@ -231,13 +232,13 @@ def _register_primitive(kb: KnowledgeBase, tag: str, body: Description) -> None:
                       % tag)
 
 
-@dataclass
 class TaxonomyNode:
-    members: list[str]
-    parents: list[int]
+    __slots__ = ("members", "parents")
+    def __init__(self, members: list[str], parents: list[int]):
+        self.members = members
+        self.parents = parents
 
 
-@dataclass
 class Taxonomy:
     """Subsumption DAG over the named concepts of a knowledge base.
 
@@ -246,7 +247,9 @@ class Taxonomy:
     preorder.
     """
 
-    nodes: list[TaxonomyNode]
+    __slots__ = ("nodes",)
+    def __init__(self, nodes: list[TaxonomyNode]):
+        self.nodes = nodes
 
     def to_jsonable(self) -> object:
         return [

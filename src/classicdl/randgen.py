@@ -11,7 +11,7 @@ so they are exercised by targeted unit tests instead of the random suites
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .countermodel import CounterModelError, construct_graphical_world
 from .descriptions import (
@@ -138,17 +138,19 @@ def random_pair(rng: random.Random) -> tuple[Description, Description]:
     )
 
 
-@dataclass
 class PropertyRunStats:
-    cases: int = 0
-    positives: int = 0
-    negatives: int = 0
-    violations: int = 0
-    failures: list[str] = field(default_factory=list)
-    # soundness only: positive cases with a sampled world in which C has a
-    # member, and the number of such worlds; the others check nothing
-    nonvacuous_cases: int = 0
-    nonvacuous_worlds: int = 0
+    __slots__ = ("cases", "positives", "negatives", "violations", "failures",
+                 "nonvacuous_cases", "nonvacuous_worlds")
+    def __init__(self):
+        self.cases = self.positives = self.negatives = self.violations = 0
+        self.failures: list[str] = []
+        # soundness only: positive cases with a sampled world in which C has
+        # a member, and the number of such worlds; the others check nothing
+        self.nonvacuous_cases = self.nonvacuous_worlds = 0
+
+    def __eq__(self, other):
+        key = attrgetter(*self.__slots__)
+        return type(other) is PropertyRunStats and key(self) == key(other)
 
     def record_failure(self, message: str) -> None:
         self.violations += 1

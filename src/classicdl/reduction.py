@@ -17,36 +17,37 @@ distinct literals so the encoding stays satisfiable by design.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from .descriptions import Value, _set
 from .kb import KnowledgeBase
 from .parsing import parse_description, parse_kb
 from .subsume import subsumes
 
 
-@dataclass(frozen=True)
-class Literal:
-    var: str
-    positive: bool
+class Literal(Value):
+    __slots__ = ("var", "positive")
+    def __init__(self, var: str, positive: bool):
+        _set(self, "var", var)
+        _set(self, "positive", positive)
 
     def __str__(self):
         return self.var if self.positive else "~" + self.var
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    variables: tuple[str, ...]
-    clauses: tuple[tuple[Literal, Literal, Literal], ...]
-
-    def __post_init__(self):
-        if not self.clauses:
+class CnfFormula(Value):
+    __slots__ = ("variables", "clauses")
+    def __init__(self, variables: tuple[str, ...],
+                 clauses: tuple[tuple[Literal, Literal, Literal], ...]):
+        if not clauses:
             raise ValueError("a formula needs at least one clause")
-        for clause in self.clauses:
+        for clause in clauses:
             if len(clause) != 3:
                 raise ValueError("clauses carry exactly three literals")
             for lit in clause:
-                if lit.var not in self.variables:
+                if lit.var not in variables:
                     raise ValueError("undeclared variable %s" % lit.var)
+        _set(self, "variables", variables)
+        _set(self, "clauses", clauses)
 
 
 class DimacsError(ValueError):
@@ -131,11 +132,12 @@ def check_validity_bruteforce(dnf, variables) -> bool:
 # The encoding
 
 
-@dataclass
 class ReductionOutput:
-    kb_text: str
-    upper_text: str
-    lower_text: str
+    __slots__ = ("kb_text", "upper_text", "lower_text")
+    def __init__(self, kb_text: str, upper_text: str, lower_text: str):
+        self.kb_text = kb_text
+        self.upper_text = upper_text
+        self.lower_text = lower_text
 
     def kb(self) -> KnowledgeBase:
         return parse_kb(self.kb_text)
@@ -226,11 +228,12 @@ def encode(f: CnfFormula) -> ReductionOutput:
     )
 
 
-@dataclass
 class IncompletenessReport:
-    formula_valid: bool       # the negated formula, i.e. the CNF is unsat
-    engine_verdict: bool      # subsumes(UPPER, LOWER) from the engine
-    gap: bool                 # valid but not derived
+    __slots__ = ("formula_valid", "engine_verdict", "gap")
+    def __init__(self, formula_valid: bool, engine_verdict: bool, gap: bool):
+        self.formula_valid = formula_valid  # the CNF is unsatisfiable
+        self.engine_verdict = engine_verdict  # subsumes(UPPER, LOWER)
+        self.gap = gap  # valid but not derived
 
     def to_jsonable(self) -> dict:
         return {"validity": self.formula_valid,

@@ -26,7 +26,6 @@ canonical graph with ``canonical_graph``, then test.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .descriptions import (
     AllAttr,
@@ -44,6 +43,8 @@ from .descriptions import (
     THING,
     to_text,
     UNEXPANDED,
+    Value,
+    _set,
 )
 from .graph import DescriptionGraph, REdge, traversal_ranks
 from .kb import KnowledgeBase, expand
@@ -62,17 +63,19 @@ def covers_everything(d: Description) -> bool:
     return atom is not None and atom(d) == THING
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Value):
     """The first subsumer ``clause`` (never an ``and``) that fails at
     ``node`` of ``graph``.  ``inner`` is the failure of an ``all`` over a
     role inside the role's restriction graph; a body failing through an
     attribute edge is reported at the edge's target instead."""
 
-    clause: Description
-    graph: DescriptionGraph
-    node: int
-    inner: Failure | None = None
+    __slots__ = ("clause", "graph", "node", "inner")
+    def __init__(self, clause: Description, graph: DescriptionGraph,
+                 node: int, inner: Failure | None = None):
+        _set(self, "clause", clause)
+        _set(self, "graph", graph)
+        _set(self, "node", node)
+        _set(self, "inner", inner)
 
     def to_jsonable(self) -> dict:
         """The clause's text, the node's id as the ``canon`` dump of its

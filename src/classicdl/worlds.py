@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 
 from .descriptions import (
     AllAttr,
@@ -68,6 +67,7 @@ from .descriptions import (
     THING,
     Thing,
     UNEXPANDED,
+    Value,
     walk,
 )
 from .graph import DescriptionGraph, INF
@@ -76,10 +76,6 @@ from .kb import DEFAULT_LATTICE, HostLattice
 
 class EvalError(Exception):
     """An atomic name or individual has no interpretation in the world."""
-
-
-def _immutable(self, *args):
-    raise AttributeError("world elements are immutable")
 
 
 class ClassicElement:
@@ -98,10 +94,8 @@ class ClassicElement:
             cls._interned[eid] = elem
         return elem
 
-    __setattr__ = __delattr__ = _immutable
-
-    def __repr__(self):
-        return "ClassicElement(eid=%r)" % (self.eid,)
+    __setattr__ = __delattr__ = Value.__setattr__
+    __repr__ = Value.__repr__
 
     def __str__(self):
         return "c%d" % self.eid
@@ -127,11 +121,8 @@ class HostElement:
             cls._interned[key] = elem
         return elem
 
-    __setattr__ = __delattr__ = _immutable
-
-    def __repr__(self):
-        return "HostElement(vtype=%r, value=%r, anon_id=%r)" % (
-            self.vtype, self.value, self.anon_id)
+    __setattr__ = __delattr__ = Value.__setattr__
+    __repr__ = Value.__repr__
 
     @property
     def is_anon(self) -> bool:
@@ -155,23 +146,22 @@ Element = object  # ClassicElement | HostElement
 _SINK = HostElement(None, anon_id=-1)
 
 
-@dataclass
 class Interpretation:
     """A finite possible world."""
 
-    classic: set[ClassicElement] = field(default_factory=set)
-    hosts: set[HostElement] = field(default_factory=set)
-    concept_ext: dict[str, set] = field(default_factory=dict)
-    role_ext: dict[str, dict[ClassicElement, set]] = field(
-        default_factory=dict)
-    attr_ext: dict[str, dict] = field(default_factory=dict)
-    indiv_ext: dict[str, set] = field(default_factory=dict)
-    lattice: HostLattice = DEFAULT_LATTICE
-
+    __slots__ = ("classic", "hosts", "concept_ext", "role_ext", "attr_ext",
+                 "indiv_ext", "lattice")
     sink = _SINK  # one for every world: elements are interned
 
-    def __post_init__(self):
+    def __init__(self, hosts=None, lattice: HostLattice = DEFAULT_LATTICE):
+        self.classic: set[ClassicElement] = set()
+        self.hosts: set[HostElement] = set() if hosts is None else hosts
         self.hosts.add(self.sink)
+        self.concept_ext: dict[str, set] = {}
+        self.role_ext: dict[str, dict[ClassicElement, set]] = {}
+        self.attr_ext: dict[str, dict] = {}
+        self.indiv_ext: dict[str, set] = {}
+        self.lattice = lattice
 
     def attr_value(self, attr: str, elem) -> Element | None:
         """The attribute's value at an element; None off the classic realm
@@ -462,19 +452,22 @@ def find_witness(g: DescriptionGraph, elem,
 # Signatures and random worlds
 
 
-@dataclass
 class Signature:
-    """The vocabulary a world must interpret."""
+    """The vocabulary a world must interpret: ``individuals`` holds the
+    classic names, and ``equations`` the same-as clauses as (left chain,
+    right chain), which the sampler closes."""
 
-    atoms: set[str] = field(default_factory=set)
-    roles: set[str] = field(default_factory=set)
-    attrs: set[str] = field(default_factory=set)
-    individuals: set[str] = field(default_factory=set)  # classic names
-    host_values: set[Individual] = field(default_factory=set)
-    max_number: int = 1
-    # same-as clauses as (left chain, right chain): the sampler closes them
-    equations: set[tuple[tuple[str, ...], tuple[str, ...]]] = field(
-        default_factory=set)
+    __slots__ = ("atoms", "roles", "attrs", "individuals", "host_values",
+                 "max_number", "equations")
+    def __init__(self, atoms=None, roles=None, attrs=None, individuals=None,
+                 host_values=None, max_number: int = 1, equations=None):
+        self.atoms: set[str] = set() if atoms is None else atoms
+        self.roles: set[str] = set() if roles is None else roles
+        self.attrs: set[str] = set() if attrs is None else attrs
+        self.individuals = set() if individuals is None else individuals
+        self.host_values = set() if host_values is None else host_values
+        self.max_number = max_number
+        self.equations = set() if equations is None else equations
 
     def merge(self, other: "Signature") -> "Signature":
         return Signature(self.atoms | other.atoms,

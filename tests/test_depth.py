@@ -73,7 +73,8 @@ def _all_and(depth, inner):
 ], ids=["all-role", "all-attr", "all-and"])
 def test_deep_description_runs_the_whole_pipeline(shape, depth):
     # The innermost name is defined, so ``expand`` rebuilds every level.
-    kb = KnowledgeBase(named={"Inner": ConceptName("A")})
+    kb = KnowledgeBase()
+    kb.named = {"Inner": ConceptName("A")}
     d = expand(shape(depth, NamedRef("Inner")), kb)
     # Dataclass equality recurses once per level, so compare node by node.
     assert [type(n) for n in walk(d)] == \
@@ -135,7 +136,8 @@ def _chain_world(depth):
     before, with c(j) in X(depth + 1 - j) and c(depth) in A: c0 lies in
     the ladder's extension, one element per level."""
     c = [ClassicElement(i) for i in range(depth + 2)]
-    world = Interpretation(classic=set(c))
+    world = Interpretation()
+    world.classic = set(c)
     world.role_ext["r"] = {c[j]: {c[j + 1]} for j in range(depth + 1)}
     world.concept_ext = {"X%d" % k: {c[depth + 1 - k]}
                          for k in range(1, depth + 1)}

@@ -61,7 +61,8 @@ SAMPLES = [
 # No description at all: no lookup knows its class.
 STRANGER = None
 
-KB = KnowledgeBase(named={"N": ConceptName("A")})
+KB = KnowledgeBase()
+KB.named = {"N": ConceptName("A")}
 GRAPH = canonicalize(translate(ClassicThing()))
 
 LAYERS = {
