@@ -46,7 +46,7 @@ from .graph import (
     translate,
 )
 from .kb import HostLattice, KbError, KnowledgeBase, Taxonomy, classify, expand
-from .normalize import canonical_graph, canonicalize
+from .normalize import canonicalize
 from .parsing import ParseError, parse_description, parse_kb
 from .reduction import (
     CnfFormula,

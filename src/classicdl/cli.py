@@ -25,7 +25,7 @@ from .countermodel import (
 from .descriptions import to_jsonable as ast_jsonable
 from .graph import to_jsonable as graph_jsonable, translate
 from .kb import KbError, KnowledgeBase, classify, expand
-from .normalize import canonical_graph
+from .normalize import canonicalize
 from .parsing import ParseError, infer_attr_names, parse_description, parse_kb
 from .subsume import explain, subsumes_graph
 from .worlds import to_jsonable as world_jsonable
@@ -182,11 +182,12 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "canon":
         kb, (d,) = _parse_all(args.kb, args.description)
-        _emit(graph_jsonable(canonical_graph(expand(d, kb), kb)))
+        _emit(graph_jsonable(canonicalize(translate(expand(d, kb)), kb)))
         return 0
     if cmd == "subsumes":
         kb, (d, c) = _parse_all(args.kb, args.subsumer, args.subsumee)
-        failure = explain(expand(d, kb), canonical_graph(expand(c, kb), kb))
+        failure = explain(expand(d, kb),
+                          canonicalize(translate(expand(c, kb)), kb))
         if args.explain:
             _emit(failure and failure.to_jsonable())
         else:
@@ -199,7 +200,7 @@ def _dispatch(args) -> int:
     if cmd == "countermodel":
         kb, (d, c) = _parse_all(args.kb, args.subsumer, args.subsumee)
         de, ce = expand(d, kb), expand(c, kb)
-        canon = canonical_graph(ce, kb)
+        canon = canonicalize(translate(ce), kb)
         if subsumes_graph(de, canon):
             print("error: subsumption holds; no counter-model exists",
                   file=sys.stderr)

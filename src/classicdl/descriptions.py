@@ -103,10 +103,22 @@ class Individual(Value):
 
 
 def literal_name(host_type: str, value) -> str:
-    """Canonical source spelling of a host literal."""
+    """Canonical source spelling of a host literal.  A REAL is written
+    ``digits.digits``, with the shortest digits that read back as the same
+    float, which ``repr`` gives in exponent form below 1e-4 and from 1e16
+    on."""
     if host_type == "STRING":
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return repr(value) if host_type == "REAL" else str(value)
+    if host_type != "REAL":
+        return str(value)
+    mantissa, _, exp = repr(value).partition("e")
+    if not exp:
+        return mantissa
+    whole, _, frac = mantissa.partition(".")
+    point = len(whole) + int(exp)
+    if point <= 0:
+        return "0." + "0" * -point + whole + frac
+    return whole + frac + "0" * (point - len(whole + frac)) + ".0"
 
 
 def host_int(n: int) -> Individual:

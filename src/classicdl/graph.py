@@ -19,8 +19,9 @@ A canonical graph is a frozen value: ``normalize`` marks it, and each of
 its nested restriction graphs, with the knowledge base it is canonical
 under (``None``, no knowledge base, counts as one), and nothing changes a
 marked graph again.  So canonical graphs share restriction graphs freely:
-``_clones`` copies only the graphs that are not canonical under the
-knowledge base at hand, and ``translate`` gives every
+``_clones`` takes only the graphs that are not canonical under the
+knowledge base at hand, and copies only the frozen ones among them, and
+``translate`` gives every
 ``at-least``, ``at-most`` and ``fills(role, ...)`` one shared ``{THING}``
 restriction, canonical under every knowledge base.  The mark is the
 knowledge base object itself, so a knowledge base must not change once
@@ -188,26 +189,26 @@ class DescriptionGraph:
         """Whether the graph is canonical under ``kb`` (``None``: none)."""
         return self.canonical_kb is kb or self.canonical_kb is ANY_KB
 
-    def _clones(self, kb, copy: bool = True) -> list["DescriptionGraph"]:
+    def _clones(self, kb) -> list["DescriptionGraph"]:
         """This graph and every nested restriction graph that is not
         canonical under ``kb`` (``None``: no knowledge base), in the
-        preorder of ``subgraphs``, each copied unless ``copy`` is false;
-        the canonical ones are shared.  A fresh ``object()`` as ``kb``
-        copies every graph but those canonical under every knowledge base.
-        The copies are not canonical, and their nodes get fresh ids, so a
-        copy can be merged with any other graph.  The walk keeps its own
-        stack, so any nesting depth is fine."""
+        preorder of ``subgraphs``; each frozen one is copied, the others
+        are taken themselves, and the canonical ones are shared.  A fresh
+        ``object()`` as ``kb`` takes every graph but those canonical under
+        every knowledge base.  The copies are not canonical, and their
+        nodes get fresh ids, so a copy can be merged with any other graph.
+        The walk keeps its own stack, so any nesting depth is fine."""
         def to_visit(g):
             # Reversed, so that the stack pops them in stored order.
             return [e for node in reversed(g.nodes.values())
                     for e in reversed(node.r_edges)
                     if not e.restriction.canonical_under(kb)]
 
-        out = [self._copy() if copy else self]
+        out = [self._copy() if self.frozen else self]
         stack = to_visit(out[0])
         while stack:
             e = stack.pop()
-            if copy:
+            if e.restriction.frozen:
                 e.restriction = e.restriction._copy()
             out.append(e.restriction)
             stack += to_visit(e.restriction)
@@ -389,8 +390,9 @@ def translate(d: Description) -> DescriptionGraph:
     added, but the node of a graph or target whose whole description is
     ``all(attr, C)`` comes after C's nodes, and the a-edge of
     ``all(attr, C)`` after C's a-edges; NOTHING at a root makes the graph
-    incoherent, and at a target leaves it a lone NOTHING node.  A copy
-    numbers the nodes in this order, so canonical graphs depend on it.
+    incoherent, and at a target leaves it a lone NOTHING node.
+    Normalization reads the nodes in this order, and a copy keeps it, so
+    canonical graphs depend on it and not on the node ids.
     """
     top = DescriptionGraph()
     stack: list = []

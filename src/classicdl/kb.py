@@ -26,6 +26,7 @@ from .descriptions import (
     TEST_ATOM_PREFIX,
     THING,
 )
+from .graph import absorb, merge_graphs, translate
 
 
 class KbError(Exception):
@@ -278,12 +279,11 @@ def _told_graphs(kb: KnowledgeBase):
     """The names in told order, each name's told parts, and each name's
     canonical graph, built once: the translation of the conjunction of
     its other clauses, with its told names' canonical graphs absorbed
-    into it, normalized in place by ``canonical_graph``.  Canonical
-    graphs are frozen, so a told graph is copied only where
-    normalization changes it, its root r-edges and its other nodes, and
-    its restriction graphs are shared: no restriction graph is copied
-    again unless a rule must change it."""
-    from .normalize import canonical_graph
+    into it, canonicalized in place.  Canonical graphs are frozen, so a
+    told graph is copied only where normalization changes it, its root
+    r-edges and its other nodes, and its restriction graphs are shared:
+    no restriction graph is copied again unless a rule must change it."""
+    from .normalize import canonicalize
 
     parts = {n: ([], []) for n in kb.named}
     for n, (told, clauses) in parts.items():
@@ -292,9 +292,11 @@ def _told_graphs(kb: KnowledgeBase):
     canon = {}
     for a in order:
         told, clauses = parts[a]
-        own = None if not clauses else clauses[0] if len(clauses) == 1 \
-            else And(tuple(clauses))
-        canon[a] = canonical_graph(own, kb, [canon[p] for p in told])
+        g = merge_graphs() if not clauses else translate(
+            clauses[0] if len(clauses) == 1 else And(tuple(clauses)))
+        for p in told:
+            absorb(g, canon[p])
+        canon[a] = canonicalize(g, kb)
     return order, parts, canon
 
 

@@ -32,8 +32,8 @@ incoherent, an r-edge merge builds a new restriction graph, and filler
 bookkeeping narrows a restriction's root dom.  So ``canonicalize``
 normalizes every graph not canonical yet once, children before parents,
 and those rules normalize the one graph they changed on the spot.  It
-works in place, on a copy of its input, which is left unchanged, or, for
-``canonical_graph``, on a fresh translation, with no copy.
+works in place: a frozen input is copied first, and so left unchanged,
+and any other is normalized itself.
 
 A canonical graph is frozen (see ``graph``), and a result is frozen as
 it is returned: every graph in it that is not frozen yet is marked
@@ -52,12 +52,9 @@ passes, over the nodes forward or reversed, gives the same result.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .descriptions import (
     BUILTIN_ATOMS,
     CLASSIC_THING,
-    Description,
     HOST_THING,
     Individual,
     is_host_test_atom,
@@ -76,50 +73,28 @@ from .graph import (
     mark_incoherent,
     merge_graphs,
     merge_nodes,
-    translate,
 )
 from .kb import DEFAULT_LATTICE, KnowledgeBase
 
 
 def canonicalize(g: DescriptionGraph,
-                 kb: KnowledgeBase | None = None, *,
-                 copy: bool = True) -> DescriptionGraph:
-    """Return the canonical form of ``g`` under ``kb``; the input is not
-    modified.
-
-    A ``g`` already canonical under ``kb`` is returned itself.  Otherwise
-    ``g`` is cloned once, up front, sharing its restriction graphs that
-    are canonical under ``kb``; each copied graph is normalized once,
-    children before parents, and then every graph of the result that is
-    not frozen yet is marked canonical under ``kb``.  ``copy=False``
-    normalizes ``g`` itself in place instead, for ``canonical_graph``'s
-    fresh graphs, which no one else holds.  The mark is ``kb`` itself, so
-    ``kb`` must not change after this call; a graph marked before a change
-    would be returned unchanged by later calls.
-    """
+                 kb: KnowledgeBase | None = None) -> DescriptionGraph:
+    """Return the canonical form of ``g`` under ``kb``: ``g`` itself if it
+    is canonical under ``kb`` already, else a copy of a frozen ``g``, which
+    is left unchanged, and else ``g`` normalized in place.  Each graph not
+    canonical under ``kb`` is taken once, up front, the frozen ones copied;
+    each is normalized once, children before parents, and then marked
+    canonical under ``kb``.  The mark is ``kb`` itself, so ``kb`` must not
+    change after this call; a graph marked before a change would be
+    returned unchanged by later calls."""
     if g.canonical_under(kb):
         return g
-    graphs = g._clones(kb, copy)
+    graphs = g._clones(kb)
     for sub in reversed(graphs):
         _normalize_graph(sub, kb)
-    for sub in graphs[0]._clones(kb, copy=False):
+    for sub in graphs[0]._clones(kb):
         sub.canonical_kb = kb
     return graphs[0]
-
-
-def canonical_graph(d: Description | None,
-                    kb: KnowledgeBase | None = None,
-                    told: Sequence[DescriptionGraph] = ()
-                    ) -> DescriptionGraph:
-    """The canonical graph under ``kb`` of the expanded description ``d``
-    (None: none) and the graphs ``told``, canonical under ``kb``: ``d``'s
-    translation, with copies of each told graph's root r-edges and other
-    nodes absorbed into it, canonicalized in place.  Nothing else is
-    copied; the told graphs' restriction graphs are shared."""
-    g = merge_graphs() if d is None else translate(d)
-    for t in told:
-        absorb(g, t)
-    return canonicalize(g, kb, copy=False)
 
 
 def _normalize_graph(g: DescriptionGraph, kb: KnowledgeBase | None) -> None:
@@ -355,13 +330,13 @@ def _aedge_pass(g, node_order, kb) -> bool:
     classes: dict[int, list[int]] = {}
     for nid in g.nodes:
         classes.setdefault(uf.find(nid), []).append(nid)
-    # Each class merges in one pass; the old nodes are dropped, so their
-    # r-edges move into the merged node.
+    # Each class merges in one pass, at its first member's place in node
+    # order and its members in that order, so ids are only names; the old
+    # nodes are dropped, so their r-edges move into the merged node.
     new_nodes: dict[int, GraphNode] = {}
-    for rep in sorted(classes):
-        members = classes[rep]
+    for rep, members in classes.items():
         new_nodes[rep] = g.nodes[rep] if len(members) == 1 else \
-            merge_nodes(*(g.nodes[m] for m in sorted(members)))
+            merge_nodes(*(g.nodes[m] for m in members))
     merged_edges: dict[tuple[int, str], AEdge] = {}
     for e in g.a_edges:
         key = (uf.find(e.src), e.attr)

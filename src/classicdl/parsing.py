@@ -38,6 +38,7 @@ names in individual positions are classic individuals.
 from __future__ import annotations
 
 import functools
+import math
 import re
 
 from .descriptions import (
@@ -240,6 +241,8 @@ class _DescriptionParser:
         if first.isdecimal():
             ind = host_int(int(tok)) if tok.isdecimal() else \
                 host_real(float(tok))
+            if not math.isfinite(ind.value):
+                self.fail("REAL literal out of range")
         elif first == '"':
             ind = host_string(_unquote(tok))
         elif not _is_name(tok):

@@ -32,8 +32,9 @@ from .descriptions import (
     Thing,
     to_text,
 )
+from .graph import translate
 from .kb import KnowledgeBase
-from .normalize import canonical_graph
+from .normalize import canonicalize
 from .subsume import subsumes_graph
 from .worlds import (
     _below,
@@ -169,7 +170,7 @@ def soundness_run(seed: int, cases: int, worlds_per_case: int = 50,
     for case in range(cases):
         d, c = random_pair(rng)
         stats.cases += 1
-        canon = canonical_graph(c, kb)
+        canon = canonicalize(translate(c), kb)
         if not subsumes_graph(d, canon):
             stats.negatives += 1
             continue
@@ -202,7 +203,7 @@ def completeness_run(seed: int, cases: int) -> PropertyRunStats:
     for _ in range(cases):
         d, c = random_pair(rng)
         stats.cases += 1
-        canon = canonical_graph(c, kb)
+        canon = canonicalize(translate(c), kb)
         if subsumes_graph(d, canon):
             stats.positives += 1
             continue

@@ -19,8 +19,8 @@ frame.  ``RootIndex`` answers the ``ATOM`` and ``_EDGE`` clauses and
 ``all(role, C)`` at the roots of many named graphs at once, by lookup and
 one test per shared restriction graph; classification uses it to run the
 structural test per name only for the other clauses.  ``subsumes`` wires
-up the full pipeline: expand both descriptions, build the subsumee's
-canonical graph with ``canonical_graph``, then test.
+up the full pipeline: expand both descriptions, canonicalize the
+subsumee's translation in place, then test.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from .descriptions import (
     Value,
     _set,
 )
-from .graph import DescriptionGraph, REdge, traversal_ranks
+from .graph import DescriptionGraph, REdge, translate, traversal_ranks
 from .kb import KnowledgeBase, expand
-from .normalize import canonical_graph
+from .normalize import canonicalize
 
 
 def covers_everything(d: Description) -> bool:
@@ -282,7 +282,7 @@ def subsumes(d: Description, c: Description,
         kb = KnowledgeBase.empty()
     de = expand(d, kb)
     ce = expand(c, kb)
-    return subsumes_graph(de, canonical_graph(ce, kb))
+    return subsumes_graph(de, canonicalize(translate(ce), kb))
 
 
 def equivalent(d: Description, c: Description,

@@ -174,7 +174,7 @@ def merge_told_graphs(kb: KnowledgeBase) -> dict[str, DescriptionGraph]:
     """Each name's canonical graph as classification built it by merging:
     its told names' canonical graphs merged with the translation of each
     of its other clauses, one graph per clause, and the merge
-    canonicalized, which copies it whole.  ``kb._told_graphs`` must build
+    canonicalized in place.  ``kb._told_graphs`` must build
     the same graphs, dump for dump."""
     parts = {n: ([], []) for n in kb.named}
     for n, (told, clauses) in parts.items():

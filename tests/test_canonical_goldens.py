@@ -49,13 +49,12 @@ def digests() -> dict:
         for _ in range(PAIRS):
             d, c = random_pair(rng)
             for desc in (d, c):
-                translated = graph.translate(desc)
-                canon = canonicalize(translated, kb)
+                canon = canonicalize(graph.translate(desc), kb)
                 _update(canon_h, graph.to_jsonable(canon))
                 with rule_order(reversed(normalize._PASSES),
                                 reverse_nodes=True):
                     _update(canon_h, graph.to_jsonable(
-                        canonicalize(translated, kb)))
+                        canonicalize(graph.translate(desc), kb)))
             # ``canon`` is now the subsumee's canonical form
             if canon.incoherent:
                 continue

@@ -11,7 +11,7 @@ import pytest
 import classicdl
 from classicdl import cli
 from classicdl.cli import main
-from classicdl.countermodel import construct_graphical_world
+from classicdl.countermodel import construct_graphical_world, interpret_rest
 from classicdl.descriptions import to_jsonable, to_text
 from classicdl.graph import (
     DescriptionGraph,
@@ -184,6 +184,26 @@ def test_narrowed_host_dom_is_not_classic(capsys, tmp_path):
     fillers = [y for x, y in world["roles"]["r"]
                if x == world["distinguished"]]
     assert fillers == ["1"]
+
+
+def test_countermodel_prints_the_world_of_the_golden_canonical_form(
+        capsys, tmp_path):
+    # translate puts the node of all(g, C) after C's nodes, so node order
+    # and id order differ; the command prints the world that the world
+    # goldens build, from canonicalize's form of the subsumee.
+    kb_path = tmp_path / "attributes.kb"
+    kb_path.write_text("role r\nattribute g\nattribute h\nindividual V\n")
+    d_text, c_text = "fills(r, V)", "all(g, same-as((h),(h)))"
+    code, out, err = run(capsys, "countermodel", "--kb", str(kb_path),
+                         d_text, c_text)
+    assert (code, err) == (0, "")
+    kb = parse_kb(kb_path.read_text())
+    d, c = (expand(parse_description(t, kb), kb) for t in (d_text, c_text))
+    world, elem = construct_graphical_world(
+        canonicalize(translate(c), kb), steering=d, kb=kb)
+    interpret_rest(world, c)
+    assert json.loads(out) == world_jsonable(world, distinguished=elem)
+    assert json.loads(out)["distinguished"] == "c2"
 
 
 def test_countermodel_rejects_seed_flag():

@@ -31,7 +31,7 @@ from classicdl.descriptions import (
 from classicdl.countermodel import construct_graphical_world
 from classicdl.graph import to_jsonable, translate
 from classicdl.kb import KnowledgeBase, expand
-from classicdl.normalize import canonical_graph, canonicalize
+from classicdl.normalize import canonicalize
 from classicdl.subsume import explain
 from classicdl.worlds import (
     ClassicElement,
@@ -159,7 +159,7 @@ def test_graph_evaluation_takes_any_depth():
 def test_counter_model_of_a_deep_ladder():
     # The builders recurse three frames per level, and graph evaluation,
     # which checks their result, none: under pytest they reach 314 levels.
-    g = canonical_graph(_ladder(300, ConceptName("A")))
+    g = canonicalize(translate(_ladder(300, ConceptName("A"))))
     world, elem = construct_graphical_world(g)
     # One element per level, the root's and the innermost THING filler's.
     assert len(world.classic) == 302

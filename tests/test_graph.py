@@ -24,6 +24,7 @@ from classicdl.graph import (
     to_jsonable,
     translate,
 )
+from classicdl.kb import KnowledgeBase
 from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description
 from classicdl.randgen import random_pair
@@ -322,35 +323,35 @@ def thawed(g):
     return g._clones(object())[0]
 
 
-def _unfrozen_nodes(g):
-    """The nodes of ``g``'s graphs that are not frozen yet."""
-    return [n for sub in g.subgraphs() if not sub.frozen
-            for n in sub.nodes.values()]
-
-
 @pytest.mark.parametrize("text", DEEP_SHAPES, ids=DEEP_IDS)
-def test_canonicalize_clones_each_input_node_once(text, clone_calls):
-    # Each node of a graph that is not canonical yet is cloned exactly
-    # once; no node of a frozen graph, such as the shared {THING}
-    # restriction, is cloned.
+def test_canonicalize_clones_each_frozen_node_once(text, clone_calls):
+    # A fresh graph is normalized in place, with no node cloned.  Each
+    # node of a graph frozen under another knowledge base is cloned
+    # exactly once; no node of a graph canonical under every one, such as
+    # the shared {THING} restriction, is cloned.
     g = translate(parse_description(text))
-    nodes = _unfrozen_nodes(g)
-    canonicalize(g)
+    assert canonicalize(g) is g
+    assert clone_calls == []
+    kb = KnowledgeBase.empty()
+    nodes = [n for sub in g.subgraphs() if not sub.canonical_under(kb)
+             for n in sub.nodes.values()]
+    canonicalize(g, kb)
     assert Counter(map(id, clone_calls)) == Counter(map(id, nodes))
 
 
 def test_canonicalize_shares_frozen_restrictions(clone_calls):
     # As classify does with told names: a canonical graph merged with a
-    # new clause.  The merge's nodes are copied once; the canonical
-    # graph's restriction graphs are shared, not copied.
+    # new clause.  The merge copied the canonical graph's nodes, so it is
+    # normalized in place; the canonical graph's restriction graphs are
+    # shared, not copied.
     told = canonicalize(translate(parse_description(
         "and(A, all(r, and(B, all(s, C))), same-as((f),(g)))")))
     g = merge_graphs(told, translate(parse_description("D")))
-    nodes = _unfrozen_nodes(g)
     before = to_jsonable(told)
     clone_calls.clear()
     out = canonicalize(g)
-    assert Counter(map(id, clone_calls)) == Counter(map(id, nodes))
+    assert out is g
+    assert clone_calls == []
     assert out.role_edge(out.root, "r").restriction is \
         told.role_edge(told.root, "r").restriction
     assert to_jsonable(told) == before
@@ -358,7 +359,7 @@ def test_canonicalize_shares_frozen_restrictions(clone_calls):
 
 def test_merge_graphs_copies_a_frozen_input():
     # A frozen graph is a value: a merge copies its nodes and r-edges, so
-    # normalizing the merge, even in place, leaves it unchanged.
+    # normalizing the merge, in place, leaves it unchanged.
     told = canonicalize(translate(parse_description(
         "and(A, all(r, and(B, all(s, C))), same-as((f),(g)))")))
     before = to_jsonable(told)
@@ -369,7 +370,6 @@ def test_merge_graphs_copies_a_frozen_input():
     assert len(set(map(id, nodes))) == len(nodes)
     assert len(set(map(id, edges))) == len(edges)
     canonicalize(g)
-    canonicalize(g, copy=False)
     assert to_jsonable(told) == before
 
 
@@ -418,4 +418,5 @@ def test_canonicalize_has_no_depth_ceiling():
     out = list(canonicalize(chain[-1]).subgraphs())
     assert len(out) == depth
     assert all(s.root_node.atoms == {"A", CLASSIC_THING} for s in out)
-    assert all(s.root_node.atoms == {"A"} for s in chain)
+    # The fresh chain was normalized in place.
+    assert [id(s) for s in out] == [id(s) for s in reversed(chain)]

@@ -593,14 +593,14 @@ def test_classify_leaves_told_graphs_unchanged(text, monkeypatch):
     # them changes none of them.
     kb = parse_kb(text)
     built = []
-    real = normalize.canonical_graph
+    real = normalize.canonicalize
 
-    def snapshot(d, kb=None, told=()):
-        canon = real(d, kb, told)
+    def snapshot(g, kb=None):
+        canon = real(g, kb)
         built.append((canon, to_jsonable(canon)))
         return canon
 
-    monkeypatch.setattr(normalize, "canonical_graph", snapshot)
+    monkeypatch.setattr(normalize, "canonicalize", snapshot)
     classify(kb)
     assert len(built) == len(kb.named)
     for canon, before in built:

@@ -7,12 +7,12 @@ from classicdl import graph, normalize
 from classicdl.descriptions import CLASSIC_THING, Individual, NOTHING, host_int
 from classicdl.graph import to_jsonable, translate
 from classicdl.kb import DEFAULT_LATTICE, expand
-from classicdl.normalize import canonical_graph, canonicalize
+from classicdl.normalize import canonicalize
 from classicdl.parsing import parse_description, parse_kb
 from classicdl.randgen import corpus_kb, random_pair
-from oracles import graph_shape, isomorphic, rule_order
+from oracles import isomorphic, rule_order
 from test_canonical_goldens import golden_kb
-from test_graph import DEEP_SHAPES, thawed
+from test_graph import DEEP_SHAPES, clone_calls, thawed  # noqa: F401
 
 
 def canon(parse, text, kb=None):
@@ -128,8 +128,8 @@ def test_cascade_reduces_node_count(parse):
     # two target collapses, each removing exactly one node
     raw = translate(parse("and(same-as((f),(g)), same-as((f),(h)), "
                           "same-as((g),(h)))"))
-    out = canonicalize(raw)
     assert len(raw.nodes) == 4
+    out = canonicalize(raw)
     assert len(out.nodes) == 2
 
 
@@ -208,11 +208,10 @@ def test_single_dom_becomes_attr_filler(parse, kb):
 def test_attr_filler_narrows_target_dom(parse, kb):
     # The filler edge and the one-of edge merge; whichever rule runs first,
     # the merged target can only be the filler.
-    g = translate(parse(
-        "and(all(coach, one-of(Pat, Kim, P)), fills(coach, Pat))"))
+    d = parse("and(all(coach, one-of(Pat, Kim, P)), fills(coach, Pat))")
     for reverse in (False, True):
         with _order(reverse):
-            c = canonicalize(g, kb)
+            c = canonicalize(translate(d), kb)
         (edge,) = c.a_edges
         assert to_jsonable(c)["aedges"][0]["fillers"] == ["Pat"]
         assert c.nodes[edge.dst].dom == frozenset({Individual("Pat")})
@@ -243,10 +242,10 @@ def test_two_schedules_agree(parse, kb):
         "and(all(r, one-of(P, Q)), at-least(2, r), at-most(3, r))",
         "and(same-as((f),(g)), same-as((f),(h)), all(f, TALL))",
     ]:
-        g = translate(parse(text))
+        d = parse(text)
         with _order(True):
-            reversed_form = canonicalize(g, kb)
-        assert isomorphic(canonicalize(g, kb), reversed_form)
+            reversed_form = canonicalize(translate(d), kb)
+        assert isomorphic(canonicalize(translate(d), kb), reversed_form)
 
 
 def test_disjointness_hook():
@@ -425,33 +424,35 @@ def test_canonical_input_is_returned_itself(canonical_corpus):
         assert all(sub.canonical_under(kb) for sub in g.subgraphs())
 
 
-def test_canonicalize_leaves_its_input_unchanged():
-    # canonicalize copies its input up front and normalizes the copy;
-    # canonical_graph normalizes a fresh translation in place, to the
-    # same canonical form.
+def test_canonicalize_copies_exactly_the_frozen_inputs(clone_calls):
+    # A fresh translation is normalized in place and returned itself, with
+    # no node cloned.  A graph frozen under another knowledge base is
+    # copied, and its dump and marks stay as they were.
     kb = corpus_kb()
     rng = random.Random(5)
     for _ in range(300):
         for d in random_pair(rng):
             g = translate(d)
-            before = ([list(sub.nodes) for sub in g.subgraphs()],
-                      graph_shape(g))
-            canon = canonicalize(g, kb)
-            assert canon is not g
-            assert ([list(sub.nodes) for sub in g.subgraphs()],
-                    graph_shape(g)) == before
-            assert not any(sub.frozen for sub in g.subgraphs()
-                           if sub is not graph._THING_RESTRICTION)
-            assert to_jsonable(canonical_graph(d, kb)) == to_jsonable(canon)
+            assert canonicalize(g, kb) is g
+            assert clone_calls == []
+            frozen = canonicalize(translate(d))
+            before = (to_jsonable(frozen),
+                      [sub.canonical_kb for sub in frozen.subgraphs()])
+            canon = canonicalize(frozen, kb)
+            assert canon is not frozen
+            assert (to_jsonable(frozen),
+                    [sub.canonical_kb for sub in frozen.subgraphs()]) == before
+            assert to_jsonable(canon) == to_jsonable(g)
+            clone_calls.clear()
 
 
-def test_copy_is_keyword_only():
-    # A third positional argument would otherwise bind to ``copy`` and be
-    # taken as true.
-    g = translate(parse_description("all(r, A)"))
+def test_canonicalize_takes_only_a_graph_and_a_kb():
+    # A third argument, positional or ``copy``, is refused.
+    d = parse_description("all(r, A)")
     with pytest.raises(TypeError):
-        canonicalize(g, None, "alternate")
-    assert canonicalize(g, None, copy=True) is not g
+        canonicalize(translate(d), None, "alternate")
+    with pytest.raises(TypeError):
+        canonicalize(translate(d), None, copy=True)
 
 
 def test_same_as_cascade_merges_in_linear_time():

@@ -18,6 +18,7 @@ from classicdl.descriptions import (
     Primitive,
     SameAs,
     Thing,
+    host_real,
     to_text,
     walk,
 )
@@ -69,6 +70,29 @@ def test_string_escapes_round_trip():
     assert isinstance(d, FillsAttr)
     assert d.who.value == 'a"b\\c'
     assert parse_description(to_text(d), inferred_attrs={"f"}) == d
+
+
+def test_real_literals_round_trip_without_exponents():
+    # repr writes 1e-05 and 1e+16, which the grammar does not read.
+    rng = random.Random(0)
+    values = [10.0 ** k for k in range(-30, 31)]
+    values += [rng.uniform(1, 10) * 10.0 ** rng.randint(-30, 30)
+               for _ in range(500)]
+    for x in values:
+        name = host_real(x).name
+        assert "e" not in name, name
+        text = "one-of(%s)" % name
+        d = parse_description(text)
+        (member,) = d.members
+        assert member.value == x, text
+        assert to_text(d) == text
+
+
+def test_an_overflowing_real_literal_is_a_parse_error():
+    text = "one-of(%s.0)" % ("9" * 400)
+    with pytest.raises(ParseError, match="out of range") as exc:
+        parse_description(text)
+    assert exc.value.pos == len("one-of(")
 
 
 def test_at_least_zero_rejected(parse):

@@ -133,7 +133,7 @@ def test_translate_preserves_extension(seed):
 def test_canonicalize_preserves_extension(seed):
     d = expand(desc(seed), KB)
     g = translate(d)
-    cg = canonicalize(g, KB)
+    cg = canonicalize(translate(d), KB)
     sig = signature_of_description(d)
     for w in range(3):
         world = sample_interpretation(sig, seed=seed % 99991 + 13 * w)
@@ -143,11 +143,11 @@ def test_canonicalize_preserves_extension(seed):
 @given(seeds)
 @settings(max_examples=30, deadline=None)
 def test_canonicalize_idempotent_and_confluent(seed):
-    g = translate(expand(desc(seed), KB))
-    c1 = canonicalize(g, KB)
+    d = expand(desc(seed), KB)
+    c1 = canonicalize(translate(d), KB)
     assert isomorphic(c1, canonicalize(thawed(c1), KB))
     with rule_order(reversed(normalize._PASSES), reverse_nodes=True):
-        assert isomorphic(c1, canonicalize(g, KB))
+        assert isomorphic(c1, canonicalize(translate(d), KB))
 
 
 @given(seeds)

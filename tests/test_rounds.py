@@ -22,13 +22,14 @@ from test_small_scope import KB_TEXT, size2_corpus
 from test_translate import _deep_descriptions
 
 
-def _same_canonical_forms(graphs, kb):
-    """Canonicalize each raw graph with the engine and with the reference
-    loop, and compare dumps and incoherent flags."""
+def _same_canonical_forms(descriptions, kb):
+    """Canonicalize a fresh translation of each expanded description with
+    the engine and with the reference loop, and compare dumps and
+    incoherent flags."""
     with reference_normalization():
-        expected = [canonicalize(g, kb) for g in graphs]
-    for g, ref in zip(graphs, expected):
-        got = canonicalize(g, kb)
+        expected = [canonicalize(translate(d), kb) for d in descriptions]
+    for d, ref in zip(descriptions, expected):
+        got = canonicalize(translate(d), kb)
         assert got.incoherent == ref.incoherent
         assert to_jsonable(got) == to_jsonable(ref)
 
@@ -36,24 +37,24 @@ def _same_canonical_forms(graphs, kb):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_subsumees_match_the_reference_loop(seed):
     rng = random.Random(seed)
-    graphs = [translate(random_pair(rng)[1]) for _ in range(2000)]
-    _same_canonical_forms(graphs, corpus_kb())
+    descriptions = [random_pair(rng)[1] for _ in range(2000)]
+    _same_canonical_forms(descriptions, corpus_kb())
 
 
 def test_deep_ladders_match_the_reference_loop():
-    _same_canonical_forms([translate(d) for d in _deep_descriptions()], None)
+    _same_canonical_forms(_deep_descriptions(), None)
 
 
 def _size2_corpus():
     kb = parse_kb(KB_TEXT)
-    return kb, [translate(expand(parse_description(text, kb), kb))
+    return kb, [expand(parse_description(text, kb), kb)
                 for text in size2_corpus()]
 
 
 def _random_corpus():
     kb = golden_kb()
     rng = random.Random(0)
-    return kb, [translate(d) for _ in range(500) for d in random_pair(rng)]
+    return kb, [d for _ in range(500) for d in random_pair(rng)]
 
 
 @pytest.mark.parametrize("corpus, interacting", [
@@ -63,16 +64,17 @@ def _random_corpus():
 def test_every_rule_order_gives_the_engines_canonical_form(corpus,
                                                           interacting):
     # 24 orders of the four passes, times the nodes forward or reversed.
-    kb, graphs = corpus()
-    expected = [to_jsonable(canonicalize(g, kb)) for g in graphs]
+    kb, descriptions = corpus()
+    expected = [to_jsonable(canonicalize(translate(d), kb))
+                for d in descriptions]
     mismatches = []
     for passes in itertools.permutations(normalize._PASSES):
         for reverse_nodes in (False, True):
             with rule_order(passes, reverse_nodes):
                 mismatches += [
                     (i, [p.__name__ for p in passes], reverse_nodes)
-                    for i, (g, want) in enumerate(zip(graphs, expected))
-                    if to_jsonable(canonicalize(g, kb)) != want]
+                    for i, (d, want) in enumerate(zip(descriptions, expected))
+                    if to_jsonable(canonicalize(translate(d), kb)) != want]
     assert mismatches == []
     # The power of the check: the descriptions on which two or more
     # distinct passes change a graph, nested graphs included, so their
@@ -88,9 +90,9 @@ def test_every_rule_order_gives_the_engines_canonical_form(corpus,
         return run_pass
 
     with rule_order(map(recorded, normalize._PASSES)):
-        for g in graphs:
+        for d in descriptions:
             fired.append(set())
-            canonicalize(g, kb)
+            canonicalize(translate(d), kb)
     assert sum(len(passes) >= 2 for passes in fired) == interacting
 
 
@@ -140,11 +142,11 @@ def test_dom_typing_to_one_realm_is_a_conflict_in_one_call(monkeypatch):
 
     monkeypatch.setattr(normalize, "_dom_typing", recorded)
     kb = corpus_kb()
-    g = translate(parse_description(
-        "and(all(r, STRING), fills(r, P), fills(r, 3), at-most(2, r))", kb))
-    assert canonicalize(g, kb).incoherent
+    c = parse_description(
+        "and(all(r, STRING), fills(r, P), fills(r, 3), at-most(2, r))", kb)
+    assert canonicalize(translate(c), kb).incoherent
     assert [{ind.name for ind in d} for d in dropped] == [{"3"}]
     dropped.clear()
     with rule_order(reversed(normalize._PASSES), reverse_nodes=True):
-        assert canonicalize(g, kb).incoherent
+        assert canonicalize(translate(c), kb).incoherent
     assert [{ind.name for ind in d} for d in dropped] == [{"3"}]

@@ -144,7 +144,7 @@ def test_eval_graph_matches_eval_description(parse, kb):
     for text in texts:
         d = expand(parse(text), kb)
         g = translate(d)
-        cg = canonicalize(g, kb)
+        cg = canonicalize(translate(d), kb)
         sig = signature_of_description(d)
         for seed in range(6):
             w = sample_interpretation(sig, seed=seed * 31 + 1)
@@ -505,8 +505,7 @@ def test_translated_and_canonical_graphs_reach_every_node():
     kb = corpus_kb()
     for seed in range(2000):
         for d in random_pair(random.Random(seed)):
-            raw = translate(d)
-            for g in (raw, canonicalize(raw, kb)):
+            for g in (translate(d), canonicalize(translate(d), kb)):
                 for sub in g.subgraphs():
                     assert _reached(sub) == set(sub.nodes), (seed, d)
 
