@@ -1,4 +1,4 @@
-"""Tokenizer and recursive-descent parsers for descriptions and KB files.
+"""Tokenizer and parsers for descriptions and KB files.
 
 The description grammar is a prefix/functional ASCII notation::
 
@@ -18,15 +18,19 @@ comment.  Concept bodies may reference concepts declared on any line;
 host-type parents must be declared first.  A disjoint group names, once
 each, only atoms that no line declares and that are not host types.
 
-:func:`tokenize` is the one lexical pass: one ``findall`` yields the
-tokens as plain strings, whose kind is their first character, and the
-names inside same-as chains are collected from them.  Offsets are computed
-only for an error.  ``parse_description`` lexes its text once and
-``parse_kb`` each line once; a concept body is parsed from its line's
-tokens, so its error offsets count from the start of the line like every
-other KB error.  A two-entry memo on ``tokenize`` makes
-``infer_attr_names(d, c)`` followed by ``parse_description`` of each lex
-each distinct text once.
+:func:`tokenize` is the one lexical pass.  ASCII text without string
+literals, comments and numbers glued to a name, as in ``2x``, is split at
+whitespace after spaces are put around ``(``, ``)``, ``,`` and ``:=``; any
+other text is lexed by one ``findall``.  Both paths yield the same tokens,
+plain strings whose kind is their first character, and the names inside
+same-as chains are collected from them.  Offsets are computed only for an
+error.  One loop over the tokens parses a description, with an explicit
+stack of open ``and``, ``all`` and ``primitive`` constructors, so any depth
+parses.  ``parse_description`` lexes its text once and ``parse_kb`` each
+line once; a concept body is parsed from its line's tokens, so its error
+offsets count from the start of the line like every other KB error.  A
+two-entry memo on ``tokenize`` makes ``infer_attr_names(d, c)`` followed
+by ``parse_description`` of each lex each distinct text once.
 
 With a knowledge base in hand the parser is strict: every role, attribute,
 and individual must be declared, in KB files and in descriptions parsed
@@ -40,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import Set
 
 from .descriptions import (
     AllAttr,
@@ -94,6 +99,9 @@ _TOKEN_RE = re.compile(r"\s*(%s)" % _TOKEN, re.DOTALL)
 # The longest prefix of a text that is a run of tokens and whitespace: it
 # ends at the first character that starts no token.
 _TEXT_RE = re.compile(r"(?:[\s(),]+|%s)*" % _TOKEN, re.DOTALL)
+# A number followed directly by an identifier, as in ``2x``: one token
+# that ``findall`` splits in two.
+_GLUED_RE = re.compile(r"[0-9][A-Za-z_]")
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_"
                         "abcdefghijklmnopqrstuvwxyz")
 
@@ -130,11 +138,18 @@ def tokenize(text: str, line: int | None = None
     end = _TEXT_RE.match(text).end()
     if end < len(text):
         raise ParseError("unexpected character %r" % text[end], end, line)
-    # Trailing whitespace would be searched again from each of its offsets.
-    tokens = _TOKEN_RE.findall(text, 0, len(text.rstrip()))
-    if "#" in text:
-        tokens = [tok for tok in tokens if tok[0] != "#"]
-    tokens = (*tokens, "")
+    if text.isascii() and '"' not in text and "#" not in text \
+            and not _GLUED_RE.search(text):
+        # Then only whitespace, punctuation and ``:=`` end a token, so
+        # splitting at them gives ``findall``'s tokens.
+        tokens = (*text.replace("(", " ( ").replace(")", " ) ")
+                  .replace(",", " , ").replace(":=", " := ").split(), "")
+    else:
+        # Trailing whitespace would be searched again from each of its offsets.
+        tokens = _TOKEN_RE.findall(text, 0, len(text.rstrip()))
+        if "#" in text:
+            tokens = [tok for tok in tokens if tok[0] != "#"]
+        tokens = (*tokens, "")
     return tokens, _chain_names(tokens) if "same-as" in text else frozenset()
 
 
@@ -169,218 +184,223 @@ def _unquote(text: str) -> str:
     return re.sub(r"\\(.)", r"\1", text[1:-1], flags=re.DOTALL)
 
 
-class _DescriptionParser:
-    """Recursive descent over the token strings of ``text`` from token
-    ``start``; ``self.i`` is the index of the next token."""
+class _Failure(Exception):
+    """A parse error at a token index; :func:`_parse_tokens` raises it as a
+    :class:`ParseError` at the token's offset."""
 
-    def __init__(self, tokens: tuple[str, ...], kb: KnowledgeBase | None,
-                 inferred_attrs: set[str], text: str,
-                 line: int | None = None, start: int = 0):
-        self.tokens = tokens
-        self.kb = kb
-        self.inferred_attrs = inferred_attrs
-        self.text = text
-        self.line = line
-        self.i = start
 
-    def fail(self, message: str, i: int | None = None):
-        """Raise at token ``i``, by default the next one."""
-        i = self.i if i is None else i
-        raise ParseError(message, _offsets(self.text)[i], self.line)
+def _expected(what: str, tok: str, k: int) -> _Failure:
+    return _Failure("expected %s, found %r" % (what, tok or "end of input"), k)
 
-    def expected(self, what: str, i: int | None = None):
-        i = self.i if i is None else i
-        self.fail("expected %s, found %r"
-                  % (what, self.tokens[i] or "end of input"), i)
 
-    def name(self, what: str) -> str:
-        """Take the next token, which must be an identifier."""
-        name = self.tokens[self.i]
-        if not _is_name(name):
-            self.expected(what)
-        self.i += 1
-        return name
+def _ref(name: str, k: int, kinds: tuple[str, ...],
+         kb: KnowledgeBase | None, inferred_attrs: Set[str]) -> str:
+    """The kind of token ``k``, ``name``, as the name of one of ``kinds``;
+    without a knowledge base an unknown name is a ``kinds[0]``."""
+    if not _is_name(name):
+        raise _expected(_REFS[kinds][0], name, k)
+    kind = kb.kind_of(name) if kb is not None else \
+        "attribute" if name in inferred_attrs else None
+    if kind not in kinds:
+        _, noun, misuse = _REFS[kinds]
+        if kind is not None:
+            raise _Failure(misuse % (name, kind), k)
+        if kb is not None:
+            raise _Failure("unknown %s: %s" % (noun, name), k)
+        kind = kinds[0]
+    return kind
 
-    def whole(self) -> Description:
-        """A description that runs to the end of the tokens."""
-        d = self.description()
-        if self.tokens[self.i]:
-            self.fail("unexpected trailing input %r" % self.tokens[self.i])
-        return d
 
-    # -- name classification --
+def _integer(tok: str, k: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise _Failure("INTEGER literal too long", k) from None
 
-    def kind_of(self, name: str) -> str | None:
-        if self.kb is not None:
-            return self.kb.kind_of(name)
-        if name in self.inferred_attrs:
-            return "attribute"
-        return None
 
-    def ref(self, kinds: tuple[str, ...]) -> tuple[str, str]:
-        """Take the next token as the name of one of ``kinds`` and return
-        it with its kind; without a knowledge base an unknown name is a
-        ``kinds[0]``."""
-        name = self.tokens[self.i]
-        if not _is_name(name):
-            self.expected(_REFS[kinds][0])
-        kind = self.kind_of(name)
-        if kind not in kinds:
-            _, noun, misuse = _REFS[kinds]
-            if kind is not None:
-                self.fail(misuse % (name, kind))
-            if self.kb is not None:
-                self.fail("unknown %s: %s" % (noun, name))
-            kind = kinds[0]
-        self.i += 1
-        return name, kind
-
-    def individual(self) -> Individual:
-        tok = self.tokens[self.i]
-        first = tok[:1]
-        if first.isdecimal():
-            ind = host_int(int(tok)) if tok.isdecimal() else \
-                host_real(float(tok))
-            if not math.isfinite(ind.value):
-                self.fail("REAL literal out of range")
-        elif first == '"':
-            ind = host_string(_unquote(tok))
-        elif not _is_name(tok):
-            self.fail("expected an individual")
-        elif self.kb is None:
-            ind = Individual(tok)
-        elif tok in self.kb.individuals:
-            ind = self.kb.individuals[tok]
-        else:
-            kind = self.kb.kind_of(tok)
-            self.fail("%s is declared as a %s, not an individual" % (tok, kind)
-                      if kind else "unknown individual: %s" % tok)
-        self.i += 1
+def _individual(tok: str, k: int, kb: KnowledgeBase | None) -> Individual:
+    if tok[:1].isdecimal():
+        if tok.isdecimal():
+            return host_int(_integer(tok, k))
+        ind = host_real(float(tok))
+        if not math.isfinite(ind.value):
+            raise _Failure("REAL literal out of range", k)
         return ind
+    if tok[:1] == '"':
+        return host_string(_unquote(tok))
+    if not _is_name(tok):
+        raise _Failure("expected an individual", k)
+    if kb is None:
+        return Individual(tok)
+    if tok in kb.individuals:
+        return kb.individuals[tok]
+    kind = kb.kind_of(tok)
+    raise _Failure("%s is declared as a %s, not an individual" % (tok, kind)
+                   if kind else "unknown individual: %s" % tok, k)
 
-    # -- grammar --
 
-    def description(self) -> Description:
-        i = self.i
-        name = self.tokens[i]
-        if name in _CONSTANTS:
-            self.i = i + 1
-            return _CONSTANTS[name]()
-        if name in KEYWORDS:
-            return self.compound(name)
-        if not _is_name(name):
-            self.fail("expected a description")
-        self.i = i + 1
-        # Graph node labels are reserved so user atoms never collide with
-        # them.
-        if name in BUILTIN_ATOMS:
-            self.fail("%s is reserved; use the lowercase keyword" % name, i)
-        if self.kb is not None:
-            kind = self.kb.kind_of(name)
-            if kind == "concept":
-                return NamedRef(name)
-            if kind == "host-type":
-                return HostConcept(name)
-            if kind is not None:
-                self.fail("%s is declared as a %s, not a concept"
-                          % (name, kind), i)
-        elif DEFAULT_LATTICE.is_type(name):
-            return HostConcept(name)
+def _attr_chain(tokens: tuple[str, ...], i: int, kb: KnowledgeBase | None,
+                inferred_attrs: Set[str]) -> tuple[tuple[str, ...], int]:
+    """The attribute chain ``(a, b, ...)`` at token ``i``, and the index of
+    the token after it."""
+    if tokens[i] != "(":
+        raise _expected("'('", tokens[i], i)
+    start = i + 1
+    while True:
+        i += 1
+        _ref(tokens[i], i, ("attribute",), kb, inferred_attrs)
+        i += 1
+        if tokens[i] != ",":
+            break
+    if tokens[i] != ")":
+        raise _expected("')'", tokens[i], i)
+    return tokens[start:i:2], i + 1
+
+
+def _parse_tokens(tokens: tuple[str, ...], start: int,
+                  kb: KnowledgeBase | None, inferred_attrs: Set[str],
+                  text: str, line: int | None = None) -> Description:
+    """The description at token ``start`` of ``tokenize(text)``, which must
+    run to the end of the tokens.  ``and``, ``all`` and ``primitive`` open a
+    frame on ``stack``; each finished description joins or closes the top
+    one, and any other constructor is read whole where it starts."""
+    try:
+        stack: list = []
+        i = start
+        while True:
+            tok = tokens[i]
+            if tok not in KEYWORDS:
+                d = _atom(tok, i, kb)
+                i += 1
+            elif tok in _CONSTANTS:
+                d = _CONSTANTS[tok]()
+                i += 1
+            else:
+                if tokens[i + 1] != "(":
+                    raise _expected("'('", tokens[i + 1], i + 1)
+                i += 2
+                # The most frequent constructors first.
+                if tok == "same-as":
+                    left, i = _attr_chain(tokens, i, kb, inferred_attrs)
+                    if tokens[i] != ",":
+                        raise _expected("','", tokens[i], i)
+                    right, i = _attr_chain(tokens, i + 1, kb, inferred_attrs)
+                    d = SameAs(left, right)
+                elif tok == "at-least" or tok == "at-most":
+                    if not tokens[i].isdecimal():
+                        raise _expected("an integer", tokens[i], i)
+                    if tokens[i + 1] != ",":
+                        raise _expected("','", tokens[i + 1], i + 1)
+                    n, role = _integer(tokens[i], i), tokens[i + 2]
+                    _ref(role, i + 2, ("role",), kb, inferred_attrs)
+                    if tok == "at-most":
+                        d = AtMost(n, role)
+                    elif n > 0:
+                        d = AtLeast(n, role)
+                    elif tokens[i + 3] != ")":
+                        raise _expected("')'", tokens[i + 3], i + 3)
+                    else:
+                        raise _Failure("at-least bound must be positive", i)
+                    i += 3
+                elif tok == "and":
+                    stack.append((And, []))
+                    continue
+                elif tok == "all" or tok == "fills":
+                    name = tokens[i]
+                    attr = _ref(name, i, ("role", "attribute"), kb,
+                                inferred_attrs) == "attribute"
+                    if tokens[i + 1] != ",":
+                        raise _expected("','", tokens[i + 1], i + 1)
+                    i += 2
+                    if tok == "all":
+                        stack.append((AllAttr if attr else AllRole, name))
+                        continue
+                    d = (FillsAttr if attr else FillsRole)(
+                        name, _individual(tokens[i], i, kb))
+                    i += 1
+                elif tok == "primitive":
+                    stack.append((Primitive, None))
+                    continue
+                elif tok == "one-of":
+                    members = [_individual(tokens[i], i, kb)]
+                    i += 1
+                    while tokens[i] == ",":
+                        members.append(_individual(tokens[i + 1], i + 1, kb))
+                        i += 2
+                    if tokens[i] != ")":
+                        raise _expected("')'", tokens[i], i)
+                    if len({m.is_host for m in members}) > 1:
+                        raise _Failure("one-of members must be all host "
+                                       "values or all classic individuals", i)
+                    d = OneOf(tuple(members))
+                else:  # test
+                    if not _is_name(tokens[i]):
+                        raise _expected("a function name", tokens[i], i)
+                    if tokens[i + 1] != ",":
+                        raise _expected("','", tokens[i + 1], i + 1)
+                    realm = tokens[i + 2]
+                    if not _is_name(realm):
+                        raise _expected("'classic' or 'host'", realm, i + 2)
+                    if realm not in (REALM_CLASSIC, REALM_HOST):
+                        raise _Failure("test realm must be 'classic' or "
+                                       "'host'", i + 2)
+                    d = Test(tokens[i], realm)
+                    i += 3
+                if tokens[i] != ")":
+                    raise _expected("')'", tokens[i], i)
+                i += 1
+            # Hand ``d`` to the open frames, closing each that it completes.
+            while stack:
+                head, arg = stack[-1]
+                if head is And:
+                    arg.append(d)
+                    if tokens[i] == ",":
+                        i += 1
+                        break
+                    if len(arg) < 2:
+                        raise _Failure("and(...) needs at least two "
+                                       "conjuncts", i)
+                    d = And(tuple(arg))
+                elif head is Primitive:
+                    if tokens[i] != ",":
+                        raise _expected("','", tokens[i], i)
+                    tag = tokens[i + 1]
+                    if not _is_name(tag):
+                        raise _expected("a primitive tag", tag, i + 1)
+                    d = Primitive(d, tag)
+                    i += 2
+                else:
+                    d = head(arg, d)
+                if tokens[i] != ")":
+                    raise _expected("')'", tokens[i], i)
+                i += 1
+                stack.pop()
+            else:
+                if tokens[i]:
+                    raise _Failure("unexpected trailing input %r" % tokens[i],
+                                   i)
+                return d
+    except _Failure as exc:
+        message, k = exc.args
+        raise ParseError(message, _offsets(text)[k], line) from None
+
+
+def _atom(name: str, k: int, kb: KnowledgeBase | None) -> Description:
+    """The description that the name at token ``k`` stands for."""
+    if not _is_name(name):
+        raise _Failure("expected a description", k)
+    # Graph node labels are reserved so user atoms never collide with them.
+    if name in BUILTIN_ATOMS:
+        raise _Failure("%s is reserved; use the lowercase keyword" % name, k)
+    kind = kb.kind_of(name) if kb is not None else \
+        "host-type" if DEFAULT_LATTICE.is_type(name) else None
+    if kind is None:
         return ConceptName(name)
-
-    def compound(self, head: str) -> Description:
-        """The constructor ``head`` at the next token, through its closing
-        parenthesis: ``(``, ``,`` and ``)`` are checked in place."""
-        tokens = self.tokens
-        self.i += 1
-        if tokens[self.i] != "(":
-            self.expected("'('")
-        self.i += 1
-        if head == "and":
-            items = [self.description()]
-            while tokens[self.i] == ",":
-                self.i += 1
-                items.append(self.description())
-            if len(items) < 2:
-                self.fail("and(...) needs at least two conjuncts")
-            d = And(tuple(items))
-        elif head in ("all", "fills"):
-            name, kind = self.ref(("role", "attribute"))
-            if tokens[self.i] != ",":
-                self.expected("','")
-            self.i += 1
-            attr = kind == "attribute"
-            if head == "all":
-                d = (AllAttr if attr else AllRole)(name, self.description())
-            else:
-                d = (FillsAttr if attr else FillsRole)(name, self.individual())
-        elif head in ("at-least", "at-most"):
-            at = self.i
-            if not tokens[at].isdecimal():
-                self.expected("an integer")
-            if tokens[at + 1] != ",":
-                self.expected("','", at + 1)
-            self.i = at + 2
-            n, role = int(tokens[at]), self.ref(("role",))[0]
-            if head == "at-most":
-                d = AtMost(n, role)
-            elif n > 0:
-                d = AtLeast(n, role)
-            elif tokens[self.i] != ")":
-                self.expected("')'")
-            else:
-                self.fail("at-least bound must be positive", at)
-        elif head == "same-as":
-            left = self.attr_chain()
-            if tokens[self.i] != ",":
-                self.expected("','")
-            self.i += 1
-            d = SameAs(left, self.attr_chain())
-        elif head == "one-of":
-            members = [self.individual()]
-            while tokens[self.i] == ",":
-                self.i += 1
-                members.append(self.individual())
-            if tokens[self.i] != ")":
-                self.expected("')'")
-            if len({m.is_host for m in members}) > 1:
-                self.fail("one-of members must be all host values or all "
-                          "classic individuals")
-            d = OneOf(tuple(members))
-        elif head == "primitive":
-            body = self.description()
-            if tokens[self.i] != ",":
-                self.expected("','")
-            self.i += 1
-            d = Primitive(body, self.name("a primitive tag"))
-        else:  # test
-            func = self.name("a function name")
-            if tokens[self.i] != ",":
-                self.expected("','")
-            self.i += 1
-            realm = self.name("'classic' or 'host'")
-            if realm not in (REALM_CLASSIC, REALM_HOST):
-                self.fail("test realm must be 'classic' or 'host'",
-                          self.i - 1)
-            d = Test(func, realm)
-        if tokens[self.i] != ")":
-            self.expected("')'")
-        self.i += 1
-        return d
-
-    def attr_chain(self) -> tuple[str, ...]:
-        tokens = self.tokens
-        if tokens[self.i] != "(":
-            self.expected("'('")
-        self.i += 1
-        names = [self.ref(("attribute",))[0]]
-        while tokens[self.i] == ",":
-            self.i += 1
-            names.append(self.ref(("attribute",))[0])
-        if tokens[self.i] != ")":
-            self.expected("')'")
-        self.i += 1
-        return tuple(names)
+    if kind == "host-type":
+        return HostConcept(name)
+    if kind == "concept":
+        return NamedRef(name)
+    raise _Failure("%s is declared as a %s, not a concept" % (name, kind), k)
 
 
 def parse_description(text: str, kb: KnowledgeBase | None = None,
@@ -392,7 +412,7 @@ def parse_description(text: str, kb: KnowledgeBase | None = None,
     tokens, chain_names = tokenize(text)
     if inferred_attrs is None:
         inferred_attrs = chain_names
-    return _DescriptionParser(tokens, kb, inferred_attrs, text).whole()
+    return _parse_tokens(tokens, 0, kb, inferred_attrs, text)
 
 
 def infer_attr_names(*texts: str) -> set[str]:
@@ -505,8 +525,7 @@ def parse_kb(text: str) -> KnowledgeBase:
     # Second pass: concept bodies, after ``concept NAME :=``, may reference
     # any declared concept.
     for name, tokens, raw, lineno in concept_bodies:
-        kb.named[name] = _DescriptionParser(tokens, kb, set(), raw, lineno,
-                                            3).whole()
+        kb.named[name] = _parse_tokens(tokens, 3, kb, frozenset(), raw, lineno)
 
     _definition_order({name: {d.name for d in walk(body)
                               if isinstance(d, NamedRef)}

@@ -6,16 +6,21 @@ formulas, isomorphism of canonical graphs by their dumps, size measures
 of descriptions and graphs, the translation built by merging graphs, the
 told graphs of classification built by merging graphs, normalization
 in any order of the rule passes with another round after any change,
-and the random corpus drawn through ``random.Random``'s own methods.
+the random corpus drawn through ``random.Random``'s own methods, and the
+front end as one ``findall`` lexer and a recursive-descent parser.
 """
 
 import itertools
+import math
 import random
 from contextlib import contextmanager
 
 from classicdl.descriptions import (
+    BUILTIN_ATOMS,
     CLASSIC_THING,
     HOST_THING,
+    REALM_CLASSIC,
+    REALM_HOST,
     THING,
     AllAttr,
     AllRole,
@@ -29,11 +34,17 @@ from classicdl.descriptions import (
     FillsRole,
     HostConcept,
     HostThing,
+    Individual,
+    NamedRef,
     Nothing,
     OneOf,
     Primitive,
     SameAs,
+    Test,
     Thing,
+    host_int,
+    host_real,
+    host_string,
 )
 from classicdl.graph import (
     _THING_RESTRICTION,
@@ -57,6 +68,18 @@ from classicdl.kb import (
 )
 from classicdl import normalize
 from classicdl.normalize import canonicalize
+from classicdl.parsing import (
+    _CONSTANTS,
+    _REFS,
+    _TEXT_RE,
+    _TOKEN_RE,
+    KEYWORDS,
+    ParseError,
+    _chain_names,
+    _is_name,
+    _offsets,
+    _unquote,
+)
 from classicdl.randgen import ATOMS, ATTRS, INDIVIDUALS, ROLES
 from classicdl.reduction import CnfFormula, Literal
 from classicdl.worlds import (
@@ -465,3 +488,237 @@ def _attr_extensions(attrs, classic, choices):
                 table[a][e] = combo[idx]
                 idx += 1
         yield table
+
+
+def reference_tokenize(text: str, line: int | None = None
+                       ) -> tuple[tuple[str, ...], frozenset[str]]:
+    """``parsing.tokenize`` with one lexing path, ``findall``, for every
+    text, and no memo."""
+    end = _TEXT_RE.match(text).end()
+    if end < len(text):
+        raise ParseError("unexpected character %r" % text[end], end, line)
+    tokens = _TOKEN_RE.findall(text, 0, len(text.rstrip()))
+    tokens = (*[tok for tok in tokens if tok[0] != "#"], "")
+    return tokens, _chain_names(tokens)
+
+
+class _DescriptionParser:
+    """Recursive descent over the token strings of ``text`` from token
+    ``start``; ``self.i`` is the index of the next token."""
+
+    def __init__(self, tokens: tuple[str, ...], kb: KnowledgeBase | None,
+                 inferred_attrs: set[str], text: str,
+                 line: int | None = None, start: int = 0):
+        self.tokens = tokens
+        self.kb = kb
+        self.inferred_attrs = inferred_attrs
+        self.text = text
+        self.line = line
+        self.i = start
+
+    def fail(self, message: str, i: int | None = None):
+        """Raise at token ``i``, by default the next one."""
+        i = self.i if i is None else i
+        raise ParseError(message, _offsets(self.text)[i], self.line)
+
+    def expected(self, what: str, i: int | None = None):
+        i = self.i if i is None else i
+        self.fail("expected %s, found %r"
+                  % (what, self.tokens[i] or "end of input"), i)
+
+    def name(self, what: str) -> str:
+        """Take the next token, which must be an identifier."""
+        name = self.tokens[self.i]
+        if not _is_name(name):
+            self.expected(what)
+        self.i += 1
+        return name
+
+    def whole(self) -> Description:
+        """A description that runs to the end of the tokens."""
+        d = self.description()
+        if self.tokens[self.i]:
+            self.fail("unexpected trailing input %r" % self.tokens[self.i])
+        return d
+
+    # -- name classification --
+
+    def kind_of(self, name: str) -> str | None:
+        if self.kb is not None:
+            return self.kb.kind_of(name)
+        if name in self.inferred_attrs:
+            return "attribute"
+        return None
+
+    def ref(self, kinds: tuple[str, ...]) -> tuple[str, str]:
+        """Take the next token as the name of one of ``kinds`` and return
+        it with its kind; without a knowledge base an unknown name is a
+        ``kinds[0]``."""
+        name = self.tokens[self.i]
+        if not _is_name(name):
+            self.expected(_REFS[kinds][0])
+        kind = self.kind_of(name)
+        if kind not in kinds:
+            _, noun, misuse = _REFS[kinds]
+            if kind is not None:
+                self.fail(misuse % (name, kind))
+            if self.kb is not None:
+                self.fail("unknown %s: %s" % (noun, name))
+            kind = kinds[0]
+        self.i += 1
+        return name, kind
+
+    def individual(self) -> Individual:
+        tok = self.tokens[self.i]
+        first = tok[:1]
+        if first.isdecimal():
+            ind = host_int(int(tok)) if tok.isdecimal() else \
+                host_real(float(tok))
+            if not math.isfinite(ind.value):
+                self.fail("REAL literal out of range")
+        elif first == '"':
+            ind = host_string(_unquote(tok))
+        elif not _is_name(tok):
+            self.fail("expected an individual")
+        elif self.kb is None:
+            ind = Individual(tok)
+        elif tok in self.kb.individuals:
+            ind = self.kb.individuals[tok]
+        else:
+            kind = self.kb.kind_of(tok)
+            self.fail("%s is declared as a %s, not an individual" % (tok, kind)
+                      if kind else "unknown individual: %s" % tok)
+        self.i += 1
+        return ind
+
+    # -- grammar --
+
+    def description(self) -> Description:
+        i = self.i
+        name = self.tokens[i]
+        if name in _CONSTANTS:
+            self.i = i + 1
+            return _CONSTANTS[name]()
+        if name in KEYWORDS:
+            return self.compound(name)
+        if not _is_name(name):
+            self.fail("expected a description")
+        self.i = i + 1
+        # Graph node labels are reserved so user atoms never collide with
+        # them.
+        if name in BUILTIN_ATOMS:
+            self.fail("%s is reserved; use the lowercase keyword" % name, i)
+        if self.kb is not None:
+            kind = self.kb.kind_of(name)
+            if kind == "concept":
+                return NamedRef(name)
+            if kind == "host-type":
+                return HostConcept(name)
+            if kind is not None:
+                self.fail("%s is declared as a %s, not a concept"
+                          % (name, kind), i)
+        elif DEFAULT_LATTICE.is_type(name):
+            return HostConcept(name)
+        return ConceptName(name)
+
+    def compound(self, head: str) -> Description:
+        """The constructor ``head`` at the next token, through its closing
+        parenthesis: ``(``, ``,`` and ``)`` are checked in place."""
+        tokens = self.tokens
+        self.i += 1
+        if tokens[self.i] != "(":
+            self.expected("'('")
+        self.i += 1
+        if head == "and":
+            items = [self.description()]
+            while tokens[self.i] == ",":
+                self.i += 1
+                items.append(self.description())
+            if len(items) < 2:
+                self.fail("and(...) needs at least two conjuncts")
+            d = And(tuple(items))
+        elif head in ("all", "fills"):
+            name, kind = self.ref(("role", "attribute"))
+            if tokens[self.i] != ",":
+                self.expected("','")
+            self.i += 1
+            attr = kind == "attribute"
+            if head == "all":
+                d = (AllAttr if attr else AllRole)(name, self.description())
+            else:
+                d = (FillsAttr if attr else FillsRole)(name, self.individual())
+        elif head in ("at-least", "at-most"):
+            at = self.i
+            if not tokens[at].isdecimal():
+                self.expected("an integer")
+            if tokens[at + 1] != ",":
+                self.expected("','", at + 1)
+            self.i = at + 2
+            n, role = int(tokens[at]), self.ref(("role",))[0]
+            if head == "at-most":
+                d = AtMost(n, role)
+            elif n > 0:
+                d = AtLeast(n, role)
+            elif tokens[self.i] != ")":
+                self.expected("')'")
+            else:
+                self.fail("at-least bound must be positive", at)
+        elif head == "same-as":
+            left = self.attr_chain()
+            if tokens[self.i] != ",":
+                self.expected("','")
+            self.i += 1
+            d = SameAs(left, self.attr_chain())
+        elif head == "one-of":
+            members = [self.individual()]
+            while tokens[self.i] == ",":
+                self.i += 1
+                members.append(self.individual())
+            if tokens[self.i] != ")":
+                self.expected("')'")
+            if len({m.is_host for m in members}) > 1:
+                self.fail("one-of members must be all host values or all "
+                          "classic individuals")
+            d = OneOf(tuple(members))
+        elif head == "primitive":
+            body = self.description()
+            if tokens[self.i] != ",":
+                self.expected("','")
+            self.i += 1
+            d = Primitive(body, self.name("a primitive tag"))
+        else:  # test
+            func = self.name("a function name")
+            if tokens[self.i] != ",":
+                self.expected("','")
+            self.i += 1
+            realm = self.name("'classic' or 'host'")
+            if realm not in (REALM_CLASSIC, REALM_HOST):
+                self.fail("test realm must be 'classic' or 'host'",
+                          self.i - 1)
+            d = Test(func, realm)
+        if tokens[self.i] != ")":
+            self.expected("')'")
+        self.i += 1
+        return d
+
+    def attr_chain(self) -> tuple[str, ...]:
+        tokens = self.tokens
+        if tokens[self.i] != "(":
+            self.expected("'('")
+        self.i += 1
+        names = [self.ref(("attribute",))[0]]
+        while tokens[self.i] == ",":
+            self.i += 1
+            names.append(self.ref(("attribute",))[0])
+        if tokens[self.i] != ")":
+            self.expected("')'")
+        self.i += 1
+        return tuple(names)
+
+
+def reference_parse_tokens(tokens: tuple[str, ...], start: int,
+                           kb: KnowledgeBase | None, inferred_attrs,
+                           text: str, line: int | None = None) -> Description:
+    """``parsing._parse_tokens`` by recursive descent."""
+    return _DescriptionParser(tokens, kb, inferred_attrs, text, line,
+                              start).whole()

@@ -76,6 +76,27 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("template", [
+    "at-least(%s, r)", "at-most(%s, r)", "one-of(%s)", "fills(r, %s)",
+], ids=["at-least", "at-most", "one-of", "fills"])
+def test_integer_literal_past_the_conversion_limit_is_a_parse_error(
+        capsys, template):
+    # Python refuses to convert a decimal string of more digits than
+    # sys.get_int_max_str_digits(); the parser reports it at the literal.
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run(capsys, "parse", template % digits)
+    assert (code, out) == (3, "")
+    assert err == "error: INTEGER literal too long (offset %d)\n" \
+        % template.index("%")
+
+
+def test_integer_literal_beyond_float_range_is_a_host_value(capsys):
+    digits = "9" * 400
+    code, out, err = run(capsys, "parse", "one-of(%s)" % digits)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["members"] == [digits]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -344,19 +365,33 @@ def _nested_text(depth: int) -> str:
     return text
 
 
-@pytest.mark.parametrize("argv, depth", [
-    # 300 levels of all(r, and(X_k, at-least(1, r), ...)) exceed the
-    # interpreter's recursion limit in the parser.
-    *((argv, 300) for argv in [("parse",), ("canon",), ("subsumes",),
-                               ("subsumes", "--explain"), ("countermodel",)]),
-])
-def test_too_deep_input_is_an_input_error(capsys, argv, depth):
-    text = _nested_text(depth)
+@pytest.mark.parametrize("argv", [
+    ("parse",), ("canon",), ("subsumes",), ("subsumes", "--explain"),
+    ("countermodel",),
+], ids=["parse", "canon", "subsumes", "explain", "countermodel"])
+def test_too_deep_input_is_an_input_error(capsys, argv):
+    # The parser takes any depth; 600 levels of all(r, and(X_k,
+    # at-least(1, r), ...)) exceed the interpreter's recursion limit in
+    # the AST dump (parse) and in expansion (the others).
+    text = _nested_text(600)
     texts = (text,) if argv[0] in ("parse", "canon") else (text, text)
     code, out, err = run(capsys, *argv, *texts)
     assert code == 3 and out == ""
     assert err.startswith("error: input nested too deeply")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("parse",), ("canon",), ("subsumes",)],
+                         ids=["parse", "canon", "subsumes"])
+def test_nested_300_deep_input_is_answered(capsys, argv):
+    text = _nested_text(300)
+    texts = (text,) if argv[0] in ("parse", "canon") else (text, text)
+    code, out, err = run(capsys, *argv, *texts)
+    assert (code, err) == (0, "")
+    if argv[0] == "subsumes":
+        assert out == "yes\n"
+    else:
+        assert out.endswith("\n}\n")
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -10,8 +10,8 @@ frame per level, say by calling a case function for a recursive
 constructor that then calls the walker again, would fail here.
 Translation, canonicalization, the graph dump and graph evaluation keep
 explicit stacks, so they take any depth; the counter-model's builders,
-which graph evaluation checks, still recurse.  The ASTs are built by
-hand, because the parser has its own, lower ceiling.
+which graph evaluation checks, still recurse.  The parser keeps a stack
+of open constructors, so it takes any depth too.
 """
 
 import sys
@@ -32,6 +32,7 @@ from classicdl.countermodel import construct_graphical_world
 from classicdl.graph import to_jsonable, translate
 from classicdl.kb import KnowledgeBase, expand
 from classicdl.normalize import canonicalize
+from classicdl.parsing import parse_description, parse_kb
 from classicdl.subsume import explain
 from classicdl.worlds import (
     ClassicElement,
@@ -43,6 +44,7 @@ from classicdl.worlds import (
     sample_interpretation,
     signature_of_description,
 )
+from test_cli import _nested_text
 
 
 def _all_role(depth, inner):
@@ -119,6 +121,21 @@ def test_graph_layers_take_any_depth(shape, extra):
         nodes += len(dump["nodes"])
         stack += [e["restriction"] for n in dump["nodes"] for e in n["redges"]]
     assert nodes == depth + extra
+
+
+def _shape_of(d):
+    """The nodes of ``d`` in preorder, each constructor as its type and each
+    leaf as itself, so that equal lists mean equal descriptions."""
+    return [type(n) if isinstance(n, (AllRole, And)) else n for n in walk(d)]
+
+
+def test_parser_takes_any_depth():
+    depth = 3 * sys.getrecursionlimit()
+    text = _nested_text(depth)
+    expected = _shape_of(_all_and(depth, ConceptName("X0")))
+    assert _shape_of(parse_description(text)) == expected
+    kb = parse_kb("role r\nconcept Deep := " + text)
+    assert _shape_of(kb.named["Deep"]) == expected
 
 
 def _ladder(depth, inner):

@@ -186,18 +186,19 @@ def test_long_definition_cycle_is_rejected_in_either_line_order():
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The texts the scanner's ``findall`` call runs over, counted through
-    a proxy of the token pattern, with the token memo cleared first."""
+    """The texts lexed, one entry per lexical pass on either path: every
+    pass starts by matching the text against ``_TEXT_RE``, which a proxy
+    counts, with the token memo cleared first."""
     texts = []
-    pattern = parsing._TOKEN_RE
+    pattern = parsing._TEXT_RE
 
     class CountingPattern:
-        def findall(self, text, *span):
+        def match(self, text, *span):
             texts.append(text)
-            return pattern.findall(text, *span)
+            return pattern.match(text, *span)
 
     parsing.tokenize.cache_clear()
-    monkeypatch.setattr(parsing, "_TOKEN_RE", CountingPattern())
+    monkeypatch.setattr(parsing, "_TEXT_RE", CountingPattern())
     yield texts
     parsing.tokenize.cache_clear()
 
